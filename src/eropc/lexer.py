@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 
 class TokenKind(enum.Enum):
@@ -63,28 +64,34 @@ KEYWORDS = {
     )
 }
 
-# Two-character operators must be tried before their one-character prefixes.
-_PUNCT = (
-    ("==", TokenKind.EQ),
-    ("+=", TokenKind.PLUSEQ),
-    ("-=", TokenKind.MINUSEQ),
-    ("<=", TokenKind.LE),
-    (">=", TokenKind.GE),
-    (",", TokenKind.COMMA),
-    (";", TokenKind.SEMI),
-    (".", TokenKind.DOT),
-    ("(", TokenKind.LPAREN),
-    (")", TokenKind.RPAREN),
-    ("[", TokenKind.LBRACKET),
-    ("]", TokenKind.RBRACKET),
-    ("!", TokenKind.BANG),
-    ("<", TokenKind.LT),
-    (">", TokenKind.GT),
+# operators and punctuation: the kinds whose value is not a word
+_PUNCT = {kind.value: kind for kind in TokenKind if not kind.value.isalpha()}
+_FIXED_KINDS = {**KEYWORDS, **_PUNCT}
+_GROUP_KINDS = {"word": TokenKind.IDENT, "string": TokenKind.STRING, "int": TokenKind.INT}
+
+# Each match is a run of blanks followed by one alternative; ``trivia`` also
+# takes blanks so that those at the very end of the source match too.  Longer
+# operators come before their one-character prefixes.  Whatever no other
+# alternative accepts is caught by ``bad``: an unterminated string or block
+# comment, or an illegal character.  Letters and digits are ASCII only.
+_TOKEN_RE = re.compile(
+    r"[ \t\r\n]*(?:"
+    r"(?P<trivia>[ \t\r\n]+|//[^\r\n]*|/\*.*?\*/)"
+    r"|(?P<word>[A-Za-z][A-Za-z0-9_]*)"
+    f"|(?P<punct>{'|'.join(map(re.escape, sorted(_PUNCT, key=len, reverse=True)))})"
+    r'|(?P<string>"[^"\r\n]*")'
+    r"|(?P<int>[0-9]+)"
+    r"|(?P<bad>.))",
+    re.DOTALL,
 )
+# Any of \n, \r\n, or \r counts as a single line break.
+_LINE_BREAK = re.compile(r"\r\n?|\n")
+
+# NamedTuple generates a Python-level __new__; tokenize's loop skips it.
+_new = tuple.__new__
 
 
-@dataclass(frozen=True)
-class SourcePos:
+class SourcePos(NamedTuple):
     """1-based line/column plus 0-based character offset."""
 
     line: int
@@ -95,8 +102,7 @@ class SourcePos:
         return f"{self.line}:{self.col}"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: TokenKind
     lexeme: str
     pos: SourcePos
@@ -114,52 +120,6 @@ class LexError(Exception):
         self.pos = pos
 
 
-def _is_ident_start(ch: str) -> bool:
-    return ch.isascii() and ch.isalpha()
-
-
-def _is_ident_char(ch: str) -> bool:
-    return ch.isascii() and (ch.isalnum() or ch == "_")
-
-
-class _Scanner:
-    """Cursor over the source with line/column bookkeeping.
-
-    Any of \\n, \\r\\n, or \\r counts as a single line break.
-    """
-
-    def __init__(self, source: str) -> None:
-        self.source = source
-        self.offset = 0
-        self.line = 1
-        self.col = 1
-
-    def eof(self) -> bool:
-        return self.offset >= len(self.source)
-
-    def peek(self, ahead: int = 0) -> str:
-        i = self.offset + ahead
-        return self.source[i] if i < len(self.source) else ""
-
-    def pos(self) -> SourcePos:
-        return SourcePos(self.line, self.col, self.offset)
-
-    def advance(self) -> str:
-        ch = self.source[self.offset]
-        self.offset += 1
-        if ch == "\r":
-            if self.peek() == "\n":
-                self.offset += 1
-            self.line += 1
-            self.col = 1
-        elif ch == "\n":
-            self.line += 1
-            self.col = 1
-        else:
-            self.col += 1
-        return ch
-
-
 def tokenize(source: str) -> list[Token]:
     """Tokenize EROP source, returning a token list terminated by EOF.
 
@@ -167,73 +127,38 @@ def tokenize(source: str) -> list[Token]:
     skipped.  Raises LexError for an unterminated string literal, an
     unterminated block comment, or an illegal character.
     """
-    sc = _Scanner(source)
+    line_starts = [0]
+    line_starts.extend(m.end() for m in _LINE_BREAK.finditer(source))
+    line_starts.append(len(source) + 1)  # sentinel: no token starts at or after it
+    line, line_start, next_start = 1, 0, line_starts[1]
     tokens: list[Token] = []
-    while True:
-        _skip_trivia(sc)
-        if sc.eof():
-            tokens.append(Token(TokenKind.EOF, "", sc.pos()))
-            return tokens
-        tokens.append(_next_token(sc))
+    for m in _TOKEN_RE.finditer(source):
+        group = m.lastgroup
+        if group == "trivia":
+            continue
+        start = m.start(group)
+        while start >= next_start:  # tokens come in order: walk the line table
+            line += 1
+            line_start, next_start = next_start, line_starts[line]
+        pos = _new(SourcePos, (line, start - line_start + 1, start))
+        text = m.group(group)
+        kind = _FIXED_KINDS.get(text) or _GROUP_KINDS.get(group)
+        if kind is None:
+            raise LexError(_bad_token_message(source, start), pos)
+        tokens.append(_new(Token, (kind, text, pos)))
+    end = len(source)  # on the last line, which starts at line_starts[-2]
+    tokens.append(
+        Token(TokenKind.EOF, "", SourcePos(len(line_starts) - 1, end - line_starts[-2] + 1, end))
+    )
+    return tokens
 
 
-def _skip_trivia(sc: _Scanner) -> None:
-    while not sc.eof():
-        ch = sc.peek()
-        if ch in " \t\r\n":
-            sc.advance()
-        elif ch == "/" and sc.peek(1) == "/":
-            while not sc.eof() and sc.peek() not in "\r\n":
-                sc.advance()
-        elif ch == "/" and sc.peek(1) == "*":
-            start = sc.pos()
-            sc.advance()
-            sc.advance()
-            while True:
-                if sc.eof():
-                    raise LexError("unterminated block comment", start)
-                if sc.peek() == "*" and sc.peek(1) == "/":
-                    sc.advance()
-                    sc.advance()
-                    break
-                sc.advance()
-        else:
-            return
-
-
-def _next_token(sc: _Scanner) -> Token:
-    start = sc.pos()
-    ch = sc.peek()
-
-    if _is_ident_start(ch):
-        while not sc.eof() and _is_ident_char(sc.peek()):
-            sc.advance()
-        lexeme = sc.source[start.offset : sc.offset]
-        kind = KEYWORDS.get(lexeme, TokenKind.IDENT)
-        return Token(kind, lexeme, start)
-
-    if ch.isdigit():
-        while not sc.eof() and sc.peek().isdigit():
-            sc.advance()
-        return Token(TokenKind.INT, sc.source[start.offset : sc.offset], start)
-
-    if ch == '"':
-        sc.advance()
-        while True:
-            if sc.eof() or sc.peek() in "\r\n":
-                raise LexError("unterminated string literal", start)
-            if sc.peek() == '"':
-                sc.advance()
-                return Token(TokenKind.STRING, sc.source[start.offset : sc.offset], start)
-            sc.advance()
-
-    for text, kind in _PUNCT:
-        if sc.source.startswith(text, sc.offset):
-            for _ in text:
-                sc.advance()
-            return Token(kind, text, start)
-
-    raise LexError(f"illegal character {ch!r}", start)
+def _bad_token_message(source: str, start: int) -> str:
+    if source[start] == '"':
+        return "unterminated string literal"
+    if source.startswith("/*", start):
+        return "unterminated block comment"
+    return f"illegal character {source[start]!r}"
 
 
 def string_value(token: Token) -> str:

@@ -54,20 +54,19 @@ class Diagnostic:
 
 @dataclass
 class SymbolTable:
-    """Declared names, in declaration order; the namespaces are disjoint."""
+    """Declared names, in declaration order; the namespaces are disjoint.
+
+    ``kinds`` maps each name that build_symbol_table declared to its kind;
+    the per-kind collections keep declaration order for code generation.
+    """
 
     role_players: list[str] = field(default_factory=list)
     business_ops: list[str] = field(default_factory=list)
     comp_obligs: dict[str, list[str]] = field(default_factory=dict)
+    kinds: dict[str, str] = field(default_factory=dict)
 
     def kind_of(self, name: str) -> str | None:
-        if name in self.role_players:
-            return "role player"
-        if name in self.business_ops:
-            return "business operation"
-        if name in self.comp_obligs:
-            return "composite obligation"
-        return None
+        return self.kinds.get(name)
 
 
 def build_symbol_table(ast: ContractAst) -> tuple[SymbolTable, list[Diagnostic]]:
@@ -75,35 +74,32 @@ def build_symbol_table(ast: ContractAst) -> tuple[SymbolTable, list[Diagnostic]]
     tab = SymbolTable()
     diags: list[Diagnostic] = []
 
-    def declare(ident: Ident, bucket: list[str]) -> bool:
-        if tab.kind_of(ident.name) is not None:
+    def declare(ident: Ident, kind: str) -> bool:
+        if ident.name in tab.kinds:
             diags.append(_error("E001", f"duplicate declaration of '{ident.name}'", ident.pos))
             return False
-        bucket.append(ident.name)
+        tab.kinds[ident.name] = kind
         return True
 
     comp_decls: list[CompObligDecl] = []
     for decl in ast.decls:
         if isinstance(decl, RolePlayersDecl):
             for ident in decl.names:
-                declare(ident, tab.role_players)
+                if declare(ident, "role player"):
+                    tab.role_players.append(ident.name)
         elif isinstance(decl, BusinessOpsDecl):
             for ident in decl.names:
-                declare(ident, tab.business_ops)
-        else:
-            if tab.kind_of(decl.name.name) is not None:
-                diags.append(
-                    _error("E001", f"duplicate declaration of '{decl.name.name}'", decl.name.pos)
-                )
-            else:
-                tab.comp_obligs[decl.name.name] = []
-                comp_decls.append(decl)
+                if declare(ident, "business operation"):
+                    tab.business_ops.append(ident.name)
+        elif declare(decl.name, "composite obligation"):
+            tab.comp_obligs[decl.name.name] = []
+            comp_decls.append(decl)
 
     # member lookup is order-insensitive within the declaration section
     for decl in comp_decls:
         members = tab.comp_obligs[decl.name.name]
         for member in decl.members:
-            if member.name in tab.business_ops:
+            if tab.kind_of(member.name) == "business operation":
                 members.append(member.name)
             else:
                 diags.append(

@@ -34,6 +34,7 @@ are contextual identifiers recognised positionally, not reserved words.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .lexer import SourcePos, Token, TokenKind, string_value
 
@@ -42,8 +43,7 @@ TIME_UNITS = ("hour", "minute", "day", "month", "year")
 EVENT_FIELDS = ("botype", "originator", "responder", "outcome")
 
 
-@dataclass(frozen=True)
-class Ident:
+class Ident(NamedTuple):
     """An identifier occurrence together with its source position."""
 
     name: str
@@ -217,11 +217,12 @@ class _Parser:
     # token bookkeeping
 
     def peek(self, ahead: int = 0) -> Token:
-        i = min(self.i + ahead, len(self.tokens) - 1)
-        return self.tokens[i]
+        if ahead:
+            return self.tokens[min(self.i + ahead, len(self.tokens) - 1)]
+        return self.tokens[self.i]  # advance never moves past EOF
 
     def at(self, kind: TokenKind) -> bool:
-        return self.peek().kind == kind
+        return self.tokens[self.i].kind is kind
 
     def at_ident(self, name: str, ahead: int = 0) -> bool:
         tok = self.peek(ahead)
@@ -234,7 +235,7 @@ class _Parser:
         return tok
 
     def expect(self, kind: TokenKind, what: str) -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.i]
         if tok.kind is not kind:
             raise ParseError(f"expected {what} but found {self._show(tok)}", tok.pos)
         return self.advance()

@@ -125,6 +125,23 @@ def test_emit_ast_parse_error_exits_1(tmp_path, capsys):
     assert "error[E-PARSE]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", [[], ["--check"], ["--emit-ast"]])
+def test_superscript_digit_exits_1_with_a_diagnostic(tmp_path, capsys, mode):
+    src = tmp_path / "hour.erop"
+    src.write_text(
+        "roleplayer buyer;\nbusinessoperation BuyRequest;\n"
+        'rule "R"\n'
+        "when e matches (botype == X, originator == buyer, responder == buyer, "
+        "outcome == success)\n"
+        "    e.hour in [\u00b2,3]\n"
+        "then\n    reset buyer\nend\n",
+        encoding="utf-8",
+    )
+    assert run([str(src), "-o", str(tmp_path / "hour.drl")] + mode) == 1
+    assert capsys.readouterr().err == f"{src}:5:16: error[E-LEX]: illegal character '\u00b2'\n"
+    assert not (tmp_path / "hour.drl").exists()
+
+
 def test_lookup_file_is_honoured(tmp_path, capsys):
     assert run([
         str(CASE_STUDY), "--package", "BuyerStoreContractEx",

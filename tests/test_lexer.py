@@ -1,6 +1,11 @@
-import pytest
+import string
 
-from eropc.lexer import LexError, TokenKind, string_value, tokenize
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from eropc.codegen import translate
+from eropc.lexer import LexError, SourcePos, TokenKind, string_value, tokenize
 
 
 def kinds(tokens):
@@ -146,3 +151,130 @@ def test_illegal_character():
         tokenize("reset @buyer")
     assert "@" in exc.value.message
     assert exc.value.pos.col == 7
+
+
+@pytest.mark.parametrize("digit", ["\u00b2", "\u0661"])
+def test_non_ascii_digits_are_illegal(digit):
+    with pytest.raises(LexError) as exc:
+        tokenize(f"e.hour in [{digit},3]")
+    assert exc.value.message == f"illegal character {digit!r}"
+    assert exc.value.pos == SourcePos(1, 12, 11)
+
+
+SUPERSCRIPT_HOUR = """roleplayer buyer;
+businessoperation BuyRequest;
+rule "R"
+when e matches (botype == BUYREQ, originator == buyer, responder == buyer, outcome == success)
+    e.hour in [\u00b2,3]
+then
+    reset buyer
+end
+"""
+
+
+def test_superscript_digit_is_a_diagnostic_not_a_crash():
+    text, diags = translate(SUPERSCRIPT_HOUR, "P")
+    assert text is None
+    assert [(d.code, d.message, str(d.pos)) for d in diags] == [
+        ("E-LEX", "illegal character '\u00b2'", "5:16")
+    ]
+
+
+def test_trailing_bare_carriage_return_ends_the_line():
+    eof = tokenize("reset buyer\r")[-1]
+    assert eof.kind is TokenKind.EOF
+    assert eof.pos == SourcePos(2, 1, 12)
+
+
+def test_block_comment_spanning_crlf_lines():
+    tokens = tokenize("a /* x\r\ny\r\n */ b")
+    assert [(t.lexeme, t.pos) for t in tokens] == [
+        ("a", SourcePos(1, 1, 0)), ("b", SourcePos(3, 5, 15)), ("", SourcePos(3, 6, 16))
+    ]
+
+
+def test_string_cut_off_by_carriage_return():
+    with pytest.raises(LexError) as exc:
+        tokenize('reset\n rule "ab\rc"')
+    assert exc.value.message == "unterminated string literal"
+    assert exc.value.pos == SourcePos(2, 7, 12)
+
+
+# --- position oracle ---------------------------------------------------------
+
+_WORD_START = string.ascii_letters
+_WORD_CHAR = string.ascii_letters + string.digits + "_"
+_OPERATORS = ("==", "+=", "-=", "<=", ">=", ",", ";", ".", "(", ")", "[", "]", "!", "<", ">")
+
+
+def reference_scan(source):
+    """Character-at-a-time model of the lexer.
+
+    Returns the ``(lexeme, offset)`` of every token before EOF, and the
+    ``(message, offset)`` of the first lexical error or None.
+    """
+    found, i, n = [], 0, len(source)
+    while i < n:
+        ch = source[i]
+        if ch in " \t\r\n":
+            i += 1
+        elif source.startswith("//", i):
+            while i < n and source[i] not in "\r\n":
+                i += 1
+        elif source.startswith("/*", i):
+            close = source.find("*/", i + 2)
+            if close < 0:
+                return found, ("unterminated block comment", i)
+            i = close + 2
+        elif ch in _WORD_START or ch in string.digits:
+            chars = _WORD_CHAR if ch in _WORD_START else string.digits
+            j = i + 1
+            while j < n and source[j] in chars:
+                j += 1
+            found.append((source[i:j], i))
+            i = j
+        elif ch == '"':
+            j = i + 1
+            while j < n and source[j] not in '"\r\n':
+                j += 1
+            if j == n or source[j] != '"':
+                return found, ("unterminated string literal", i)
+            found.append((source[i : j + 1], i))
+            i = j + 1
+        else:
+            op = next((op for op in _OPERATORS if source.startswith(op, i)), None)
+            if op is None:
+                return found, (f"illegal character {ch!r}", i)
+            found.append((op, i))
+            i += len(op)
+    return found, None
+
+
+def naive_pos(source, offset):
+    """Line and column of ``offset`` by counting \\n, \\r\\n and bare \\r."""
+    lines = source[:offset].replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    return SourcePos(len(lines), len(lines[-1]) + 1, offset)
+
+
+PIECES = st.sampled_from((
+    "\r", "\n", "\r\n", "\t", "\f", " ", " ", "\u00b2", "_", "/", "*", '"', '"',
+    "a", "Zq", "rule", "in", "x_1", "0", "42", "//", "/*", "*/",
+    ",", ";", ".", "(", ")", "[", "]", "==", "+=", "-=", "<", ">", "=", "!",
+))
+
+
+@given(st.lists(PIECES, max_size=40).map("".join))
+@settings(max_examples=400)
+def test_positions_match_a_naive_count(source):
+    expected, error = reference_scan(source)
+    if error is not None:
+        with pytest.raises(LexError) as exc:
+            tokenize(source)
+        message, offset = error
+        assert (exc.value.message, exc.value.pos) == (message, naive_pos(source, offset))
+        return
+    tokens = tokenize(source)
+    assert [(t.lexeme, t.pos.offset) for t in tokens[:-1]] == expected
+    assert tokens[-1].pos.offset == len(source)
+    for tok in tokens:
+        assert tok.pos == naive_pos(source, tok.pos.offset)
