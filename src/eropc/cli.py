@@ -59,19 +59,17 @@ def run(argv: list[str]) -> int:
         return int(exc.code or 0)
 
     input_path = Path(args.input)
-    try:
-        source = input_path.read_text(encoding="utf-8")
-    except OSError:
-        print(f"eropc: cannot read {args.input}", file=sys.stderr)
+    source = _read_text(args.input)
+    if source is None:
         return 2
 
     lookup = LookupTable()
     if args.lookup:
-        try:
-            lookup = load_lookup(Path(args.lookup).read_text(encoding="utf-8"))
-        except OSError:
-            print(f"eropc: cannot read {args.lookup}", file=sys.stderr)
+        lookup_text = _read_text(args.lookup)
+        if lookup_text is None:
             return 2
+        try:
+            lookup = load_lookup(lookup_text)
         except ConfigError as err:
             print(f"eropc: {args.lookup}: {err}", file=sys.stderr)
             return 2
@@ -97,6 +95,18 @@ def run(argv: list[str]) -> int:
         print(f"eropc: cannot write {output}", file=sys.stderr)
         return 2
     return 0
+
+
+def _read_text(path: str) -> str | None:
+    """The file's text without a UTF-8 byte-order mark, or None once the failure is reported."""
+    try:
+        return Path(path).read_text(encoding="utf-8-sig")
+    except OSError:
+        reason = ""
+    except UnicodeDecodeError:
+        reason = ": not valid UTF-8"
+    print(f"eropc: cannot read {path}{reason}", file=sys.stderr)
+    return None
 
 
 def _run_debug_dump(args, source: str) -> int:

@@ -7,7 +7,7 @@ indent inside rules).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .ir import (
     AddOrRemAction,
@@ -80,9 +80,11 @@ class LookupKeyError(Exception):
         self.key = key
 
 
-@dataclass
 class LookupTable:
-    entries: dict[str, str] = field(default_factory=lambda: dict(DEFAULT_LOOKUP))
+    """Mapping key -> target method name; the defaults unless ``entries`` is given."""
+
+    def __init__(self, entries: dict[str, str] | None = None) -> None:
+        self.entries = dict(DEFAULT_LOOKUP) if entries is None else entries
 
     def resolve(self, key: str) -> str:
         try:
@@ -127,17 +129,14 @@ def rop_var_name(player: str) -> str:
     return "rop" + player[0].upper() + player[1:]
 
 
-@dataclass
-class ADRule:
+class ADRule(NamedTuple):
     name: str
     when_lines: list[str]
     then_lines: list[str]
 
 
-@dataclass
-class ADFile:
+class ADFile(NamedTuple):
     package_name: str
-    imports: list[str]
     globals: list[str]
     rules: list[ADRule]
 
@@ -168,11 +167,6 @@ def split_conditional_rule(rule: IrRule) -> list[IrRule]:
         actions=conditional.else_actions,
     )
     return [then_rule, else_rule]
-
-
-def emit_declarations(tab: SymbolTable, package_name: str) -> str:
-    """The package/import/global header block, ready to prepend to the rules."""
-    return _header_text(package_name, list(IMPORT_LINES), global_lines(tab))
 
 
 def global_lines(tab: SymbolTable) -> list[str]:
@@ -283,7 +277,6 @@ def build_ad_file(contract: IrContract, lookup: LookupTable) -> ADFile:
     ]
     return ADFile(
         package_name=contract.package_name,
-        imports=list(IMPORT_LINES),
         globals=global_lines(contract.symbols),
         rules=rules,
     )
@@ -299,17 +292,11 @@ def render_rule(rule: ADRule) -> str:
 
 
 def render_file(ad_file: ADFile) -> str:
-    parts = [_header_text(ad_file.package_name, ad_file.imports, ad_file.globals)]
+    """The package/import/global header block followed by every rule."""
+    header = [f"package {ad_file.package_name}", "", *IMPORT_LINES, "", *ad_file.globals]
+    parts = ["\n".join(header) + "\n"]
     parts.extend(render_rule(rule) for rule in ad_file.rules)
     return "\n".join(parts)
-
-
-def _header_text(package_name: str, imports: list[str], globals_: list[str]) -> str:
-    lines = [f"package {package_name}", ""]
-    lines.extend(imports)
-    lines.append("")
-    lines.extend(globals_)
-    return "\n".join(lines) + "\n"
 
 
 def translate(

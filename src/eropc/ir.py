@@ -8,15 +8,14 @@ reported before lowering.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import syntax
 from .sema import SymbolTable
 from .syntax import ContractAst, EVENT_FIELDS
 
 
-@dataclass(frozen=True)
-class EventMatchCondition:
+class EventMatchCondition(NamedTuple):
     botype: str
     originator: str
     responder: str
@@ -26,40 +25,34 @@ class EventMatchCondition:
 # --- constraints ---
 
 
-@dataclass(frozen=True)
-class RopConstraint:
+class RopConstraint(NamedTuple):
     player: str
     rop_set: str
     bo: str
 
 
-@dataclass(frozen=True)
-class HistoricalConstraint:
+class HistoricalConstraint(NamedTuple):
     happened: bool
     fields: tuple[tuple[str, str], ...]  # (field name, value) in canonical order
 
 
-@dataclass(frozen=True)
-class TimeDirectComparison:
+class TimeDirectComparison(NamedTuple):
     op: str
     timestamp: str
 
 
-@dataclass(frozen=True)
-class TimePartialComparison:
+class TimePartialComparison(NamedTuple):
     unit: str
     lo: int
     hi: int
 
 
-@dataclass(frozen=True)
-class OutcomeConstraint:
+class OutcomeConstraint(NamedTuple):
     bo: str
     expected: bool
 
 
-@dataclass(frozen=True)
-class NegatedConjunction:
+class NegatedConjunction(NamedTuple):
     """Marker wrapping an if-condition, used by the conditional split."""
 
     items: tuple["IrConstraint", ...]
@@ -78,8 +71,7 @@ IrConstraint = (
 # --- actions ---
 
 
-@dataclass(frozen=True)
-class AddOrRemAction:
+class AddOrRemAction(NamedTuple):
     player: str
     rop_set: str
     op: str  # "add" or "remove"
@@ -88,19 +80,16 @@ class AddOrRemAction:
     deadline: str | None = None
 
 
-@dataclass(frozen=True)
-class OutcomeSet:
+class OutcomeSet(NamedTuple):
     bo: str
     value: bool
 
 
-@dataclass(frozen=True)
-class ResetAction:
+class ResetAction(NamedTuple):
     player: str
 
 
-@dataclass(frozen=True)
-class IfStatement:
+class IfStatement(NamedTuple):
     cond: tuple[IrConstraint, ...]
     then_actions: tuple["IrAction", ...]
     else_actions: tuple["IrAction", ...] | None
@@ -109,16 +98,14 @@ class IfStatement:
 IrAction = AddOrRemAction | OutcomeSet | ResetAction | IfStatement
 
 
-@dataclass(frozen=True)
-class IrRule:
+class IrRule(NamedTuple):
     name: str
     event: EventMatchCondition
     constraints: tuple[IrConstraint, ...]
     actions: tuple[IrAction, ...]
 
 
-@dataclass
-class IrContract:
+class IrContract(NamedTuple):
     symbols: SymbolTable
     rules: list[IrRule]
     package_name: str

@@ -12,7 +12,7 @@ Warnings:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .lexer import SourcePos
 from .syntax import (
@@ -40,8 +40,7 @@ from .syntax import (
 OUTCOME_VALUES = ("success", "tecfail", "bizfail")  # compared case-insensitively
 
 
-@dataclass
-class Diagnostic:
+class Diagnostic(NamedTuple):
     severity: str  # "error" or "warning"
     code: str
     message: str
@@ -52,7 +51,6 @@ class Diagnostic:
         return self.severity == "error"
 
 
-@dataclass
 class SymbolTable:
     """Declared names, in declaration order; the namespaces are disjoint.
 
@@ -60,10 +58,16 @@ class SymbolTable:
     the per-kind collections keep declaration order for code generation.
     """
 
-    role_players: list[str] = field(default_factory=list)
-    business_ops: list[str] = field(default_factory=list)
-    comp_obligs: dict[str, list[str]] = field(default_factory=dict)
-    kinds: dict[str, str] = field(default_factory=dict)
+    def __init__(
+        self,
+        role_players: list[str] | None = None,
+        business_ops: list[str] | None = None,
+        comp_obligs: dict[str, list[str]] | None = None,
+    ) -> None:
+        self.role_players = [] if role_players is None else role_players
+        self.business_ops = [] if business_ops is None else business_ops
+        self.comp_obligs = {} if comp_obligs is None else comp_obligs
+        self.kinds: dict[str, str] = {}
 
     def kind_of(self, name: str) -> str | None:
         return self.kinds.get(name)

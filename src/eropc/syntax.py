@@ -33,7 +33,6 @@ are contextual identifiers recognised positionally, not reserved words.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .lexer import SourcePos, Token, TokenKind, string_value
@@ -50,8 +49,7 @@ class Ident(NamedTuple):
     pos: SourcePos
 
 
-@dataclass(frozen=True)
-class EventField:
+class EventField(NamedTuple):
     name: Ident
     value: Ident
 
@@ -59,18 +57,15 @@ class EventField:
 # --- declarations ---
 
 
-@dataclass
-class RolePlayersDecl:
+class RolePlayersDecl(NamedTuple):
     names: list[Ident]
 
 
-@dataclass
-class BusinessOpsDecl:
+class BusinessOpsDecl(NamedTuple):
     names: list[Ident]
 
 
-@dataclass
-class CompObligDecl:
+class CompObligDecl(NamedTuple):
     name: Ident
     members: list[Ident]
 
@@ -81,8 +76,7 @@ DeclAst = RolePlayersDecl | BusinessOpsDecl | CompObligDecl
 # --- constraints ---
 
 
-@dataclass
-class RopMembership:
+class RopMembership(NamedTuple):
     """``BO in player.rights`` (membership of a ROP set)."""
 
     bo: Ident
@@ -91,24 +85,21 @@ class RopMembership:
     pos: SourcePos
 
 
-@dataclass
-class OutcomeCheck:
+class OutcomeCheck(NamedTuple):
     """``BO.BizFail == true|false`` in a left-hand side."""
 
     bo: Ident
     value: Ident
 
 
-@dataclass
-class TimeDirect:
+class TimeDirect(NamedTuple):
     event_var: Ident
     op: str  # "==", "<" or ">"
     timestamp: str
     pos: SourcePos
 
 
-@dataclass
-class TimePartial:
+class TimePartial(NamedTuple):
     event_var: Ident
     unit: str
     lo: int
@@ -116,8 +107,7 @@ class TimePartial:
     pos: SourcePos
 
 
-@dataclass
-class Historical:
+class Historical(NamedTuple):
     happened: bool
     fields: list[EventField]
     pos: SourcePos
@@ -129,14 +119,12 @@ ConstraintAst = RopMembership | OutcomeCheck | TimeDirect | TimePartial | Histor
 # --- actions ---
 
 
-@dataclass(frozen=True)
-class StringActual:
+class StringActual(NamedTuple):
     value: str
     pos: SourcePos
 
 
-@dataclass
-class RopManip:
+class RopManip(NamedTuple):
     """``player.rights += BO(args...)`` or the ``-=`` form."""
 
     player: Ident
@@ -144,29 +132,26 @@ class RopManip:
     op: str  # "add" or "remove"
     bo: Ident
     args: list[Ident]
-    deadlines: list[StringActual] = field(default_factory=list)
+    deadlines: list[StringActual]
 
     @property
     def deadline(self) -> str | None:
         return self.deadlines[0].value if self.deadlines else None
 
 
-@dataclass
-class OutcomeSetAct:
+class OutcomeSetAct(NamedTuple):
     """``BO.BizFail == true|false`` in a right-hand side (a setter)."""
 
     bo: Ident
     value: Ident
 
 
-@dataclass
-class ResetAct:
+class ResetAct(NamedTuple):
     player: Ident
     pos: SourcePos
 
 
-@dataclass
-class IfAct:
+class IfAct(NamedTuple):
     cond: list[ConstraintAst]
     then_actions: list["ActionAst"]
     else_actions: list["ActionAst"] | None
@@ -176,8 +161,7 @@ class IfAct:
 ActionAst = RopManip | OutcomeSetAct | ResetAct | IfAct
 
 
-@dataclass
-class RuleAst:
+class RuleAst(NamedTuple):
     name: str
     name_pos: SourcePos
     event_var: Ident
@@ -186,8 +170,7 @@ class RuleAst:
     actions: list[ActionAst]
 
 
-@dataclass
-class ContractAst:
+class ContractAst(NamedTuple):
     decls: list[DeclAst]
     rules: list[RuleAst]
 

@@ -1,4 +1,7 @@
+import os
 import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -159,6 +162,56 @@ def test_malformed_lookup_exits_2(tmp_path, capsys):
     assert "key = value" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", [[], ["--check"], ["--emit-ast"]])
+def test_non_utf8_source_exits_2(tmp_path, capsys, mode):
+    src = tmp_path / "bad.erop"
+    src.write_bytes(b"roleplayer \xff;\n")
+    out = tmp_path / "bad.drl"
+    assert run([str(src), "-o", str(out)] + mode) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"eropc: cannot read {src}: not valid UTF-8\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_non_utf8_lookup_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.lookup"
+    bad.write_bytes(b"rop.remove.right = revoke\xffRight\n")
+    out = tmp_path / "x.drl"
+    assert run([str(CASE_STUDY), "--lookup", str(bad), "-o", str(out)]) == 2
+    assert capsys.readouterr().err == f"eropc: cannot read {bad}: not valid UTF-8\n"
+    assert not out.exists()
+
+
+def test_byte_order_mark_source_compiles_to_the_golden(tmp_path, golden_drl):
+    src = tmp_path / "bom.erop"
+    src.write_bytes(b"\xef\xbb\xbf" + CASE_STUDY.read_bytes())
+    out = tmp_path / "bom.drl"
+    assert run([str(src), "--package", "BuyerStoreContractEx", "-o", str(out)]) == 0
+    assert out.read_bytes() == golden_drl.encode()
+
+
+def test_byte_order_mark_keeps_line_1_columns(tmp_path, capsys):
+    body = (CORPUS / "bad" / "e003.erop").read_bytes()
+    plain, bom = tmp_path / "plain.erop", tmp_path / "bom.erop"
+    plain.write_bytes(b"roleplayer buyer $;\n" + body)
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert run([str(plain), "--check"]) == 1
+    plain_err = capsys.readouterr().err
+    assert run([str(bom), "--check"]) == 1
+    assert plain_err == f"{plain}:1:18: error[E-LEX]: illegal character '$'\n"
+    assert capsys.readouterr().err == plain_err.replace(str(plain), str(bom))
+
+
+def test_byte_order_mark_lookup_is_honoured(tmp_path, capsys):
+    lookup = tmp_path / "bom.lookup"
+    lookup.write_bytes(b"\xef\xbb\xbfrop.remove.right = revokeRight\n")
+    assert run([str(CASE_STUDY), "--lookup", str(lookup), "-o", "-"]) == 0
+    out = capsys.readouterr().out
+    assert "revokeRight(buyRequest, seller);" in out
+    assert "removeRight" not in out
+
+
 def test_version_flag(capsys):
     assert run(["--version"]) == 0
     assert capsys.readouterr().out.startswith("eropc ")
@@ -189,3 +242,18 @@ def test_render_diagnostic_format():
         "c.erop:5:8: error[E006]: event match must specify botype, originator, responder "
         "and outcome exactly once"
     )
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # Both cost a CLI run tens of milliseconds at start-up.  -S keeps site
+    # hooks, which may import anything, out of the measured process.
+    probe = "import sys, eropc.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    src = str(CORPUS.parent.parent / "src")
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout == "[]\n"

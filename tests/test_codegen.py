@@ -2,14 +2,15 @@ import pytest
 
 from conftest import CORPUS
 from eropc.codegen import (
+    ADFile,
     ConfigError,
     DEFAULT_LOOKUP,
     LookupKeyError,
     LookupTable,
     bo_global_name,
     constraint_expr,
-    emit_declarations,
     emit_rule,
+    global_lines,
     load_lookup,
     render_file,
     rop_var_name,
@@ -141,7 +142,7 @@ def test_split_without_conditional_is_identity():
 
 
 def test_case_study_declarations():
-    assert emit_declarations(CASE_TABLE, "BuyerStoreContractEx") == """\
+    assert render_file(ADFile("BuyerStoreContractEx", global_lines(CASE_TABLE), [])) == """\
 package BuyerStoreContractEx
 
 import uk.ac.ncl.erop.*;
@@ -164,7 +165,7 @@ global BusinessOperation cancellation;
 
 
 def test_declarations_one_player_no_ops():
-    text = emit_declarations(SymbolTable(role_players=["alice"]), "P")
+    text = render_file(ADFile("P", global_lines(SymbolTable(role_players=["alice"])), []))
     lines = [line for line in text.splitlines() if line.startswith("global")]
     assert lines == [
         "global RelevanceEngine engine;",
@@ -175,7 +176,7 @@ def test_declarations_one_player_no_ops():
 
 
 def test_declarations_interleave_players_and_rop_sets():
-    text = emit_declarations(SymbolTable(role_players=["a", "b", "c"]), "P")
+    text = render_file(ADFile("P", global_lines(SymbolTable(role_players=["a", "b", "c"])), []))
     names = [line.split()[-1].rstrip(";") for line in text.splitlines() if "RolePlayer" in line or "ROPSet" in line]
     assert names == ["a", "ropA", "b", "ropB", "c", "ropC"]
 
