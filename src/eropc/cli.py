@@ -14,11 +14,9 @@ import tempfile
 from pathlib import Path
 
 from . import __version__
-from .codegen import ConfigError, LookupTable, load_lookup, translate
+from .codegen import ConfigError, LookupTable, analyze, is_java_identifier, load_lookup, translate
 from .ir import dump_contract, lower_contract
-from .lexer import LexError, tokenize
-from .sema import Diagnostic, build_symbol_table, check_contract, sort_diagnostics
-from .syntax import ParseError, parse_contract
+from .sema import Diagnostic
 
 
 def render_diagnostic(d: Diagnostic, file: str) -> str:
@@ -42,7 +40,7 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("input", help="EROP source file")
     p.add_argument("-o", "--output", help="output file ('-' for standard output)")
-    p.add_argument("--package", help="package name (default: input file stem)")
+    p.add_argument("--package", help="dotted Java package name (default: input file stem)")
     p.add_argument("--lookup", help="method-mapping overrides file")
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--check", action="store_true", help="report diagnostics, write nothing")
@@ -57,6 +55,9 @@ def run(argv: list[str]) -> int:
         args = _build_arg_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    if args.package is not None and not all(map(is_java_identifier, args.package.split("."))):
+        print(f"eropc: --package {args.package!r} is not a dotted Java identifier", file=sys.stderr)
+        return 2
 
     input_path = Path(args.input)
     source = _read_text(args.input)
@@ -74,10 +75,10 @@ def run(argv: list[str]) -> int:
             print(f"eropc: {args.lookup}: {err}", file=sys.stderr)
             return 2
 
-    if args.emit_ast or args.emit_ir:
-        return _run_debug_dump(args, source)
-
     package_name = args.package or sanitize_package_name(input_path.stem)
+    if args.emit_ast or args.emit_ir:
+        return _run_debug_dump(args, source, package_name)
+
     text, diags = translate(source, package_name, lookup)
     _print_diagnostics(diags, args.input)
     if text is None:
@@ -109,31 +110,22 @@ def _read_text(path: str) -> str | None:
     return None
 
 
-def _run_debug_dump(args, source: str) -> int:
-    try:
-        ast = parse_contract(tokenize(source))
-    except LexError as err:
-        print(render_diagnostic(Diagnostic("error", "E-LEX", err.message, err.pos), args.input),
-              file=sys.stderr)
-        return 1
-    except ParseError as err:
-        print(render_diagnostic(Diagnostic("error", "E-PARSE", err.message, err.pos), args.input),
-              file=sys.stderr)
+def _run_debug_dump(args, source: str, package_name: str) -> int:
+    ast, tab, diags = analyze(source)
+    if ast is None:
+        _print_diagnostics(diags, args.input)
         return 1
 
-    if args.emit_ast:
+    if args.emit_ast:  # the parse tree is printed even when the checks fail
         for decl in ast.decls:
             print(decl)
         for rule in ast.rules:
             print(rule)
         return 0
 
-    tab, diags = build_symbol_table(ast)
-    diags = sort_diagnostics(diags + check_contract(ast, tab))
     _print_diagnostics(diags, args.input)
     if any(d.is_error for d in diags):
         return 1
-    package_name = args.package or sanitize_package_name(Path(args.input).stem)
     print(dump_contract(lower_contract(ast, tab, package_name)))
     return 0
 

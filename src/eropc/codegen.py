@@ -1,25 +1,24 @@
 """Code generation: IR to Augmented Drools text.
 
-Covers the declaration block, conditional-rule splitting, the configurable
-keyword-to-method lookup, and deterministic rendering (LF newlines, 4-space
-indent inside rules).
+Covers the front end shared by translate() and the CLI's debug modes, the
+declaration block, the configurable keyword-to-method lookup, and
+deterministic rendering (LF newlines, 4-space indent inside rules).
 """
 
 from __future__ import annotations
 
+import re
 from typing import NamedTuple
 
 from .ir import (
     AddOrRemAction,
     HistoricalConstraint,
-    IfStatement,
     IrConstraint,
     IrContract,
     IrRule,
     NegatedConjunction,
     OutcomeConstraint,
     OutcomeSet,
-    ResetAction,
     RopConstraint,
     TimeDirectComparison,
     TimePartialComparison,
@@ -33,7 +32,7 @@ from .sema import (
     check_contract,
     sort_diagnostics,
 )
-from .syntax import ParseError, parse_contract
+from .syntax import ContractAst, ParseError, parse_contract
 
 IMPORT_LINES = (
     "import uk.ac.ncl.erop.*;",
@@ -67,6 +66,20 @@ DEFAULT_LOOKUP = {
 
 _SET_SINGULAR = {"rights": "right", "obligs": "oblig", "prohibs": "prohib"}
 
+_JAVA_IDENTIFIER = re.compile(r"[A-Za-z_$][A-Za-z0-9_$]*")
+_JAVA_RESERVED = frozenset(
+    "_ abstract assert boolean break byte case catch char class const continue default do "
+    "double else enum extends false final finally float for goto if implements import "
+    "instanceof int interface long native new null package private protected public return "
+    "short static strictfp super switch synchronized this throw throws transient true try "
+    "void volatile while".split()
+)
+
+
+def is_java_identifier(name: str) -> bool:
+    """An ASCII Java identifier that is not a reserved word."""
+    return _JAVA_IDENTIFIER.fullmatch(name) is not None and name not in _JAVA_RESERVED
+
 
 class ConfigError(Exception):
     """Malformed lookup file."""
@@ -96,8 +109,9 @@ class LookupTable:
 def load_lookup(text: str) -> LookupTable:
     """Parse a ``key = value`` mapping file and merge it over the defaults.
 
-    ``#`` starts a comment, blank lines are ignored.  A line without ``=``
-    or a key repeated within the file raises ConfigError.
+    ``#`` starts a comment, blank lines are ignored.  A line without ``=``,
+    a key that is not in DEFAULT_LOOKUP or is repeated within the file, or a
+    value that is not a Java identifier raises ConfigError.
     """
     entries = dict(DEFAULT_LOOKUP)
     seen: set[str] = set()
@@ -112,8 +126,12 @@ def load_lookup(text: str) -> LookupTable:
         value = value.strip()
         if not key or not value:
             raise ConfigError(f"line {lineno}: expected 'key = value', got '{raw.strip()}'")
+        if key not in DEFAULT_LOOKUP:
+            raise ConfigError(f"line {lineno}: unknown key '{key}'")
         if key in seen:
             raise ConfigError(f"line {lineno}: duplicate key '{key}'")
+        if not is_java_identifier(value):
+            raise ConfigError(f"line {lineno}: '{value}' is not a Java identifier")
         seen.add(key)
         entries[key] = value
     return LookupTable(entries)
@@ -141,34 +159,6 @@ class ADFile(NamedTuple):
     rules: list[ADRule]
 
 
-def split_conditional_rule(rule: IrRule) -> list[IrRule]:
-    """Break a rule holding an if/else into its target-language counterparts.
-
-    The target has no conditional actions, so the if-condition joins the
-    when-block of a first rule carrying the then-actions; an else branch
-    yields a second rule guarded by the negated condition.  A rule without
-    a conditional passes through unchanged.
-    """
-    conditional = next((a for a in rule.actions if isinstance(a, IfStatement)), None)
-    if conditional is None:
-        return [rule]
-    then_rule = IrRule(
-        name=rule.name + "IfThen",
-        event=rule.event,
-        constraints=conditional.cond + rule.constraints,
-        actions=conditional.then_actions,
-    )
-    if conditional.else_actions is None:
-        return [then_rule]
-    else_rule = IrRule(
-        name=rule.name + "IfElse",
-        event=rule.event,
-        constraints=(NegatedConjunction(conditional.cond),) + rule.constraints,
-        actions=conditional.else_actions,
-    )
-    return [then_rule, else_rule]
-
-
 def global_lines(tab: SymbolTable) -> list[str]:
     lines = ["global RelevanceEngine engine;", "global EventLogger logger;"]
     for player in tab.role_players:
@@ -180,7 +170,7 @@ def global_lines(tab: SymbolTable) -> list[str]:
 
 
 def emit_rule(rule: IrRule, lookup: LookupTable, tab: SymbolTable) -> ADRule:
-    """Render one post-split rule (no IfStatement may remain)."""
+    """Render one target rule."""
     ev = rule.event
     when_lines = [
         f'$e: Event(type=="{ev.botype}", originator=="{ev.originator}", '
@@ -202,10 +192,8 @@ def emit_rule(rule: IrRule, lookup: LookupTable, tab: SymbolTable) -> ADRule:
         elif isinstance(action, OutcomeSet):
             setter = lookup.resolve("bizfail.set")
             then_lines.append(f"{bo_global_name(action.bo)}.{setter}({_bool(action.value)});")
-        elif isinstance(action, ResetAction):
+        else:  # ResetAction
             then_lines.append(f"{rop_var_name(action.player)}.{lookup.resolve('reset')}();")
-        else:
-            raise AssertionError("IfStatement must be split before emission")
     return ADRule(name=rule.name, when_lines=when_lines, then_lines=then_lines)
 
 
@@ -269,11 +257,9 @@ def _bool(value: bool) -> str:
 
 
 def build_ad_file(contract: IrContract, lookup: LookupTable) -> ADFile:
-    """Split every rule and render the whole contract into an ADFile."""
+    """Render every target rule of the contract into an ADFile."""
     rules = [
-        emit_rule(piece, lookup, contract.symbols)
-        for rule in contract.rules
-        for piece in split_conditional_rule(rule)
+        emit_rule(rule, lookup, contract.symbols) for group in contract.rules for rule in group
     ]
     return ADFile(
         package_name=contract.package_name,
@@ -299,25 +285,30 @@ def render_file(ad_file: ADFile) -> str:
     return "\n".join(parts)
 
 
+def analyze(source: str) -> tuple[ContractAst | None, SymbolTable | None, list[Diagnostic]]:
+    """Tokenize, parse, build the symbol table and check; diagnostics in (line, col) order.
+
+    A lexical or syntax error gives ``(None, None, [its E-LEX or E-PARSE])``.
+    """
+    try:
+        ast = parse_contract(tokenize(source))
+    except LexError as err:
+        return None, None, [Diagnostic("error", "E-LEX", err.message, err.pos)]
+    except ParseError as err:
+        return None, None, [Diagnostic("error", "E-PARSE", err.message, err.pos)]
+    tab, diags = build_symbol_table(ast)
+    return ast, tab, sort_diagnostics(diags + check_contract(ast, tab))
+
+
 def translate(
     source: str, package_name: str, lookup: LookupTable | None = None
 ) -> tuple[str | None, list[Diagnostic]]:
-    """Full pipeline: tokenize, parse, check, lower, split and emit.
+    """Full pipeline: analyze, then lower (splitting conditionals) and emit.
 
     Returns ``(text, diagnostics)``; ``text`` is None when any error
     diagnostic was produced, in which case nothing was rendered.
     """
-    try:
-        tokens = tokenize(source)
-    except LexError as err:
-        return None, [Diagnostic("error", "E-LEX", err.message, err.pos)]
-    try:
-        ast = parse_contract(tokens)
-    except ParseError as err:
-        return None, [Diagnostic("error", "E-PARSE", err.message, err.pos)]
-
-    tab, diags = build_symbol_table(ast)
-    diags = sort_diagnostics(diags + check_contract(ast, tab))
+    ast, tab, diags = analyze(source)
     if any(d.is_error for d in diags):
         return None, diags
 

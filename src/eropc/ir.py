@@ -2,8 +2,9 @@
 
 The IR mirrors the rule structure of the target language: an event match
 condition, a flat list of constraints, and a list of right-hand-side
-actions.  Source positions are dropped here; every user-facing error is
-reported before lowering.
+actions.  Lowering also splits each source rule into its target rules.
+Source positions are dropped here; every user-facing error is reported
+before lowering.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from . import syntax
-from .sema import SymbolTable
+from .sema import SymbolTable, emitted_rule_names
 from .syntax import ContractAst, EVENT_FIELDS
 
 
@@ -53,7 +54,7 @@ class OutcomeConstraint(NamedTuple):
 
 
 class NegatedConjunction(NamedTuple):
-    """Marker wrapping an if-condition, used by the conditional split."""
+    """The negation of an if-condition, guarding the rule for its else branch."""
 
     items: tuple["IrConstraint", ...]
 
@@ -89,13 +90,7 @@ class ResetAction(NamedTuple):
     player: str
 
 
-class IfStatement(NamedTuple):
-    cond: tuple[IrConstraint, ...]
-    then_actions: tuple["IrAction", ...]
-    else_actions: tuple["IrAction", ...] | None
-
-
-IrAction = AddOrRemAction | OutcomeSet | ResetAction | IfStatement
+IrAction = AddOrRemAction | OutcomeSet | ResetAction
 
 
 class IrRule(NamedTuple):
@@ -107,7 +102,7 @@ class IrRule(NamedTuple):
 
 class IrContract(NamedTuple):
     symbols: SymbolTable
-    rules: list[IrRule]
+    rules: list[tuple[IrRule, ...]]  # per source rule, the target rules it compiles to
     package_name: str
 
 
@@ -117,7 +112,12 @@ def lower_contract(ast: ContractAst, tab: SymbolTable, package_name: str) -> IrC
     return IrContract(symbols=tab, rules=rules, package_name=package_name)
 
 
-def _lower_rule(rule: syntax.RuleAst) -> IrRule:
+def _lower_rule(rule: syntax.RuleAst) -> tuple[IrRule, ...]:
+    """The target rules named by emitted_rule_names.
+
+    For an ``if``, its condition (negated for the ``else`` branch) comes
+    before the rule's own constraints.
+    """
     fields = {f.name.name: f.value.name for f in rule.event_fields}
     event = EventMatchCondition(
         botype=fields["botype"],
@@ -126,8 +126,19 @@ def _lower_rule(rule: syntax.RuleAst) -> IrRule:
         outcome=fields["outcome"],
     )
     constraints = tuple(_lower_constraint(c) for c in rule.constraints)
-    actions = tuple(_lower_action(a) for a in rule.actions)
-    return IrRule(name=rule.name, event=event, constraints=constraints, actions=actions)
+    names = emitted_rule_names(rule)
+    conditional = rule.actions[0]
+    if not isinstance(conditional, syntax.IfAct):
+        return (IrRule(names[0], event, constraints, tuple(map(_lower_action, rule.actions))),)
+    cond = tuple(_lower_constraint(c) for c in conditional.cond)
+    branches = (
+        (cond, conditional.then_actions),
+        ((NegatedConjunction(cond),), conditional.else_actions),
+    )
+    return tuple(
+        IrRule(name, event, guard + constraints, tuple(map(_lower_action, actions)))
+        for name, (guard, actions) in zip(names, branches)
+    )
 
 
 def _lower_constraint(c: syntax.ConstraintAst) -> IrConstraint:
@@ -157,18 +168,8 @@ def _lower_action(a: syntax.ActionAst) -> IrAction:
         )
     if isinstance(a, syntax.OutcomeSetAct):
         return OutcomeSet(bo=a.bo.name, value=a.value.name == "true")
-    if isinstance(a, syntax.ResetAct):
-        return ResetAction(player=a.player.name)
-    assert isinstance(a, syntax.IfAct)
-    return IfStatement(
-        cond=tuple(_lower_constraint(c) for c in a.cond),
-        then_actions=tuple(_lower_action(s) for s in a.then_actions),
-        else_actions=(
-            tuple(_lower_action(s) for s in a.else_actions)
-            if a.else_actions is not None
-            else None
-        ),
-    )
+    assert isinstance(a, syntax.ResetAct)  # _lower_rule takes the 'if' (E010: no siblings)
+    return ResetAction(player=a.player.name)
 
 
 def dump_rule(rule: IrRule) -> str:
@@ -181,4 +182,5 @@ def dump_rule(rule: IrRule) -> str:
 
 
 def dump_contract(contract: IrContract) -> str:
-    return "\n".join(dump_rule(rule) for rule in contract.rules)
+    """One dump_rule line per target rule."""
+    return "\n".join(dump_rule(rule) for group in contract.rules for rule in group)

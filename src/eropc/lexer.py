@@ -73,19 +73,23 @@ _GROUP_KINDS = {"word": TokenKind.IDENT, "string": TokenKind.STRING, "int": Toke
 # takes blanks so that those at the very end of the source match too.  Longer
 # operators come before their one-character prefixes.  Whatever no other
 # alternative accepts is caught by ``bad``: an unterminated string or block
-# comment, or an illegal character.  Letters and digits are ASCII only.
+# comment, a string holding a backslash (EROP defines no escapes, and the
+# string would pass verbatim into an AD string literal), or an illegal
+# character.  Letters and digits are ASCII only.
 _TOKEN_RE = re.compile(
     r"[ \t\r\n]*(?:"
     r"(?P<trivia>[ \t\r\n]+|//[^\r\n]*|/\*.*?\*/)"
     r"|(?P<word>[A-Za-z][A-Za-z0-9_]*)"
     f"|(?P<punct>{'|'.join(map(re.escape, sorted(_PUNCT, key=len, reverse=True)))})"
-    r'|(?P<string>"[^"\r\n]*")'
+    r'|(?P<string>"[^"\\\r\n]*")'
     r"|(?P<int>[0-9]+)"
     r"|(?P<bad>.))",
     re.DOTALL,
 )
 # Any of \n, \r\n, or \r counts as a single line break.
 _LINE_BREAK = re.compile(r"\r\n?|\n")
+# A string start whose first backslash comes before its closing quote.
+_BACKSLASH_STRING = re.compile(r'"[^"\\\r\n]*\\')
 
 # NamedTuple generates a Python-level __new__; tokenize's loop skips it.
 _new = tuple.__new__
@@ -124,8 +128,9 @@ def tokenize(source: str) -> list[Token]:
     """Tokenize EROP source, returning a token list terminated by EOF.
 
     Whitespace, ``//`` line comments and ``/* */`` block comments are
-    skipped.  Raises LexError for an unterminated string literal, an
-    unterminated block comment, or an illegal character.
+    skipped.  Raises LexError for an unterminated string literal, a string
+    literal holding a backslash, an unterminated block comment, or an
+    illegal character.
     """
     line_starts = [0]
     line_starts.extend(m.end() for m in _LINE_BREAK.finditer(source))
@@ -154,6 +159,8 @@ def tokenize(source: str) -> list[Token]:
 
 
 def _bad_token_message(source: str, start: int) -> str:
+    if _BACKSLASH_STRING.match(source, start):
+        return "backslash in string literal"
     if source[start] == '"':
         return "unterminated string literal"
     if source.startswith("/*", start):

@@ -114,14 +114,14 @@ def build_symbol_table(ast: ContractAst) -> tuple[SymbolTable, list[Diagnostic]]
                         member.pos,
                     )
                 )
-    return tab, sort_diagnostics(diags)
+    return tab, diags
 
 
 def check_contract(ast: ContractAst, tab: SymbolTable) -> list[Diagnostic]:
-    """Validate every declaration and rule against the symbol table."""
+    """Validate every declaration and rule; diagnostics come in discovery order."""
     checker = _Checker(tab)
     checker.check(ast)
-    return sort_diagnostics(checker.diags)
+    return checker.diags
 
 
 def _error(code: str, message: str, pos: SourcePos) -> Diagnostic:
@@ -137,8 +137,8 @@ def sort_diagnostics(diags: list[Diagnostic]) -> list[Diagnostic]:
     return sorted(diags, key=lambda d: (d.pos.line, d.pos.col))
 
 
-def _emitted_names(rule: RuleAst) -> list[str]:
-    """Target-file rule names this rule will occupy after splitting."""
+def emitted_rule_names(rule: RuleAst) -> list[str]:
+    """Target-file names of the rules a source rule compiles to, in lowering's order."""
     conditional = next((a for a in rule.actions if isinstance(a, IfAct)), None)
     if conditional is None:
         return [rule.name]
@@ -160,10 +160,11 @@ class _Checker:
         seen_source: set[str] = set()
         seen_emitted: set[str] = set()
         for rule in ast.rules:
+            names = emitted_rule_names(rule)
             if rule.name in seen_source:
                 self.error("E007", f'duplicate rule name "{rule.name}"', rule.name_pos)
             else:
-                clash = next((n for n in _emitted_names(rule) if n in seen_emitted), None)
+                clash = next((n for n in names if n in seen_emitted), None)
                 if clash is not None:
                     self.error(
                         "E007",
@@ -172,7 +173,7 @@ class _Checker:
                         rule.name_pos,
                     )
             seen_source.add(rule.name)
-            seen_emitted.update(_emitted_names(rule))
+            seen_emitted.update(names)
             self.check_rule(rule)
         self.report_unused(ast)
 
@@ -260,11 +261,15 @@ class _Checker:
                     "E004", f"'{constraint.event_var.name}' is not declared", constraint.event_var.pos
                 )
         elif isinstance(constraint, Historical):
+            seen: set[str] = set()
             for f in constraint.fields:
                 if f.name.name not in EVENT_FIELDS:
                     self.error("E006", f"unknown event field '{f.name.name}'", f.name.pos)
-                else:
-                    self.check_field_value(f)
+                    continue
+                if f.name.name in seen:
+                    self.error("E006", f"repeated event field '{f.name.name}'", f.name.pos)
+                seen.add(f.name.name)
+                self.check_field_value(f)
 
     def check_action(self, action: ActionAst, rule: RuleAst) -> None:
         if isinstance(action, RopManip):

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from conftest import CORPUS, ad_tokens, extract_rule
 from eropc.cli import run
 from eropc.codegen import translate
-from irgen import assert_split_laws, ir_rules
+from irgen import assert_split_laws, source_rules
 
 CASE_STUDY = CORPUS / "buyer_store.erop"
 
@@ -126,9 +126,9 @@ def test_criterion_4_ten_source_rules_emit_fifteen():
 
 
 @settings(max_examples=1000, deadline=None)
-@given(ir_rules())
-def _check_split_laws(rule):
-    assert_split_laws(rule)
+@given(source_rules())
+def _check_split_laws(case):
+    assert_split_laws(case)
 
 
 def test_criterion_5_splitting_laws():

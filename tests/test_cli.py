@@ -111,8 +111,51 @@ def test_warnings_do_not_change_exit_code(tmp_path, capsys):
 def test_emit_ir_prints_one_line_per_rule(capsys):
     assert run([str(CASE_STUDY), "--emit-ir"]) == 0
     out = capsys.readouterr().out.strip().splitlines()
-    assert len(out) == 10
+    assert len(out) == 15
     assert out[0].startswith("rule 'BuyRequestReceived'")
+
+
+# W001 (line 1) is found after E004 (line 5) but sorts first
+SEMA_INVALID = """\
+roleplayer buyer, idle;
+businessoperation Pay;
+rule "R"
+when e matches (botype == X, originator == buyer, responder == buyer, outcome == success)
+    Ship in buyer.rights
+then
+    buyer.rights -= Pay(buyer)
+end
+"""
+
+
+def test_emit_ast_prints_the_tree_of_a_sema_invalid_contract(tmp_path, capsys):
+    src = tmp_path / "invalid.erop"
+    src.write_text(SEMA_INVALID)
+    assert run([str(src), "--emit-ast"]) == 0
+    captured = capsys.readouterr()
+    assert "RolePlayersDecl" in captured.out and "RuleAst" in captured.out
+    assert captured.err == ""
+
+
+def test_emit_ir_reports_sema_diagnostics_in_position_order(tmp_path, capsys):
+    src = tmp_path / "invalid.erop"
+    src.write_text(SEMA_INVALID)
+    assert run([str(src), "--emit-ir"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"{src}:1:19: warning[W001]: role player 'idle' declared but never used\n"
+        f"{src}:5:5: error[E004]: 'Ship' is not declared\n"
+    )
+
+
+def test_emit_ir_lex_error_exits_1(tmp_path, capsys):
+    src = tmp_path / "lex.erop"
+    src.write_text("roleplayer buyer $;\n")
+    assert run([str(src), "--emit-ir"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{src}:1:18: error[E-LEX]: illegal character '$'\n"
 
 
 def test_emit_ast_prints_tree(capsys):
@@ -145,6 +188,28 @@ def test_superscript_digit_exits_1_with_a_diagnostic(tmp_path, capsys, mode):
     assert not (tmp_path / "hour.drl").exists()
 
 
+@pytest.mark.parametrize(
+    "rule_name,deadline,where",
+    [("x\\", "01-01-2016", "3:6"), ("R", "d\\", "7:32")],
+)
+def test_backslash_in_a_string_exits_1(tmp_path, capsys, rule_name, deadline, where):
+    src = tmp_path / "slash.erop"
+    src.write_text(
+        "roleplayer buyer;\nbusinessoperation Pay;\n"
+        f'rule "{rule_name}"\n'
+        "when e matches (botype == X, originator == buyer, responder == buyer, "
+        "outcome == success)\n"
+        "    Pay in buyer.rights\n"
+        "then\n"
+        f'    buyer.rights -= Pay(buyer, "{deadline}")\n'
+        "end\n"
+    )
+    out = tmp_path / "slash.drl"
+    assert run([str(src), "-o", str(out)]) == 1
+    assert capsys.readouterr().err == f"{src}:{where}: error[E-LEX]: backslash in string literal\n"
+    assert not out.exists()
+
+
 def test_lookup_file_is_honoured(tmp_path, capsys):
     assert run([
         str(CASE_STUDY), "--package", "BuyerStoreContractEx",
@@ -160,6 +225,37 @@ def test_malformed_lookup_exits_2(tmp_path, capsys):
     bad.write_text("no equals sign here\n")
     assert run([str(CASE_STUDY), "--lookup", str(bad)]) == 2
     assert "key = value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("rop.remove.rigth = revokeRight\n", "line 1: unknown key 'rop.remove.rigth'"),
+        ("# reset\nreset = not a name\n", "line 2: 'not a name' is not a Java identifier"),
+    ],
+)
+def test_lookup_mistake_exits_2(tmp_path, capsys, text, message):
+    bad = tmp_path / "bad.lookup"
+    bad.write_text(text)
+    out = tmp_path / "x.drl"
+    assert run([str(CASE_STUDY), "--lookup", str(bad), "-o", str(out)]) == 2
+    assert capsys.readouterr().err == f"eropc: {bad}: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("package", ["a b;", "a..b", "com.2fast", "org.class", ""])
+def test_package_that_is_not_a_dotted_java_identifier_exits_2(tmp_path, capsys, package):
+    out = tmp_path / "x.drl"
+    assert run([str(CASE_STUDY), "--package", package, "-o", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"eropc: --package {package!r} is not a dotted Java identifier\n"
+    )
+    assert not out.exists()
+
+
+def test_dotted_package_is_accepted(capsys):
+    assert run([str(CASE_STUDY), "--package", "org.example.deals", "-o", "-"]) == 0
+    assert capsys.readouterr().out.startswith("package org.example.deals\n")
 
 
 @pytest.mark.parametrize("mode", [[], ["--check"], ["--emit-ast"]])

@@ -14,18 +14,15 @@ from eropc.codegen import (
     load_lookup,
     render_file,
     rop_var_name,
-    split_conditional_rule,
     translate,
 )
 from eropc.ir import (
     AddOrRemAction,
     EventMatchCondition,
     HistoricalConstraint,
-    IfStatement,
     IrRule,
     NegatedConjunction,
     OutcomeConstraint,
-    OutcomeSet,
     ResetAction,
     RopConstraint,
     TimeDirectComparison,
@@ -86,56 +83,25 @@ def test_load_lookup_duplicate_key():
         load_lookup("reset = wipe\nreset = clear\n")
 
 
+def test_load_lookup_unknown_key():
+    with pytest.raises(ConfigError) as exc:
+        load_lookup("# typo below\nrop.remove.rigth = revokeRight\n")
+    assert str(exc.value) == "line 2: unknown key 'rop.remove.rigth'"
+
+
+@pytest.mark.parametrize("value", ["not a name", "2fast", "revoke-right", "class"])
+def test_load_lookup_value_must_be_a_java_identifier(value):
+    with pytest.raises(ConfigError) as exc:
+        load_lookup(f"reset = {value}\n")
+    assert str(exc.value) == f"line 1: '{value}' is not a Java identifier"
+
+
 def test_missing_lookup_key_is_reported():
     table = LookupTable(entries={})
     rule = IrRule("R", EVENT, (RopConstraint("buyer", "rights", "BuyRequest"),), ())
     with pytest.raises(LookupKeyError) as exc:
         emit_rule(rule, table, CASE_TABLE)
     assert exc.value.key == "rop.matches.rights"
-
-
-# --- conditional splitting ---
-
-
-def conditional_rule(else_actions):
-    body = IfStatement(
-        cond=(OutcomeConstraint("BuyRequest", False),),
-        then_actions=(OutcomeSet("BuyRequest", True),),
-        else_actions=else_actions,
-    )
-    return IrRule(
-        name="BuyRequestBnessFailure",
-        event=EventMatchCondition("BUYREQ", "buyer", "store", "tecFail"),
-        constraints=(RopConstraint("buyer", "rights", "BuyRequest"),),
-        actions=(body,),
-    )
-
-
-def test_split_if_else_makes_two_rules():
-    out = split_conditional_rule(conditional_rule((ResetAction("buyer"), ResetAction("seller"))))
-    assert [r.name for r in out] == ["BuyRequestBnessFailureIfThen", "BuyRequestBnessFailureIfElse"]
-    then_rule, else_rule = out
-    # if-condition first, the rule's own constraints after it
-    assert then_rule.constraints == (
-        OutcomeConstraint("BuyRequest", False),
-        RopConstraint("buyer", "rights", "BuyRequest"),
-    )
-    assert then_rule.actions == (OutcomeSet("BuyRequest", True),)
-    assert else_rule.constraints == (
-        NegatedConjunction((OutcomeConstraint("BuyRequest", False),)),
-        RopConstraint("buyer", "rights", "BuyRequest"),
-    )
-    assert else_rule.actions == (ResetAction("buyer"), ResetAction("seller"))
-
-
-def test_split_if_without_else_makes_one_rule():
-    out = split_conditional_rule(conditional_rule(None))
-    assert [r.name for r in out] == ["BuyRequestBnessFailureIfThen"]
-
-
-def test_split_without_conditional_is_identity():
-    rule = IrRule("R", EVENT, (), (ResetAction("buyer"),))
-    assert split_conditional_rule(rule) == [rule]
 
 
 # --- declarations ---
@@ -331,6 +297,21 @@ def test_translate_stops_on_sema_errors():
     text, diags = translate(source, "P")
     assert text is None
     assert any(d.code == "E003" for d in diags)
+
+
+def test_translate_sorts_diagnostics_by_position():
+    # W001 is found after the rules are checked, E004 while checking them
+    source = "roleplayer buyer, idle;\nbusinessoperation Pay;\n" + """\
+rule "R"
+when e matches (botype == X, originator == buyer, responder == buyer, outcome == success)
+    Ship in buyer.rights
+then
+    buyer.rights -= Pay(buyer)
+end
+"""
+    text, diags = translate(source, "P")
+    assert text is None
+    assert [(d.code, str(d.pos)) for d in diags] == [("W001", "1:19"), ("E004", "5:5")]
 
 
 def test_lookup_rename_changes_only_call_sites(case_study_source):

@@ -2,8 +2,9 @@ from eropc.ir import (
     AddOrRemAction,
     EventMatchCondition,
     HistoricalConstraint,
-    IfStatement,
     IrContract,
+    IrRule,
+    NegatedConjunction,
     OutcomeConstraint,
     OutcomeSet,
     ResetAction,
@@ -40,7 +41,7 @@ then
     seller.obligs += ReactToBuyRequest(buyer, "01-01-2016 12:00:00")
 end
 """)
-    (rule,) = contract.rules
+    ((rule,),) = contract.rules
     assert rule.name == "BuyRequestReceived"
     assert rule.event == EventMatchCondition("BUYREQ", "buyer", "store", "success")
     assert rule.constraints == (RopConstraint("buyer", "rights", "BuyRequest"),)
@@ -52,26 +53,72 @@ end
     )
 
 
-def test_conditional_rule_lowers_to_if_statement():
-    contract = lower(DECLS + """\
+FAILURE_EVENT = EventMatchCondition("BUYREQ", "buyer", "store", "tecFail")
+
+
+def conditional_rule(else_branch):
+    return DECLS + f"""\
 rule "BuyRequestBnessFailure"
 when e matches (botype == BUYREQ, originator == buyer, responder == store, outcome == tecFail)
     BuyRequest in buyer.rights
 then
     if (BuyRequest.BizFail == false)
         then BuyRequest.BizFail == true
-        else reset buyer
-        reset seller
+        {else_branch}
     endif
 end
-""")
-    (rule,) = contract.rules
-    (action,) = rule.actions
-    assert action == IfStatement(
-        cond=(OutcomeConstraint("BuyRequest", False),),
-        then_actions=(OutcomeSet("BuyRequest", True),),
-        else_actions=(ResetAction("buyer"), ResetAction("seller")),
+"""
+
+
+def test_if_else_rule_lowers_to_if_then_and_if_else_rules():
+    contract = lower(conditional_rule("else reset buyer\n        reset seller"))
+    ((then_rule, else_rule),) = contract.rules
+    # the if-condition first, the rule's own constraints after it
+    assert then_rule == IrRule(
+        "BuyRequestBnessFailureIfThen",
+        FAILURE_EVENT,
+        (OutcomeConstraint("BuyRequest", False), RopConstraint("buyer", "rights", "BuyRequest")),
+        (OutcomeSet("BuyRequest", True),),
     )
+    assert else_rule == IrRule(
+        "BuyRequestBnessFailureIfElse",
+        FAILURE_EVENT,
+        (
+            NegatedConjunction((OutcomeConstraint("BuyRequest", False),)),
+            RopConstraint("buyer", "rights", "BuyRequest"),
+        ),
+        (ResetAction("buyer"), ResetAction("seller")),
+    )
+
+
+def test_if_without_else_lowers_to_one_if_then_rule():
+    contract = lower(conditional_rule(""))
+    ((then_rule,),) = contract.rules
+    assert then_rule.name == "BuyRequestBnessFailureIfThen"
+    assert then_rule.constraints == (
+        OutcomeConstraint("BuyRequest", False),
+        RopConstraint("buyer", "rights", "BuyRequest"),
+    )
+    assert then_rule.actions == (OutcomeSet("BuyRequest", True),)
+
+
+def test_rule_without_conditional_lowers_to_itself():
+    contract = lower(DECLS + """\
+rule "R"
+when e matches (botype == BUYREQ, originator == buyer, responder == store, outcome == success)
+    BuyRequest in buyer.rights
+then
+    reset buyer
+end
+""")
+    assert contract.rules == [(
+        IrRule(
+            "R",
+            EventMatchCondition("BUYREQ", "buyer", "store", "success"),
+            (RopConstraint("buyer", "rights", "BuyRequest"),),
+            (ResetAction("buyer"),),
+        ),
+    )]
 
 
 def test_event_fields_reordered_into_canonical_slots():
@@ -82,7 +129,7 @@ then
     reset buyer
 end
 """)
-    assert contract.rules[0].event == EventMatchCondition("BUYREQ", "buyer", "store", "success")
+    assert contract.rules[0][0].event == EventMatchCondition("BUYREQ", "buyer", "store", "success")
 
 
 def test_both_reset_spellings_lower_identically():
@@ -94,7 +141,7 @@ then
     buyer reset
 end
 """)
-    assert contract.rules[0].actions == (ResetAction("buyer"), ResetAction("buyer"))
+    assert contract.rules[0][0].actions == (ResetAction("buyer"), ResetAction("buyer"))
 
 
 def test_historical_fields_take_canonical_order():
@@ -106,7 +153,7 @@ then
     reset buyer
 end
 """)
-    (constraint,) = contract.rules[0].constraints
+    (constraint,) = contract.rules[0][0].constraints
     assert constraint == HistoricalConstraint(
         happened=True, fields=(("botype", "BUYREQ"), ("originator", "buyer"))
     )
@@ -127,6 +174,6 @@ then
     reset buyer
 end
 """)
-    line = dump_rule(contract.rules[0])
+    line = dump_rule(contract.rules[0][0])
     assert "\n" not in line
     assert "'R'" in line and "ResetAction" in line

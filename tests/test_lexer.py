@@ -235,8 +235,10 @@ def reference_scan(source):
             i = j
         elif ch == '"':
             j = i + 1
-            while j < n and source[j] not in '"\r\n':
+            while j < n and source[j] not in '"\\\r\n':
                 j += 1
+            if j < n and source[j] == "\\":
+                return found, ("backslash in string literal", i)
             if j == n or source[j] != '"':
                 return found, ("unterminated string literal", i)
             found.append((source[i : j + 1], i))
@@ -257,7 +259,7 @@ def naive_pos(source, offset):
 
 
 PIECES = st.sampled_from((
-    "\r", "\n", "\r\n", "\t", "\f", " ", " ", "\u00b2", "_", "/", "*", '"', '"',
+    "\r", "\n", "\r\n", "\t", "\f", " ", " ", "\u00b2", "_", "/", "*", '"', '"', "\\",
     "a", "Zq", "rule", "in", "x_1", "0", "42", "//", "/*", "*/",
     ",", ";", ".", "(", ")", "[", "]", "==", "+=", "-=", "<", ">", "=", "!",
 ))

@@ -1,20 +1,24 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eropc.codegen import split_conditional_rule
+from eropc.ir import lower_contract
 from eropc.lexer import TokenKind, tokenize
-from irgen import assert_split_laws, expected_piece_count, ir_rules
+from eropc.sema import SymbolTable
+from eropc.syntax import ContractAst
+from irgen import assert_split_laws, expected_piece_count, source_rules
 
 
-@given(ir_rules())
-def test_split_laws_hold(rule):
-    assert_split_laws(rule)
+@given(source_rules())
+def test_split_laws_hold(case):
+    assert_split_laws(case)
 
 
-@given(st.lists(ir_rules(), max_size=20))
-def test_rule_count_law_over_a_batch(rules):
-    emitted = sum(len(split_conditional_rule(r)) for r in rules)
-    assert emitted == sum(expected_piece_count(r) for r in rules)
+@given(st.lists(source_rules(), max_size=20))
+def test_rule_count_law_over_a_batch(cases):
+    rules = [case.ast for case in cases]
+    contract = lower_contract(ContractAst([], rules), SymbolTable(), "P")
+    assert len(contract.rules) == len(rules)  # one group per source rule
+    assert sum(map(len, contract.rules)) == sum(map(expected_piece_count, rules))
 
 
 LEXEMES = st.sampled_from((

@@ -178,6 +178,21 @@ end
     assert "source" in errors(diags)[0].message
 
 
+def test_repeated_historical_field_is_e006():
+    _, diags = analyze("roleplayer buyer;\nbusinessoperation Pay;\n" + """\
+rule "R"
+when e matches (botype == X, originator == buyer, responder == buyer, outcome == success)
+    not happened (botype == X, botype == Y)
+then
+    buyer.rights -= Pay(buyer)
+end
+""")
+    (e006,) = errors(diags)
+    assert e006.code == "E006"
+    assert e006.message == "repeated event field 'botype'"
+    assert (e006.pos.line, e006.pos.col) == (5, 32)
+
+
 def test_duplicate_rule_name_is_e007():
     source = "roleplayer buyer;\nbusinessoperation Pay;\n" + RULE_TAIL + RULE_TAIL
     _, diags = analyze(source)
