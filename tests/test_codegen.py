@@ -263,6 +263,49 @@ def test_constraint_expressions():
 # --- full translation ---
 
 
+def test_split_if_else_makes_two_rules():
+    source = """\
+roleplayer buyer, seller, store;
+businessoperation BuyRequest;
+rule "BuyRequestBnessFailure"
+when e matches (botype == BUYREQ, originator == buyer, responder == store, outcome == tecFail)
+    BuyRequest in buyer.rights
+then
+    if (BuyRequest.BizFail == false)
+        then BuyRequest.BizFail == true
+        else reset buyer
+        reset seller
+    endif
+end
+"""
+    text, diags = translate(source, "P")
+    assert diags == []
+    then_rule, else_rule = text.split("\n\n")[-2:]
+    event = '    $e: Event(type=="BUYREQ", originator=="buyer", responder=="store", status=="tecFail")'
+    # if-condition first, the rule's own constraints after it
+    assert then_rule.splitlines() == [
+        'rule "BuyRequestBnessFailureIfThen"',
+        "when",
+        event,
+        "    eval(buyRequest.getBusinessFailure() == false)",
+        "    eval(ropBuyer.matchesRights(buyRequest))",
+        "then",
+        "    buyRequest.setBusinessFailure(true);",
+        "end",
+    ]
+    assert else_rule.splitlines() == [
+        'rule "BuyRequestBnessFailureIfElse"',
+        "when",
+        event,
+        "    eval(!(buyRequest.getBusinessFailure() == false))",
+        "    eval(ropBuyer.matchesRights(buyRequest))",
+        "then",
+        "    ropBuyer.reset();",
+        "    ropSeller.reset();",
+        "end",
+    ]
+
+
 def test_translate_case_study_matches_golden(case_study_source, golden_drl):
     text, diags = translate(case_study_source, "BuyerStoreContractEx")
     assert diags == []

@@ -70,7 +70,8 @@ end
 """
 
 
-def test_if_else_rule_lowers_to_if_then_and_if_else_rules():
+def test_conditional_rule_lowers_to_if_statement():
+    # the if statement lowers to an IfThen and an IfElse rule
     contract = lower(conditional_rule("else reset buyer\n        reset seller"))
     ((then_rule, else_rule),) = contract.rules
     # the if-condition first, the rule's own constraints after it
