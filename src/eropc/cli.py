@@ -14,7 +14,14 @@ import tempfile
 from pathlib import Path
 
 from . import __version__
-from .codegen import ConfigError, LookupTable, analyze, is_java_identifier, load_lookup, translate
+from .codegen import (
+    DEFAULT_LOOKUP,
+    ConfigError,
+    analyze,
+    is_java_identifier,
+    load_lookup,
+    translate,
+)
 from .ir import dump_contract, lower_contract
 from .sema import Diagnostic
 
@@ -24,13 +31,11 @@ def render_diagnostic(d: Diagnostic, file: str) -> str:
 
 
 def sanitize_package_name(stem: str) -> str:
-    """Turn a file stem into a usable package identifier."""
-    name = re.sub(r"[^0-9A-Za-z_]", "_", stem)
-    if not name:
-        name = "_"
+    """Turn a file stem into a package name that passes is_java_identifier."""
+    name = re.sub(r"[^0-9A-Za-z_]", "_", stem) or "_"
     if name[0].isdigit():
         name = "_" + name
-    return name
+    return name if is_java_identifier(name) else name + "_"  # a reserved word
 
 
 def _build_arg_parser() -> argparse.ArgumentParser:
@@ -64,7 +69,7 @@ def run(argv: list[str]) -> int:
     if source is None:
         return 2
 
-    lookup = LookupTable()
+    lookup = DEFAULT_LOOKUP
     if args.lookup:
         lookup_text = _read_text(args.lookup)
         if lookup_text is None:

@@ -8,6 +8,8 @@ deterministic rendering (LF newlines, 4-space indent inside rules).
 from __future__ import annotations
 
 import re
+import types
+from collections.abc import Mapping
 from typing import NamedTuple
 
 from .ir import (
@@ -24,7 +26,7 @@ from .ir import (
     TimePartialComparison,
     lower_contract,
 )
-from .lexer import LexError, SourcePos, tokenize
+from .lexer import LexError, tokenize
 from .sema import (
     Diagnostic,
     SymbolTable,
@@ -39,10 +41,11 @@ IMPORT_LINES = (
     "import uk.ac.ncl.logging.CCCLogger;",
 )
 
-# Mapping keys resolvable by the lookup table.  A deployment can rename any
-# target method by overriding the value in a lookup file; the key set itself
-# is fixed.
-DEFAULT_LOOKUP = {
+# Mapping key -> target method name.  A deployment can rename any target
+# method by overriding the value in a lookup file; the key set itself is fixed,
+# so every lookup holds every key emit_rule asks for.  Read-only because it is
+# the default that every caller shares.
+DEFAULT_LOOKUP = types.MappingProxyType({
     "rop.matches.rights": "matchesRights",
     "rop.matches.obligs": "matchesObligations",
     "rop.matches.prohibs": "matchesProhibitions",
@@ -62,7 +65,7 @@ DEFAULT_LOOKUP = {
     "time.day": "getDay",
     "time.month": "getMonth",
     "time.year": "getYear",
-}
+})
 
 _SET_SINGULAR = {"rights": "right", "obligs": "oblig", "prohibs": "prohib"}
 
@@ -85,29 +88,8 @@ class ConfigError(Exception):
     """Malformed lookup file."""
 
 
-class LookupKeyError(Exception):
-    """A mapping key was queried that the lookup table does not define (E011)."""
-
-    def __init__(self, key: str) -> None:
-        super().__init__(f"unknown lookup key '{key}'")
-        self.key = key
-
-
-class LookupTable:
-    """Mapping key -> target method name; the defaults unless ``entries`` is given."""
-
-    def __init__(self, entries: dict[str, str] | None = None) -> None:
-        self.entries = dict(DEFAULT_LOOKUP) if entries is None else entries
-
-    def resolve(self, key: str) -> str:
-        try:
-            return self.entries[key]
-        except KeyError:
-            raise LookupKeyError(key) from None
-
-
-def load_lookup(text: str) -> LookupTable:
-    """Parse a ``key = value`` mapping file and merge it over the defaults.
+def load_lookup(text: str) -> dict[str, str]:
+    """Parse a ``key = value`` mapping file and merge it over a copy of the defaults.
 
     ``#`` starts a comment, blank lines are ignored.  A line without ``=``,
     a key that is not in DEFAULT_LOOKUP or is repeated within the file, or a
@@ -134,7 +116,7 @@ def load_lookup(text: str) -> LookupTable:
             raise ConfigError(f"line {lineno}: '{value}' is not a Java identifier")
         seen.add(key)
         entries[key] = value
-    return LookupTable(entries)
+    return entries
 
 
 def bo_global_name(name: str) -> str:
@@ -169,7 +151,7 @@ def global_lines(tab: SymbolTable) -> list[str]:
     return lines
 
 
-def emit_rule(rule: IrRule, lookup: LookupTable, tab: SymbolTable) -> ADRule:
+def emit_rule(rule: IrRule, lookup: Mapping[str, str], tab: SymbolTable) -> ADRule:
     """Render one target rule."""
     ev = rule.event
     when_lines = [
@@ -190,31 +172,31 @@ def emit_rule(rule: IrRule, lookup: LookupTable, tab: SymbolTable) -> ADRule:
             else:
                 then_lines.append(_plain_manip_line(action, lookup))
         elif isinstance(action, OutcomeSet):
-            setter = lookup.resolve("bizfail.set")
+            setter = lookup["bizfail.set"]
             then_lines.append(f"{bo_global_name(action.bo)}.{setter}({_bool(action.value)});")
         else:  # ResetAction
-            then_lines.append(f"{rop_var_name(action.player)}.{lookup.resolve('reset')}();")
+            then_lines.append(f"{rop_var_name(action.player)}.{lookup['reset']}();")
     return ADRule(name=rule.name, when_lines=when_lines, then_lines=then_lines)
 
 
-def constraint_expr(constraint: IrConstraint, lookup: LookupTable) -> str:
+def constraint_expr(constraint: IrConstraint, lookup: Mapping[str, str]) -> str:
     """The parenthesis-free boolean expression a constraint evaluates."""
     if isinstance(constraint, RopConstraint):
-        method = lookup.resolve(f"rop.matches.{constraint.rop_set}")
+        method = lookup[f"rop.matches.{constraint.rop_set}"]
         return f"{rop_var_name(constraint.player)}.{method}({bo_global_name(constraint.bo)})"
     if isinstance(constraint, OutcomeConstraint):
-        getter = lookup.resolve("bizfail.get")
+        getter = lookup["bizfail.get"]
         return f"{bo_global_name(constraint.bo)}.{getter}() == {_bool(constraint.expected)}"
     if isinstance(constraint, TimeDirectComparison):
-        accessor = lookup.resolve("time.stamp")
+        accessor = lookup["time.stamp"]
         return f'$e.{accessor}() {constraint.op} "{constraint.timestamp}"'
     if isinstance(constraint, TimePartialComparison):
-        accessor = lookup.resolve(f"time.{constraint.unit}")
+        accessor = lookup[f"time.{constraint.unit}"]
         return (
             f"$e.{accessor}() >= {constraint.lo} && $e.{accessor}() <= {constraint.hi}"
         )
     if isinstance(constraint, HistoricalConstraint):
-        method = lookup.resolve("historical.happened")
+        method = lookup["historical.happened"]
         args = ", ".join(f'"{value}"' for _, value in constraint.fields)
         call = f"engine.{method}({args})"
         return call if constraint.happened else f"!{call}"
@@ -223,8 +205,8 @@ def constraint_expr(constraint: IrConstraint, lookup: LookupTable) -> str:
     return f"!({inner})"
 
 
-def _plain_manip_line(action: AddOrRemAction, lookup: LookupTable) -> str:
-    method = lookup.resolve(f"rop.{action.op}.{_SET_SINGULAR[action.rop_set]}")
+def _plain_manip_line(action: AddOrRemAction, lookup: Mapping[str, str]) -> str:
+    method = lookup[f"rop.{action.op}.{_SET_SINGULAR[action.rop_set]}"]
     args = [bo_global_name(action.bo), action.beneficiary]
     if action.deadline is not None:
         args.append(f'"{action.deadline}"')
@@ -232,12 +214,12 @@ def _plain_manip_line(action: AddOrRemAction, lookup: LookupTable) -> str:
 
 
 def _compoblig_lines(
-    action: AddOrRemAction, lookup: LookupTable, tab: SymbolTable, index: int
+    action: AddOrRemAction, lookup: Mapping[str, str], tab: SymbolTable, index: int
 ) -> list[str]:
     # Composite obligations travel by name and always go through the
     # obligation methods; adding one also needs the member operations packed
     # into a temporary array.
-    method = lookup.resolve(f"rop.{action.op}.oblig")
+    method = lookup[f"rop.{action.op}.oblig"]
     rop_var = rop_var_name(action.player)
     if action.op == "remove":
         return [f'{rop_var}.{method}("{action.bo}", {action.beneficiary});']
@@ -256,7 +238,7 @@ def _bool(value: bool) -> str:
     return "true" if value else "false"
 
 
-def build_ad_file(contract: IrContract, lookup: LookupTable) -> ADFile:
+def build_ad_file(contract: IrContract, lookup: Mapping[str, str]) -> ADFile:
     """Render every target rule of the contract into an ADFile."""
     rules = [
         emit_rule(rule, lookup, contract.symbols) for group in contract.rules for rule in group
@@ -301,7 +283,7 @@ def analyze(source: str) -> tuple[ContractAst | None, SymbolTable | None, list[D
 
 
 def translate(
-    source: str, package_name: str, lookup: LookupTable | None = None
+    source: str, package_name: str, lookup: Mapping[str, str] = DEFAULT_LOOKUP
 ) -> tuple[str | None, list[Diagnostic]]:
     """Full pipeline: analyze, then lower (splitting conditionals) and emit.
 
@@ -312,9 +294,5 @@ def translate(
     if any(d.is_error for d in diags):
         return None, diags
 
-    contract = lower_contract(ast, tab, package_name)
-    try:
-        ad_file = build_ad_file(contract, lookup or LookupTable())
-    except LookupKeyError as err:
-        return None, diags + [Diagnostic("error", "E011", str(err), SourcePos(1, 1, 0))]
+    ad_file = build_ad_file(lower_contract(ast, tab, package_name), lookup)
     return render_file(ad_file), diags

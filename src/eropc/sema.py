@@ -69,9 +69,6 @@ class SymbolTable:
         self.comp_obligs = {} if comp_obligs is None else comp_obligs
         self.kinds: dict[str, str] = {}
 
-    def kind_of(self, name: str) -> str | None:
-        return self.kinds.get(name)
-
 
 def build_symbol_table(ast: ContractAst) -> tuple[SymbolTable, list[Diagnostic]]:
     """Collect declarations; duplicates keep the first occurrence (E001)."""
@@ -103,7 +100,7 @@ def build_symbol_table(ast: ContractAst) -> tuple[SymbolTable, list[Diagnostic]]
     for decl in comp_decls:
         members = tab.comp_obligs[decl.name.name]
         for member in decl.members:
-            if tab.kind_of(member.name) == "business operation":
+            if tab.kinds.get(member.name) == "business operation":
                 members.append(member.name)
             else:
                 diags.append(
@@ -301,7 +298,7 @@ class _Checker:
 
     def expect_role_player(self, ident: Ident) -> None:
         self.used.add(ident.name)
-        kind = self.tab.kind_of(ident.name)
+        kind = self.tab.kinds.get(ident.name)
         if kind is None:
             self.error("E004", f"'{ident.name}' is not declared", ident.pos)
         elif kind != "role player":
@@ -309,7 +306,7 @@ class _Checker:
 
     def expect_operation(self, ident: Ident) -> None:
         self.used.add(ident.name)
-        kind = self.tab.kind_of(ident.name)
+        kind = self.tab.kinds.get(ident.name)
         if kind is None:
             self.error("E004", f"'{ident.name}' is not declared", ident.pos)
         elif kind == "role player":

@@ -82,7 +82,6 @@ class RopMembership(NamedTuple):
     bo: Ident
     player: Ident
     rop_set: str
-    pos: SourcePos
 
 
 class OutcomeCheck(NamedTuple):
@@ -96,7 +95,6 @@ class TimeDirect(NamedTuple):
     event_var: Ident
     op: str  # "==", "<" or ">"
     timestamp: str
-    pos: SourcePos
 
 
 class TimePartial(NamedTuple):
@@ -104,24 +102,17 @@ class TimePartial(NamedTuple):
     unit: str
     lo: int
     hi: int
-    pos: SourcePos
 
 
 class Historical(NamedTuple):
     happened: bool
     fields: list[EventField]
-    pos: SourcePos
 
 
 ConstraintAst = RopMembership | OutcomeCheck | TimeDirect | TimePartial | Historical
 
 
 # --- actions ---
-
-
-class StringActual(NamedTuple):
-    value: str
-    pos: SourcePos
 
 
 class RopManip(NamedTuple):
@@ -132,11 +123,11 @@ class RopManip(NamedTuple):
     op: str  # "add" or "remove"
     bo: Ident
     args: list[Ident]
-    deadlines: list[StringActual]
+    deadlines: list[str]
 
     @property
     def deadline(self) -> str | None:
-        return self.deadlines[0].value if self.deadlines else None
+        return self.deadlines[0] if self.deadlines else None
 
 
 class OutcomeSetAct(NamedTuple):
@@ -148,7 +139,6 @@ class OutcomeSetAct(NamedTuple):
 
 class ResetAct(NamedTuple):
     player: Ident
-    pos: SourcePos
 
 
 class IfAct(NamedTuple):
@@ -287,12 +277,7 @@ class _Parser:
         self.expect(TokenKind.WHEN, "'when'")
         event_var = self.ident("an event variable")
         self.expect(TokenKind.MATCHES, "'matches'")
-        self.expect(TokenKind.LPAREN, "'('")
-        fields = [self.event_field()]
-        while self.at(TokenKind.COMMA):
-            self.advance()
-            fields.append(self.event_field())
-        self.expect(TokenKind.RPAREN, "')'")
+        fields = self.event_fields()
 
         constraints: list[ConstraintAst] = []
         while not self.at(TokenKind.THEN):
@@ -312,6 +297,15 @@ class _Parser:
             actions=actions,
         )
 
+    def event_fields(self) -> list[EventField]:
+        self.expect(TokenKind.LPAREN, "'('")
+        fields = [self.event_field()]
+        while self.at(TokenKind.COMMA):
+            self.advance()
+            fields.append(self.event_field())
+        self.expect(TokenKind.RPAREN, "')'")
+        return fields
+
     def event_field(self) -> EventField:
         name = self.ident("an event field name")
         self.expect(TokenKind.EQ, "'=='")
@@ -326,10 +320,10 @@ class _Parser:
         if self.at_ident("not") and self.at_ident("happened", 1):
             self.advance()
             self.advance()
-            return self.historical_tail(happened=False, pos=tok.pos)
+            return Historical(happened=False, fields=self.event_fields())
         if self.at_ident("happened") and self.peek(1).kind is TokenKind.LPAREN:
             self.advance()
-            return self.historical_tail(happened=True, pos=tok.pos)
+            return Historical(happened=True, fields=self.event_fields())
 
         subject = self.ident()
         if self.at(TokenKind.IN):
@@ -337,7 +331,7 @@ class _Parser:
             player = self.ident("a role player name")
             self.expect(TokenKind.DOT, "'.'")
             rop_set = self.ropset()
-            return RopMembership(bo=subject, player=player, rop_set=rop_set, pos=subject.pos)
+            return RopMembership(bo=subject, player=player, rop_set=rop_set)
 
         self.expect(TokenKind.DOT, "'in' or '.'")
         selector = self.ident("'BizFail', 'timestamp' or a time unit")
@@ -351,7 +345,7 @@ class _Parser:
                 raise self.fail("expected '==', '<' or '>'")
             self.advance()
             ts = self.expect(TokenKind.STRING, "a timestamp string")
-            return TimeDirect(subject, op_tok.lexeme, string_value(ts), subject.pos)
+            return TimeDirect(subject, op_tok.lexeme, string_value(ts))
         if selector.name in TIME_UNITS:
             self.expect(TokenKind.IN, "'in'")
             self.expect(TokenKind.LBRACKET, "'['")
@@ -359,20 +353,11 @@ class _Parser:
             self.expect(TokenKind.COMMA, "','")
             hi = self.expect(TokenKind.INT, "an integer")
             self.expect(TokenKind.RBRACKET, "']'")
-            return TimePartial(subject, selector.name, int(lo.lexeme), int(hi.lexeme), subject.pos)
+            return TimePartial(subject, selector.name, int(lo.lexeme), int(hi.lexeme))
         raise ParseError(
             f"expected 'BizFail', 'timestamp' or a time unit after '.' but found '{selector.name}'",
             selector.pos,
         )
-
-    def historical_tail(self, happened: bool, pos: SourcePos) -> Historical:
-        self.expect(TokenKind.LPAREN, "'('")
-        fields = [self.event_field()]
-        while self.at(TokenKind.COMMA):
-            self.advance()
-            fields.append(self.event_field())
-        self.expect(TokenKind.RPAREN, "')'")
-        return Historical(happened=happened, fields=fields, pos=pos)
 
     def ropset(self) -> str:
         tok = self.peek()
@@ -391,8 +376,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind is TokenKind.RESET:
             self.advance()
-            player = self.ident("a role player name")
-            return ResetAct(player, tok.pos)
+            return ResetAct(self.ident("a role player name"))
         if tok.kind is TokenKind.IF:
             if inside_if:
                 raise ParseError("nested 'if' actions are not supported", tok.pos)
@@ -402,8 +386,8 @@ class _Parser:
 
         subject = self.ident()
         if self.at(TokenKind.RESET):
-            reset_tok = self.advance()
-            return ResetAct(subject, reset_tok.pos)
+            self.advance()
+            return ResetAct(subject)
 
         self.expect(TokenKind.DOT, "'.'")
         selector = self.ident("a ROP set or 'BizFail'")
@@ -427,7 +411,7 @@ class _Parser:
         bo = self.ident("a business operation name")
         self.expect(TokenKind.LPAREN, "'('")
         args: list[Ident] = []
-        deadlines: list[StringActual] = []
+        deadlines: list[str] = []
         self.actual(args, deadlines)
         while self.at(TokenKind.COMMA):
             self.advance()
@@ -437,13 +421,13 @@ class _Parser:
             player=subject, rop_set=selector.name, op=op, bo=bo, args=args, deadlines=deadlines
         )
 
-    def actual(self, args: list[Ident], deadlines: list[StringActual]) -> None:
+    def actual(self, args: list[Ident], deadlines: list[str]) -> None:
         tok = self.peek()
         if tok.kind is TokenKind.IDENT:
             args.append(self.ident())
         elif tok.kind is TokenKind.STRING:
             self.advance()
-            deadlines.append(StringActual(string_value(tok), tok.pos))
+            deadlines.append(string_value(tok))
         else:
             raise self.fail("expected an argument (identifier or string)")
 

@@ -9,7 +9,7 @@ from typing import NamedTuple
 
 from hypothesis import strategies as st
 
-from eropc.codegen import LookupTable, constraint_expr, emit_rule
+from eropc.codegen import DEFAULT_LOOKUP, constraint_expr, emit_rule
 from eropc.ir import (
     HistoricalConstraint,
     IrConstraint,
@@ -34,7 +34,6 @@ from eropc.syntax import (
     RopManip,
     RopMembership,
     RuleAst,
-    StringActual,
     TimeDirect,
     TimePartial,
 )
@@ -55,7 +54,7 @@ def _fields(pairs) -> list[EventField]:
 
 
 def _rop(player, rop_set, bo):
-    return RopMembership(ident(bo), ident(player), rop_set, POS), RopConstraint(player, rop_set, bo)
+    return RopMembership(ident(bo), ident(player), rop_set), RopConstraint(player, rop_set, bo)
 
 
 def _outcome(bo, expected):
@@ -64,15 +63,15 @@ def _outcome(bo, expected):
 
 
 def _time_direct(op, timestamp):
-    return TimeDirect(ident("e"), op, timestamp, POS), TimeDirectComparison(op, timestamp)
+    return TimeDirect(ident("e"), op, timestamp), TimeDirectComparison(op, timestamp)
 
 
 def _time_partial(unit, lo, hi):
-    return TimePartial(ident("e"), unit, lo, hi, POS), TimePartialComparison(unit, lo, hi)
+    return TimePartial(ident("e"), unit, lo, hi), TimePartialComparison(unit, lo, hi)
 
 
 def _historical(happened, fields):
-    return Historical(happened, _fields(fields), POS), HistoricalConstraint(happened, fields)
+    return Historical(happened, _fields(fields)), HistoricalConstraint(happened, fields)
 
 
 # (source constraint, the IR constraint it lowers to)
@@ -103,7 +102,7 @@ constraints = st.one_of(
 
 
 def _rop_manip(player, rop_set, op, bo, beneficiary, deadline):
-    deadlines = [] if deadline is None else [StringActual(deadline, POS)]
+    deadlines = [] if deadline is None else [deadline]
     return RopManip(ident(player), rop_set, op, ident(bo), [ident(beneficiary)], deadlines)
 
 
@@ -119,7 +118,7 @@ simple_actions = st.one_of(
     ),
     st.builds(lambda bo, value: OutcomeSetAct(ident(bo), ident(value)),
               ops, st.sampled_from(("true", "false"))),
-    st.builds(lambda player: ResetAct(ident(player), POS), players),
+    st.builds(lambda player: ResetAct(ident(player)), players),
 )
 
 
@@ -166,7 +165,7 @@ def lower_rule(rule: RuleAst) -> tuple[IrRule, ...]:
 
 def assert_split_laws(case: GeneratedRule) -> None:
     """Rule-count, naming, constraint-preservation and negation laws for one rule."""
-    lookup = LookupTable()
+    lookup = DEFAULT_LOOKUP
     pieces = lower_rule(case.ast)
     assert len(pieces) == expected_piece_count(case.ast)
     assert [piece.name for piece in pieces] == emitted_rule_names(case.ast)

@@ -4,9 +4,12 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import CORPUS
 from eropc.cli import render_diagnostic, run, sanitize_package_name
+from eropc.codegen import is_java_identifier
 from eropc.lexer import SourcePos
 from eropc.sema import Diagnostic
 
@@ -41,12 +44,31 @@ def test_default_package_name_is_sanitized_stem(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("package _2_buyer_store\n")
 
 
+def test_reserved_word_stem_gets_a_trailing_underscore(tmp_path, capsys):
+    src = tmp_path / "class.erop"
+    shutil.copy(CASE_STUDY, src)
+    assert run([str(src), "-o", "-"]) == 0
+    assert capsys.readouterr().out.startswith("package class_\n")
+
+
 @pytest.mark.parametrize(
     "stem,expected",
-    [("contract", "contract"), ("2fast", "_2fast"), ("a-b c.d", "a_b_c_d"), ("", "_")],
+    [
+        ("contract", "contract"),
+        ("2fast", "_2fast"),
+        ("a-b c.d", "a_b_c_d"),
+        ("", "__"),
+        ("class", "class_"),
+        ("_", "__"),
+    ],
 )
 def test_sanitize_package_name(stem, expected):
     assert sanitize_package_name(stem) == expected
+
+
+@given(st.text())
+def test_sanitized_package_name_is_a_java_identifier(stem):
+    assert is_java_identifier(sanitize_package_name(stem))
 
 
 def test_missing_input_exits_2(capsys):
@@ -162,6 +184,7 @@ def test_emit_ast_prints_tree(capsys):
     assert run([str(CASE_STUDY), "--emit-ast"]) == 0
     out = capsys.readouterr().out
     assert "RolePlayersDecl" in out and "RuleAst" in out
+    assert "deadlines=['01-01-2016 12:00:00']" in out
 
 
 def test_emit_ast_parse_error_exits_1(tmp_path, capsys):

@@ -5,8 +5,6 @@ from eropc.codegen import (
     ADFile,
     ConfigError,
     DEFAULT_LOOKUP,
-    LookupKeyError,
-    LookupTable,
     bo_global_name,
     constraint_expr,
     emit_rule,
@@ -57,20 +55,40 @@ def test_rop_var_name(player, expected):
 
 def test_load_lookup_override():
     table = load_lookup("rop.remove.right = removeRight\n")
-    assert table.resolve("rop.remove.right") == "removeRight"
+    assert table["rop.remove.right"] == "removeRight"
     table = load_lookup("rop.matches.rights = matchesRights")
-    assert table.resolve("rop.matches.rights") == "matchesRights"
+    assert table["rop.matches.rights"] == "matchesRights"
 
 
 def test_load_lookup_empty_keeps_defaults():
     table = load_lookup("")
-    assert table.entries == DEFAULT_LOOKUP
+    assert table == DEFAULT_LOOKUP
 
 
 def test_load_lookup_comments_and_blanks():
     table = load_lookup("# comment\n\nreset = wipe  # trailing\n")
-    assert table.resolve("reset") == "wipe"
-    assert table.resolve("bizfail.get") == "getBusinessFailure"
+    assert table["reset"] == "wipe"
+    assert table["bizfail.get"] == "getBusinessFailure"
+
+
+@pytest.mark.parametrize(
+    "text", ["", "rop.remove.right = revokeRight\n", "# comment\n\nreset = wipe  # trailing\n"]
+)
+def test_load_lookup_holds_every_default_key(text):
+    # emit_rule asks only for DEFAULT_LOOKUP's keys, so no lookup can lack one
+    assert load_lookup(text).keys() == DEFAULT_LOOKUP.keys()
+
+
+def test_load_lookup_leaves_the_defaults_unchanged(case_study_source):
+    before = dict(DEFAULT_LOOKUP)
+    text, _ = translate(case_study_source, "P", load_lookup("reset = wipe"))
+    assert "ropBuyer.wipe();" in text
+    assert DEFAULT_LOOKUP == before and DEFAULT_LOOKUP["reset"] == "reset"
+
+
+def test_default_lookup_is_read_only():
+    with pytest.raises(TypeError):
+        DEFAULT_LOOKUP["reset"] = "wipe"
 
 
 def test_load_lookup_malformed_line():
@@ -94,14 +112,6 @@ def test_load_lookup_value_must_be_a_java_identifier(value):
     with pytest.raises(ConfigError) as exc:
         load_lookup(f"reset = {value}\n")
     assert str(exc.value) == f"line 1: '{value}' is not a Java identifier"
-
-
-def test_missing_lookup_key_is_reported():
-    table = LookupTable(entries={})
-    rule = IrRule("R", EVENT, (RopConstraint("buyer", "rights", "BuyRequest"),), ())
-    with pytest.raises(LookupKeyError) as exc:
-        emit_rule(rule, table, CASE_TABLE)
-    assert exc.value.key == "rop.matches.rights"
 
 
 # --- declarations ---
@@ -162,7 +172,7 @@ def test_emit_first_case_study_rule():
             ),
         ),
     )
-    out = emit_rule(rule, LookupTable(), CASE_TABLE)
+    out = emit_rule(rule, DEFAULT_LOOKUP, CASE_TABLE)
     assert out.when_lines == [
         '$e: Event(type=="BUYREQ", originator=="buyer", responder=="store", status=="success")',
         "eval(ropBuyer.matchesRights(buyRequest))",
@@ -176,13 +186,13 @@ def test_emit_first_case_study_rule():
 
 def test_emit_reset_actions():
     rule = IrRule("R", EVENT, (), (ResetAction("buyer"), ResetAction("seller")))
-    out = emit_rule(rule, LookupTable(), CASE_TABLE)
+    out = emit_rule(rule, DEFAULT_LOOKUP, CASE_TABLE)
     assert out.then_lines == ["ropBuyer.reset();", "ropSeller.reset();"]
 
 
 def test_emit_rule_without_constraints_has_only_event_pattern():
     rule = IrRule("R", EVENT, (), (ResetAction("buyer"),))
-    out = emit_rule(rule, LookupTable(), CASE_TABLE)
+    out = emit_rule(rule, DEFAULT_LOOKUP, CASE_TABLE)
     assert out.when_lines == [
         '$e: Event(type=="BUYREQ", originator=="buyer", responder=="store", status=="success")'
     ]
@@ -193,7 +203,7 @@ def test_compoblig_removal_travels_by_name():
         "R", EVENT, (),
         (AddOrRemAction("seller", "obligs", "remove", "ReactToBuyRequest", "buyer"),),
     )
-    out = emit_rule(rule, LookupTable(), CASE_TABLE)
+    out = emit_rule(rule, DEFAULT_LOOKUP, CASE_TABLE)
     assert out.then_lines == ['ropSeller.removeObligation("ReactToBuyRequest", buyer);']
 
 
@@ -205,7 +215,7 @@ def test_second_compoblig_array_gets_numbered():
             AddOrRemAction("buyer", "obligs", "add", "ReactToBuyRequest", "seller"),
         ),
     )
-    out = emit_rule(rule, LookupTable(), CASE_TABLE)
+    out = emit_rule(rule, DEFAULT_LOOKUP, CASE_TABLE)
     assert out.then_lines[0].startswith("BusinessOperation[] bos = ")
     assert out.then_lines[2].startswith("BusinessOperation[] bos2 = ")
 
@@ -218,7 +228,7 @@ def test_compoblig_removal_does_not_consume_an_array_name():
             AddOrRemAction("buyer", "obligs", "add", "ReactToBuyRequest", "seller"),
         ),
     )
-    out = emit_rule(rule, LookupTable(), CASE_TABLE)
+    out = emit_rule(rule, DEFAULT_LOOKUP, CASE_TABLE)
     assert out.then_lines[1].startswith("BusinessOperation[] bos = ")
 
 
@@ -227,12 +237,12 @@ def test_plain_op_with_deadline():
         "R", EVENT, (),
         (AddOrRemAction("buyer", "rights", "add", "Cancellation", "seller", "02-02-2016 09:00:00"),),
     )
-    out = emit_rule(rule, LookupTable(), CASE_TABLE)
+    out = emit_rule(rule, DEFAULT_LOOKUP, CASE_TABLE)
     assert out.then_lines == ['ropBuyer.addRight(cancellation, seller, "02-02-2016 09:00:00");']
 
 
 def test_constraint_expressions():
-    lookup = LookupTable()
+    lookup = DEFAULT_LOOKUP
     assert constraint_expr(RopConstraint("buyer", "obligs", "Payment"), lookup) == (
         "ropBuyer.matchesObligations(payment)"
     )
