@@ -45,24 +45,8 @@ class TokenKind(enum.Enum):
     EOF = "EOF"
 
 
-KEYWORDS = {
-    kind.value: kind
-    for kind in (
-        TokenKind.ROLEPLAYER,
-        TokenKind.BUSINESSOPERATION,
-        TokenKind.COMPOBLIG,
-        TokenKind.RULE,
-        TokenKind.WHEN,
-        TokenKind.MATCHES,
-        TokenKind.THEN,
-        TokenKind.ELSE,
-        TokenKind.END,
-        TokenKind.IF,
-        TokenKind.ENDIF,
-        TokenKind.IN,
-        TokenKind.RESET,
-    )
-}
+# the keywords: the kinds whose value is a lower-case word
+KEYWORDS = {kind.value: kind for kind in TokenKind if kind.value.islower()}
 
 # operators and punctuation: the kinds whose value is not a word
 _PUNCT = {kind.value: kind for kind in TokenKind if not kind.value.isalpha()}

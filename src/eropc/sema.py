@@ -6,6 +6,7 @@ Error codes:
     E003 name casing violation            E008 bad boolean literal
     E004 undeclared identifier            E009 bad ROP-manipulation arguments
     E005 identifier of the wrong kind     E010 'if' with sibling actions
+    E011 empty or out-of-range time window
 Warnings:
     W001 declared but unused              W002 unexpected outcome value
 """
@@ -16,11 +17,13 @@ from typing import NamedTuple
 
 from .lexer import SourcePos
 from .syntax import (
+    BUSINESS_OP,
+    COMP_OBLIG,
+    ROLE_PLAYER,
     ActionAst,
-    BusinessOpsDecl,
-    CompObligDecl,
     ConstraintAst,
     ContractAst,
+    Decl,
     EventField,
     Historical,
     Ident,
@@ -28,7 +31,6 @@ from .syntax import (
     OutcomeCheck,
     OutcomeSetAct,
     ResetAct,
-    RolePlayersDecl,
     RopManip,
     RopMembership,
     RuleAst,
@@ -38,6 +40,7 @@ from .syntax import (
 )
 
 OUTCOME_VALUES = ("success", "tecfail", "bizfail")  # compared case-insensitively
+UNIT_MAX = {"hour": 23, "minute": 59}  # the other units' renderings are unconfirmed
 
 
 class Diagnostic(NamedTuple):
@@ -75,42 +78,30 @@ def build_symbol_table(ast: ContractAst) -> tuple[SymbolTable, list[Diagnostic]]
     tab = SymbolTable()
     diags: list[Diagnostic] = []
 
-    def declare(ident: Ident, kind: str) -> bool:
-        if ident.name in tab.kinds:
-            diags.append(_error("E001", f"duplicate declaration of '{ident.name}'", ident.pos))
-            return False
-        tab.kinds[ident.name] = kind
-        return True
-
-    comp_decls: list[CompObligDecl] = []
+    comp_decls: list[Decl] = []
     for decl in ast.decls:
-        if isinstance(decl, RolePlayersDecl):
-            for ident in decl.names:
-                if declare(ident, "role player"):
-                    tab.role_players.append(ident.name)
-        elif isinstance(decl, BusinessOpsDecl):
-            for ident in decl.names:
-                if declare(ident, "business operation"):
-                    tab.business_ops.append(ident.name)
-        elif declare(decl.name, "composite obligation"):
-            tab.comp_obligs[decl.name.name] = []
-            comp_decls.append(decl)
+        for ident in decl.names:
+            if ident.name in tab.kinds:
+                diags.append(_error("E001", f"duplicate declaration of '{ident.name}'", ident.pos))
+                continue
+            tab.kinds[ident.name] = decl.kind
+            if decl.kind == ROLE_PLAYER:
+                tab.role_players.append(ident.name)
+            elif decl.kind == BUSINESS_OP:
+                tab.business_ops.append(ident.name)
+            else:
+                tab.comp_obligs[ident.name] = []
+                comp_decls.append(decl)
 
     # member lookup is order-insensitive within the declaration section
     for decl in comp_decls:
-        members = tab.comp_obligs[decl.name.name]
+        members = tab.comp_obligs[decl.names[0].name]
         for member in decl.members:
-            if tab.kinds.get(member.name) == "business operation":
+            if tab.kinds.get(member.name) == BUSINESS_OP:
                 members.append(member.name)
             else:
-                diags.append(
-                    _error(
-                        "E002",
-                        f"composite obligation member '{member.name}' is not a declared "
-                        "business operation",
-                        member.pos,
-                    )
-                )
+                message = f"{COMP_OBLIG} member '{member.name}' is not a declared {BUSINESS_OP}"
+                diags.append(_error("E002", message, member.pos))
     return tab, diags
 
 
@@ -153,7 +144,13 @@ class _Checker:
 
     def check(self, ast: ContractAst) -> None:
         for decl in ast.decls:
-            self.check_decl_casing(decl)
+            lower = decl.kind == ROLE_PLAYER
+            for ident in decl.names:
+                if ident.name[0].islower() != lower:  # names start with an ASCII letter
+                    case = "a lower-case" if lower else "an upper-case"
+                    message = f"{decl.kind} '{ident.name}' must begin with {case} letter"
+                    self.error("E003", message, ident.pos)
+            self.used.update(member.name for member in decl.members)
         seen_source: set[str] = set()
         seen_emitted: set[str] = set()
         for rule in ast.rules:
@@ -173,36 +170,6 @@ class _Checker:
             seen_emitted.update(names)
             self.check_rule(rule)
         self.report_unused(ast)
-
-    # declarations
-
-    def check_decl_casing(self, decl) -> None:
-        if isinstance(decl, RolePlayersDecl):
-            for ident in decl.names:
-                if not ident.name[0].islower():
-                    self.error(
-                        "E003",
-                        f"role player '{ident.name}' must begin with a lower-case letter",
-                        ident.pos,
-                    )
-        elif isinstance(decl, BusinessOpsDecl):
-            for ident in decl.names:
-                if not ident.name[0].isupper():
-                    self.error(
-                        "E003",
-                        f"business operation '{ident.name}' must begin with an upper-case letter",
-                        ident.pos,
-                    )
-        else:
-            if not decl.name.name[0].isupper():
-                self.error(
-                    "E003",
-                    f"composite obligation '{decl.name.name}' must begin with an upper-case "
-                    "letter",
-                    decl.name.pos,
-                )
-            for member in decl.members:
-                self.used.add(member.name)
 
     # rules
 
@@ -253,10 +220,13 @@ class _Checker:
             self.expect_operation(constraint.bo)
             self.expect_bool(constraint.value, "outcome check")
         elif isinstance(constraint, (TimeDirect, TimePartial)):
-            if constraint.event_var.name != rule.event_var.name:
-                self.error(
-                    "E004", f"'{constraint.event_var.name}' is not declared", constraint.event_var.pos
-                )
+            var = constraint.event_var
+            if var.name != rule.event_var.name:
+                self.error("E004", f"'{var.name}' is not declared", var.pos)
+            if isinstance(constraint, TimePartial):
+                unit, lo, hi = constraint.unit, constraint.lo, constraint.hi
+                if lo > hi or hi > UNIT_MAX.get(unit, hi):
+                    self.error("E011", f"empty or out-of-range {unit} window [{lo}, {hi}]", var.pos)
         elif isinstance(constraint, Historical):
             seen: set[str] = set()
             for f in constraint.fields:
@@ -301,7 +271,7 @@ class _Checker:
         kind = self.tab.kinds.get(ident.name)
         if kind is None:
             self.error("E004", f"'{ident.name}' is not declared", ident.pos)
-        elif kind != "role player":
+        elif kind != ROLE_PLAYER:
             self.error("E005", f"'{ident.name}' is not a role player", ident.pos)
 
     def expect_operation(self, ident: Ident) -> None:
@@ -309,7 +279,7 @@ class _Checker:
         kind = self.tab.kinds.get(ident.name)
         if kind is None:
             self.error("E004", f"'{ident.name}' is not declared", ident.pos)
-        elif kind == "role player":
+        elif kind == ROLE_PLAYER:
             self.error(
                 "E005", f"'{ident.name}' is not a business operation or composite obligation",
                 ident.pos,
@@ -323,16 +293,10 @@ class _Checker:
 
     def report_unused(self, ast: ContractAst) -> None:
         for decl in ast.decls:
-            if isinstance(decl, (RolePlayersDecl, BusinessOpsDecl)):
-                names = decl.names
-                kind = "role player" if isinstance(decl, RolePlayersDecl) else "business operation"
-            else:
-                names = [decl.name]
-                kind = "composite obligation"
-            for ident in names:
+            for ident in decl.names:
                 if ident.name not in self.used:
                     self.warn(
-                        "W001", f"{kind} '{ident.name}' declared but never used", ident.pos
+                        "W001", f"{decl.kind} '{ident.name}' declared but never used", ident.pos
                     )
 
     def error(self, code: str, message: str, pos: SourcePos) -> None:

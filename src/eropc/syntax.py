@@ -56,21 +56,21 @@ class EventField(NamedTuple):
 
 # --- declarations ---
 
+ROLE_PLAYER = "role player"
+BUSINESS_OP = "business operation"
+COMP_OBLIG = "composite obligation"
 
-class RolePlayersDecl(NamedTuple):
+
+class Decl(NamedTuple):
+    """A declaration of ``kind`` (one of the three constants above).
+
+    A composite obligation has one name and its member list; the other two
+    kinds have ``members=[]``.
+    """
+
+    kind: str
     names: list[Ident]
-
-
-class BusinessOpsDecl(NamedTuple):
-    names: list[Ident]
-
-
-class CompObligDecl(NamedTuple):
-    name: Ident
     members: list[Ident]
-
-
-DeclAst = RolePlayersDecl | BusinessOpsDecl | CompObligDecl
 
 
 # --- constraints ---
@@ -161,7 +161,7 @@ class RuleAst(NamedTuple):
 
 
 class ContractAst(NamedTuple):
-    decls: list[DeclAst]
+    decls: list[Decl]
     rules: list[RuleAst]
 
 
@@ -174,7 +174,11 @@ class ParseError(Exception):
         self.pos = pos
 
 
-_DECL_KEYWORDS = (TokenKind.ROLEPLAYER, TokenKind.BUSINESSOPERATION, TokenKind.COMPOBLIG)
+_DECL_KINDS = {
+    TokenKind.ROLEPLAYER: ROLE_PLAYER,
+    TokenKind.BUSINESSOPERATION: BUSINESS_OP,
+    TokenKind.COMPOBLIG: COMP_OBLIG,
+}
 
 
 def parse_contract(tokens: list[Token]) -> ContractAst:
@@ -230,8 +234,8 @@ class _Parser:
     # grammar productions
 
     def contract(self) -> ContractAst:
-        decls: list[DeclAst] = []
-        while self.peek().kind in _DECL_KEYWORDS:
+        decls: list[Decl] = []
+        while self.peek().kind in _DECL_KINDS:
             decls.append(self.decl())
         if not decls:
             raise self.fail("expected a declaration (roleplayer, businessoperation or compoblig)")
@@ -241,28 +245,24 @@ class _Parser:
             rules.append(self.rule())
         if not rules:
             raise self.fail("expected 'rule'")
-        if self.peek().kind in _DECL_KEYWORDS:
+        if self.peek().kind in _DECL_KINDS:
             raise ParseError("declarations must precede the first rule", self.peek().pos)
         self.expect(TokenKind.EOF, "'rule' or end of input")
         return ContractAst(decls, rules)
 
-    def decl(self) -> DeclAst:
-        tok = self.advance()
-        if tok.kind is TokenKind.ROLEPLAYER:
-            names = self.ident_list("a role player name")
+    def decl(self) -> Decl:
+        kind = _DECL_KINDS[self.advance().kind]
+        if kind != COMP_OBLIG:
+            names = self.ident_list(f"a {kind} name")
             self.expect(TokenKind.SEMI, "';'")
-            return RolePlayersDecl(names)
-        if tok.kind is TokenKind.BUSINESSOPERATION:
-            names = self.ident_list("a business operation name")
-            self.expect(TokenKind.SEMI, "';'")
-            return BusinessOpsDecl(names)
-        name = self.ident("a composite obligation name")
+            return Decl(kind, names, [])
+        name = self.ident(f"a {kind} name")
         self.expect(TokenKind.LPAREN, "'('")
         members = self.ident_list("a member business operation")
         self.expect(TokenKind.RPAREN, "')'")
         if self.at(TokenKind.SEMI):  # trailing ';' is optional here
             self.advance()
-        return CompObligDecl(name, members)
+        return Decl(kind, [name], members)
 
     def ident_list(self, what: str) -> list[Ident]:
         names = [self.ident(what)]

@@ -146,11 +146,12 @@ BAD_CONTRACTS = [
     ("e007.erop", "E007", 10, 6),
     ("e008.erop", "E008", 6, 20),
     ("e010.erop", "E010", 8, 5),
+    ("e011.erop", "E011", 6, 5),
 ]
 
 
 def test_criterion_6_diagnostic_suite(capsys):
-    with criterion("6 crafted contracts trigger E001-E008 and E010"):
+    with criterion("6 crafted contracts trigger E001-E008, E010 and E011"):
         for filename, code, line, col in BAD_CONTRACTS:
             path = CORPUS / "bad" / filename
             exit_code = run([str(path), "--check"])

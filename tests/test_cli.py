@@ -155,7 +155,7 @@ def test_emit_ast_prints_the_tree_of_a_sema_invalid_contract(tmp_path, capsys):
     src.write_text(SEMA_INVALID)
     assert run([str(src), "--emit-ast"]) == 0
     captured = capsys.readouterr()
-    assert "RolePlayersDecl" in captured.out and "RuleAst" in captured.out
+    assert "Decl(kind='role player'" in captured.out and "RuleAst" in captured.out
     assert captured.err == ""
 
 
@@ -183,7 +183,7 @@ def test_emit_ir_lex_error_exits_1(tmp_path, capsys):
 def test_emit_ast_prints_tree(capsys):
     assert run([str(CASE_STUDY), "--emit-ast"]) == 0
     out = capsys.readouterr().out
-    assert "RolePlayersDecl" in out and "RuleAst" in out
+    assert "Decl(kind='role player', names=[Ident(name='buyer'" in out and "RuleAst" in out
     assert "deadlines=['01-01-2016 12:00:00']" in out
 
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eropc.codegen import translate
-from eropc.lexer import LexError, SourcePos, TokenKind, string_value, tokenize
+from eropc.lexer import KEYWORDS, LexError, SourcePos, TokenKind, string_value, tokenize
 
 
 def kinds(tokens):
@@ -51,12 +51,20 @@ def test_rop_manipulation_line():
     assert lexemes(tokens)[:-1] == ["buyer", ".", "rights", "-=", "BuyRequest", "(", "seller", ")"]
 
 
+RESERVED_WORDS = ("roleplayer", "businessoperation", "compoblig", "rule", "when", "matches",
+                  "then", "else", "end", "if", "endif", "in", "reset")
+
+
 def test_keywords_are_never_ident():
-    for word in ("roleplayer", "businessoperation", "compoblig", "rule", "when", "matches",
-                 "then", "else", "end", "if", "endif", "in", "reset"):
+    for word in RESERVED_WORDS:
         (tok, _eof) = tokenize(word)
         assert tok.kind != TokenKind.IDENT
         assert tok.lexeme == word
+
+
+def test_keywords_are_exactly_the_reserved_words():
+    # a new lower-case token kind must not silently become a reserved word
+    assert set(KEYWORDS) == set(RESERVED_WORDS)
 
 
 def test_contextual_names_lex_as_ident():

@@ -1,3 +1,5 @@
+import pytest
+
 from eropc import codegen
 from eropc.lexer import tokenize
 from eropc.sema import build_symbol_table, check_contract
@@ -70,6 +72,25 @@ end
     assert errors(diags) == []
 
 
+def test_duplicate_compoblig_members_are_not_checked():
+    source = (
+        "roleplayer buyer;\nbusinessoperation Pay;\n"
+        "compoblig React(Pay)\ncompoblig React(Ghost, Ship)\n"
+    ) + """\
+rule "R"
+when e matches (botype == X, originator == buyer, responder == buyer, outcome == success)
+then
+    buyer.obligs += React(buyer)
+end
+"""
+    tab, diags = analyze(source)
+    assert tab.comp_obligs == {"React": ["Pay"]}
+    (e001,) = errors(diags)
+    assert e001.code == "E001"
+    assert e001.message == "duplicate declaration of 'React'"
+    assert (e001.pos.line, e001.pos.col) == (4, 11)
+
+
 def test_lower_case_business_operation_is_e003():
     _, diags = analyze("roleplayer buyer;\nbusinessoperation payment;\n" + """\
 rule "R"
@@ -92,15 +113,20 @@ then
     Buyer.rights -= Pay(Buyer)
 end
 """)
-    assert [d.code for d in errors(diags)] == ["E003"]
-    assert "lower-case" in errors(diags)[0].message
+    (e003,) = errors(diags)
+    assert e003.code == "E003"
+    assert e003.message == "role player 'Buyer' must begin with a lower-case letter"
+    assert (e003.pos.line, e003.pos.col) == (1, 12)
 
 
 def test_lower_case_compoblig_is_e003():
     _, diags = analyze(
         "roleplayer buyer;\nbusinessoperation Pay;\ncompoblig react(Pay)\n" + RULE_TAIL
     )
-    assert [d.code for d in errors(diags)] == ["E003"]
+    (e003,) = errors(diags)
+    assert e003.code == "E003"
+    assert e003.message == "composite obligation 'react' must begin with an upper-case letter"
+    assert (e003.pos.line, e003.pos.col) == (3, 11)
 
 
 def test_undeclared_constraint_operand_is_e004():
@@ -274,11 +300,70 @@ end
     assert e004.code == "E004" and "'f'" in e004.message
 
 
+def window_rule(window):
+    return "roleplayer buyer;\nbusinessoperation Pay;\n" + f"""\
+rule "R"
+when e matches (botype == X, originator == buyer, responder == buyer, outcome == success)
+    {window}
+then
+    buyer.rights -= Pay(buyer)
+end
+"""
+
+
+@pytest.mark.parametrize(
+    "window, message",
+    [
+        ("e.day in [5, 2]", "empty or out-of-range day window [5, 2]"),
+        ("e.hour in [9, 24]", "empty or out-of-range hour window [9, 24]"),
+        ("e.minute in [0, 75]", "empty or out-of-range minute window [0, 75]"),
+    ],
+)
+def test_impossible_time_window_is_e011(window, message):
+    _, diags = analyze(window_rule(window))
+    (e011,) = errors(diags)
+    assert e011.code == "E011"
+    assert e011.message == message
+    assert (e011.pos.line, e011.pos.col) == (5, 5)
+
+
+@pytest.mark.parametrize(
+    "window", ["e.hour in [0, 23]", "e.minute in [59, 59]", "e.year in [2016, 9999]"]
+)
+def test_time_window_bounds_are_inclusive(window):
+    _, diags = analyze(window_rule(window))
+    assert diags == []
+
+
 def test_unused_declaration_is_w001():
     _, diags = analyze("roleplayer buyer, seller;\nbusinessoperation Pay;\n" + RULE_TAIL)
     (w001,) = [d for d in diags if d.code == "W001"]
     assert w001.severity == "warning"
     assert w001.message == "role player 'seller' declared but never used"
+    assert errors(diags) == []
+
+
+@pytest.mark.parametrize(
+    "decls, message, pos",
+    [
+        (
+            "roleplayer buyer;\nbusinessoperation Pay, Ship;\n",
+            "business operation 'Ship' declared but never used",
+            (2, 24),
+        ),
+        (
+            "roleplayer buyer;\nbusinessoperation Pay;\ncompoblig React(Pay)\n",
+            "composite obligation 'React' declared but never used",
+            (3, 11),
+        ),
+    ],
+)
+def test_unused_operation_or_compoblig_is_w001(decls, message, pos):
+    _, diags = analyze(decls + RULE_TAIL)
+    (w001,) = [d for d in diags if d.code == "W001"]
+    assert w001.severity == "warning"
+    assert w001.message == message
+    assert (w001.pos.line, w001.pos.col) == pos
     assert errors(diags) == []
 
 

@@ -2,15 +2,15 @@ import pytest
 
 from eropc.lexer import tokenize
 from eropc.syntax import (
-    BusinessOpsDecl,
-    CompObligDecl,
+    BUSINESS_OP,
+    COMP_OBLIG,
+    ROLE_PLAYER,
     Historical,
     IfAct,
     OutcomeCheck,
     OutcomeSetAct,
     ParseError,
     ResetAct,
-    RolePlayersDecl,
     RopManip,
     RopMembership,
     RuleAst,
@@ -43,20 +43,22 @@ def parse(source):
 def test_declaration_section():
     ast = parse(DECLS + FIRST_RULE)
     decls = ast.decls
-    assert isinstance(decls[0], RolePlayersDecl)
+    assert decls[0].kind == ROLE_PLAYER
     assert [n.name for n in decls[0].names] == ["buyer", "seller"]
-    assert isinstance(decls[1], BusinessOpsDecl)
+    assert decls[0].members == []
+    assert decls[1].kind == BUSINESS_OP
     assert [n.name for n in decls[1].names] == [
         "BuyRequest", "Payment", "BuyConfirm", "BuyReject", "Cancellation",
     ]
-    assert isinstance(decls[2], CompObligDecl)
-    assert decls[2].name.name == "ReactToBuyRequest"
+    assert decls[1].members == []
+    assert decls[2].kind == COMP_OBLIG
+    assert [n.name for n in decls[2].names] == ["ReactToBuyRequest"]
     assert [m.name for m in decls[2].members] == ["BuyConfirm", "BuyReject"]
 
 
 def test_compoblig_trailing_semicolon_is_optional():
     with_semi = DECLS.replace(")\n", ");\n") + FIRST_RULE
-    assert parse(with_semi).decls[2].name.name == "ReactToBuyRequest"
+    assert parse(with_semi).decls[2].names[0].name == "ReactToBuyRequest"
 
 
 def test_rule_shape():
