@@ -26,14 +26,8 @@ from .ir import (
     TimePartialComparison,
     lower_contract,
 )
-from .lexer import LexError, tokenize
-from .sema import (
-    Diagnostic,
-    SymbolTable,
-    build_symbol_table,
-    check_contract,
-    sort_diagnostics,
-)
+from .lexer import LexError, positions, tokenize
+from .sema import Diagnostic, SymbolTable, build_symbol_table, check_contract
 from .syntax import ContractAst, ParseError, parse_contract
 
 IMPORT_LINES = (
@@ -271,15 +265,22 @@ def analyze(source: str) -> tuple[ContractAst | None, SymbolTable | None, list[D
     """Tokenize, parse, build the symbol table and check; diagnostics in (line, col) order.
 
     A lexical or syntax error gives ``(None, None, [its E-LEX or E-PARSE])``.
+    The stages record offsets; this is the one place that turns them into
+    SourcePos, all at once.
     """
+    ast = tab = None
     try:
         ast = parse_contract(tokenize(source))
     except LexError as err:
-        return None, None, [Diagnostic("error", "E-LEX", err.message, err.pos)]
+        diags = [Diagnostic("error", "E-LEX", err.message, err.pos)]
     except ParseError as err:
-        return None, None, [Diagnostic("error", "E-PARSE", err.message, err.pos)]
-    tab, diags = build_symbol_table(ast)
-    return ast, tab, sort_diagnostics(diags + check_contract(ast, tab))
+        diags = [Diagnostic("error", "E-PARSE", err.message, err.pos)]
+    else:
+        tab, diags = build_symbol_table(ast)
+        # offset order is (line, col) order; the sort is stable, so ties keep discovery order
+        diags = sorted(diags + check_contract(ast, tab), key=lambda d: d.pos)
+    found = positions(source, [d.pos for d in diags])
+    return ast, tab, [d._replace(pos=pos) for d, pos in zip(diags, found)]
 
 
 def translate(

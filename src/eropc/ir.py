@@ -118,7 +118,7 @@ def _lower_rule(rule: syntax.RuleAst) -> tuple[IrRule, ...]:
     For an ``if``, its condition (negated for the ``else`` branch) comes
     before the rule's own constraints.
     """
-    fields = {f.name.name: f.value.name for f in rule.event_fields}
+    fields = {f.name.lexeme: f.value.lexeme for f in rule.event_fields}
     event = EventMatchCondition(
         botype=fields["botype"],
         originator=fields["originator"],
@@ -143,15 +143,15 @@ def _lower_rule(rule: syntax.RuleAst) -> tuple[IrRule, ...]:
 
 def _lower_constraint(c: syntax.ConstraintAst) -> IrConstraint:
     if isinstance(c, syntax.RopMembership):
-        return RopConstraint(player=c.player.name, rop_set=c.rop_set, bo=c.bo.name)
+        return RopConstraint(player=c.player.lexeme, rop_set=c.rop_set, bo=c.bo.lexeme)
     if isinstance(c, syntax.OutcomeCheck):
-        return OutcomeConstraint(bo=c.bo.name, expected=c.value.name == "true")
+        return OutcomeConstraint(bo=c.bo.lexeme, expected=c.value.lexeme == "true")
     if isinstance(c, syntax.TimeDirect):
         return TimeDirectComparison(op=c.op, timestamp=c.timestamp)
     if isinstance(c, syntax.TimePartial):
         return TimePartialComparison(unit=c.unit, lo=c.lo, hi=c.hi)
     assert isinstance(c, syntax.Historical)
-    provided = {f.name.name: f.value.name for f in c.fields}
+    provided = {f.name.lexeme: f.value.lexeme for f in c.fields}
     ordered = tuple((name, provided[name]) for name in EVENT_FIELDS if name in provided)
     return HistoricalConstraint(happened=c.happened, fields=ordered)
 
@@ -159,17 +159,17 @@ def _lower_constraint(c: syntax.ConstraintAst) -> IrConstraint:
 def _lower_action(a: syntax.ActionAst) -> IrAction:
     if isinstance(a, syntax.RopManip):
         return AddOrRemAction(
-            player=a.player.name,
+            player=a.player.lexeme,
             rop_set=a.rop_set,
             op=a.op,
-            bo=a.bo.name,
-            beneficiary=a.args[0].name,
+            bo=a.bo.lexeme,
+            beneficiary=a.args[0].lexeme,
             deadline=a.deadline,
         )
     if isinstance(a, syntax.OutcomeSetAct):
-        return OutcomeSet(bo=a.bo.name, value=a.value.name == "true")
+        return OutcomeSet(bo=a.bo.lexeme, value=a.value.lexeme == "true")
     assert isinstance(a, syntax.ResetAct)  # _lower_rule takes the 'if' (E010: no siblings)
-    return ResetAction(player=a.player.name)
+    return ResetAction(player=a.player.lexeme)
 
 
 def dump_rule(rule: IrRule) -> str:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import enum
 import re
+from bisect import bisect_right
 from typing import NamedTuple
 
 
@@ -93,16 +94,16 @@ class SourcePos(NamedTuple):
 class Token(NamedTuple):
     kind: TokenKind
     lexeme: str
-    pos: SourcePos
+    offset: int  # 0-based character offset of the lexeme's start; see positions()
 
     def __repr__(self) -> str:
-        return f"Token({self.kind.name}, {self.lexeme!r}, {self.pos})"
+        return f"Token({self.kind.name}, {self.lexeme!r}, {self.offset})"
 
 
 class LexError(Exception):
-    """Lexical error with the position of the offending character."""
+    """Lexical error with the offset of the offending character."""
 
-    def __init__(self, message: str, pos: SourcePos) -> None:
+    def __init__(self, message: str, pos: int) -> None:
         super().__init__(message)
         self.message = message
         self.pos = pos
@@ -116,30 +117,36 @@ def tokenize(source: str) -> list[Token]:
     literal holding a backslash, an unterminated block comment, or an
     illegal character.
     """
-    line_starts = [0]
-    line_starts.extend(m.end() for m in _LINE_BREAK.finditer(source))
-    line_starts.append(len(source) + 1)  # sentinel: no token starts at or after it
-    line, line_start, next_start = 1, 0, line_starts[1]
     tokens: list[Token] = []
     for m in _TOKEN_RE.finditer(source):
         group = m.lastgroup
         if group == "trivia":
             continue
         start = m.start(group)
-        while start >= next_start:  # tokens come in order: walk the line table
-            line += 1
-            line_start, next_start = next_start, line_starts[line]
-        pos = _new(SourcePos, (line, start - line_start + 1, start))
         text = m.group(group)
         kind = _FIXED_KINDS.get(text) or _GROUP_KINDS.get(group)
         if kind is None:
-            raise LexError(_bad_token_message(source, start), pos)
-        tokens.append(_new(Token, (kind, text, pos)))
-    end = len(source)  # on the last line, which starts at line_starts[-2]
-    tokens.append(
-        Token(TokenKind.EOF, "", SourcePos(len(line_starts) - 1, end - line_starts[-2] + 1, end))
-    )
+            raise LexError(_bad_token_message(source, start), start)
+        tokens.append(_new(Token, (kind, text, start)))
+    tokens.append(Token(TokenKind.EOF, "", len(source)))
     return tokens
+
+
+def positions(source: str, offsets: list[int]) -> list[SourcePos]:
+    """The line and column of each offset into ``source``.
+
+    The line-start table is built once per call, and only for a non-empty
+    ``offsets``; each line is then found by bisection.
+    """
+    if not offsets:
+        return []
+    line_starts = [0]
+    line_starts.extend(m.end() for m in _LINE_BREAK.finditer(source))
+    result = []
+    for offset in offsets:
+        line = bisect_right(line_starts, offset)
+        result.append(SourcePos(line, offset - line_starts[line - 1] + 1, offset))
+    return result
 
 
 def _bad_token_message(source: str, start: int) -> str:

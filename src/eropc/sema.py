@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .lexer import SourcePos
+from .lexer import SourcePos, Token
 from .syntax import (
     BUSINESS_OP,
     COMP_OBLIG,
@@ -26,7 +26,6 @@ from .syntax import (
     Decl,
     EventField,
     Historical,
-    Ident,
     IfAct,
     OutcomeCheck,
     OutcomeSetAct,
@@ -47,7 +46,7 @@ class Diagnostic(NamedTuple):
     severity: str  # "error" or "warning"
     code: str
     message: str
-    pos: SourcePos
+    pos: SourcePos | int  # sema records an offset; codegen.analyze resolves it
 
     @property
     def is_error(self) -> bool:
@@ -57,8 +56,9 @@ class Diagnostic(NamedTuple):
 class SymbolTable:
     """Declared names, in declaration order; the namespaces are disjoint.
 
-    ``kinds`` maps each name that build_symbol_table declared to its kind;
-    the per-kind collections keep declaration order for code generation.
+    ``kinds`` maps each name that build_symbol_table declared to its kind,
+    and ``declared`` to the token of its accepted (first) declaration; the
+    per-kind collections keep declaration order for code generation.
     """
 
     def __init__(
@@ -71,6 +71,7 @@ class SymbolTable:
         self.business_ops = [] if business_ops is None else business_ops
         self.comp_obligs = {} if comp_obligs is None else comp_obligs
         self.kinds: dict[str, str] = {}
+        self.declared: dict[str, Token] = {}
 
 
 def build_symbol_table(ast: ContractAst) -> tuple[SymbolTable, list[Diagnostic]]:
@@ -81,27 +82,30 @@ def build_symbol_table(ast: ContractAst) -> tuple[SymbolTable, list[Diagnostic]]
     comp_decls: list[Decl] = []
     for decl in ast.decls:
         for ident in decl.names:
-            if ident.name in tab.kinds:
-                diags.append(_error("E001", f"duplicate declaration of '{ident.name}'", ident.pos))
+            name = ident.lexeme
+            if name in tab.kinds:
+                message = f"duplicate declaration of '{name}'"
+                diags.append(Diagnostic("error", "E001", message, ident.offset))
                 continue
-            tab.kinds[ident.name] = decl.kind
+            tab.kinds[name] = decl.kind
+            tab.declared[name] = ident
             if decl.kind == ROLE_PLAYER:
-                tab.role_players.append(ident.name)
+                tab.role_players.append(name)
             elif decl.kind == BUSINESS_OP:
-                tab.business_ops.append(ident.name)
+                tab.business_ops.append(name)
             else:
-                tab.comp_obligs[ident.name] = []
+                tab.comp_obligs[name] = []
                 comp_decls.append(decl)
 
     # member lookup is order-insensitive within the declaration section
     for decl in comp_decls:
-        members = tab.comp_obligs[decl.names[0].name]
+        members = tab.comp_obligs[decl.names[0].lexeme]
         for member in decl.members:
-            if tab.kinds.get(member.name) == BUSINESS_OP:
-                members.append(member.name)
+            if tab.kinds.get(member.lexeme) == BUSINESS_OP:
+                members.append(member.lexeme)
             else:
-                message = f"{COMP_OBLIG} member '{member.name}' is not a declared {BUSINESS_OP}"
-                diags.append(_error("E002", message, member.pos))
+                message = f"{COMP_OBLIG} member '{member.lexeme}' is not a declared {BUSINESS_OP}"
+                diags.append(Diagnostic("error", "E002", message, member.offset))
     return tab, diags
 
 
@@ -110,19 +114,6 @@ def check_contract(ast: ContractAst, tab: SymbolTable) -> list[Diagnostic]:
     checker = _Checker(tab)
     checker.check(ast)
     return checker.diags
-
-
-def _error(code: str, message: str, pos: SourcePos) -> Diagnostic:
-    return Diagnostic("error", code, message, pos)
-
-
-def _warning(code: str, message: str, pos: SourcePos) -> Diagnostic:
-    return Diagnostic("warning", code, message, pos)
-
-
-def sort_diagnostics(diags: list[Diagnostic]) -> list[Diagnostic]:
-    """Stable (line, col) ordering, as the rendering contract requires."""
-    return sorted(diags, key=lambda d: (d.pos.line, d.pos.col))
 
 
 def emitted_rule_names(rule: RuleAst) -> list[str]:
@@ -143,14 +134,14 @@ class _Checker:
         self.used: set[str] = set()
 
     def check(self, ast: ContractAst) -> None:
+        for name, ident in self.tab.declared.items():
+            kind = self.tab.kinds[name]
+            lower = kind == ROLE_PLAYER
+            if name[0].islower() != lower:  # names start with an ASCII letter
+                case = "a lower-case" if lower else "an upper-case"
+                self.error("E003", f"{kind} '{name}' must begin with {case} letter", ident.offset)
         for decl in ast.decls:
-            lower = decl.kind == ROLE_PLAYER
-            for ident in decl.names:
-                if ident.name[0].islower() != lower:  # names start with an ASCII letter
-                    case = "a lower-case" if lower else "an upper-case"
-                    message = f"{decl.kind} '{ident.name}' must begin with {case} letter"
-                    self.error("E003", message, ident.pos)
-            self.used.update(member.name for member in decl.members)
+            self.used.update(member.lexeme for member in decl.members)
         seen_source: set[str] = set()
         seen_emitted: set[str] = set()
         for rule in ast.rules:
@@ -169,7 +160,7 @@ class _Checker:
             seen_source.add(rule.name)
             seen_emitted.update(names)
             self.check_rule(rule)
-        self.report_unused(ast)
+        self.report_unused()
 
     # rules
 
@@ -179,36 +170,36 @@ class _Checker:
             self.check_constraint(constraint, rule)
         has_if = any(isinstance(a, IfAct) for a in rule.actions)
         if has_if and len(rule.actions) > 1:
-            pos = next(a.pos for a in rule.actions if isinstance(a, IfAct))
-            self.error("E010", "an 'if' action must be the only action of its rule", pos)
+            offset = next(a.pos for a in rule.actions if isinstance(a, IfAct))
+            self.error("E010", "an 'if' action must be the only action of its rule", offset)
         for action in rule.actions:
             self.check_action(action, rule)
 
     def check_event_fields(self, rule: RuleAst) -> None:
         counts = {name: 0 for name in EVENT_FIELDS}
         for f in rule.event_fields:
-            if f.name.name not in counts:
-                self.error("E006", f"unknown event field '{f.name.name}'", f.name.pos)
+            if f.name.lexeme not in counts:
+                self.error("E006", f"unknown event field '{f.name.lexeme}'", f.name.offset)
                 continue
-            counts[f.name.name] += 1
+            counts[f.name.lexeme] += 1
             self.check_field_value(f)
         if any(n != 1 for n in counts.values()):
             self.error(
                 "E006",
                 "event match must specify botype, originator, responder and outcome exactly once",
-                rule.event_var.pos,
+                rule.event_var.offset,
             )
 
     def check_field_value(self, f: EventField) -> None:
-        if f.name.name in ("originator", "responder"):
+        if f.name.lexeme in ("originator", "responder"):
             self.expect_role_player(f.value)
-        elif f.name.name == "outcome":
-            if f.value.name.lower() not in OUTCOME_VALUES:
+        elif f.name.lexeme == "outcome":
+            if f.value.lexeme.lower() not in OUTCOME_VALUES:
                 self.warn(
                     "W002",
-                    f"unexpected outcome value '{f.value.name}' "
+                    f"unexpected outcome value '{f.value.lexeme}' "
                     "(expected success, tecFail or bizFail)",
-                    f.value.pos,
+                    f.value.offset,
                 )
         # botype values are free-form identifiers
 
@@ -221,21 +212,22 @@ class _Checker:
             self.expect_bool(constraint.value, "outcome check")
         elif isinstance(constraint, (TimeDirect, TimePartial)):
             var = constraint.event_var
-            if var.name != rule.event_var.name:
-                self.error("E004", f"'{var.name}' is not declared", var.pos)
+            if var.lexeme != rule.event_var.lexeme:
+                self.error("E004", f"'{var.lexeme}' is not declared", var.offset)
             if isinstance(constraint, TimePartial):
                 unit, lo, hi = constraint.unit, constraint.lo, constraint.hi
                 if lo > hi or hi > UNIT_MAX.get(unit, hi):
-                    self.error("E011", f"empty or out-of-range {unit} window [{lo}, {hi}]", var.pos)
+                    message = f"empty or out-of-range {unit} window [{lo}, {hi}]"
+                    self.error("E011", message, var.offset)
         elif isinstance(constraint, Historical):
             seen: set[str] = set()
             for f in constraint.fields:
-                if f.name.name not in EVENT_FIELDS:
-                    self.error("E006", f"unknown event field '{f.name.name}'", f.name.pos)
+                if f.name.lexeme not in EVENT_FIELDS:
+                    self.error("E006", f"unknown event field '{f.name.lexeme}'", f.name.offset)
                     continue
-                if f.name.name in seen:
-                    self.error("E006", f"repeated event field '{f.name.name}'", f.name.pos)
-                seen.add(f.name.name)
+                if f.name.lexeme in seen:
+                    self.error("E006", f"repeated event field '{f.name.lexeme}'", f.name.offset)
+                seen.add(f.name.lexeme)
                 self.check_field_value(f)
 
     def check_action(self, action: ActionAst, rule: RuleAst) -> None:
@@ -247,7 +239,7 @@ class _Checker:
                     "E009",
                     "ROP manipulation takes one beneficiary role player and an optional "
                     "deadline string",
-                    action.bo.pos,
+                    action.bo.offset,
                 )
             for arg in action.args:
                 self.expect_role_player(arg)
@@ -266,41 +258,39 @@ class _Checker:
 
     # shared checks
 
-    def expect_role_player(self, ident: Ident) -> None:
-        self.used.add(ident.name)
-        kind = self.tab.kinds.get(ident.name)
+    def expect_role_player(self, ident: Token) -> None:
+        self.used.add(ident.lexeme)
+        kind = self.tab.kinds.get(ident.lexeme)
         if kind is None:
-            self.error("E004", f"'{ident.name}' is not declared", ident.pos)
+            self.error("E004", f"'{ident.lexeme}' is not declared", ident.offset)
         elif kind != ROLE_PLAYER:
-            self.error("E005", f"'{ident.name}' is not a role player", ident.pos)
+            self.error("E005", f"'{ident.lexeme}' is not a role player", ident.offset)
 
-    def expect_operation(self, ident: Ident) -> None:
-        self.used.add(ident.name)
-        kind = self.tab.kinds.get(ident.name)
+    def expect_operation(self, ident: Token) -> None:
+        self.used.add(ident.lexeme)
+        kind = self.tab.kinds.get(ident.lexeme)
         if kind is None:
-            self.error("E004", f"'{ident.name}' is not declared", ident.pos)
+            self.error("E004", f"'{ident.lexeme}' is not declared", ident.offset)
         elif kind == ROLE_PLAYER:
             self.error(
-                "E005", f"'{ident.name}' is not a business operation or composite obligation",
-                ident.pos,
+                "E005", f"'{ident.lexeme}' is not a business operation or composite obligation",
+                ident.offset,
             )
 
-    def expect_bool(self, value: Ident, where: str) -> None:
-        if value.name not in ("true", "false"):
+    def expect_bool(self, value: Token, where: str) -> None:
+        if value.lexeme not in ("true", "false"):
             self.error(
-                "E008", f"{where} expects 'true' or 'false', found '{value.name}'", value.pos
+                "E008", f"{where} expects 'true' or 'false', found '{value.lexeme}'", value.offset
             )
 
-    def report_unused(self, ast: ContractAst) -> None:
-        for decl in ast.decls:
-            for ident in decl.names:
-                if ident.name not in self.used:
-                    self.warn(
-                        "W001", f"{decl.kind} '{ident.name}' declared but never used", ident.pos
-                    )
+    def report_unused(self) -> None:
+        for name, ident in self.tab.declared.items():
+            if name not in self.used:
+                kind = self.tab.kinds[name]
+                self.warn("W001", f"{kind} '{name}' declared but never used", ident.offset)
 
-    def error(self, code: str, message: str, pos: SourcePos) -> None:
-        self.diags.append(_error(code, message, pos))
+    def error(self, code: str, message: str, offset: int) -> None:
+        self.diags.append(Diagnostic("error", code, message, offset))
 
-    def warn(self, code: str, message: str, pos: SourcePos) -> None:
-        self.diags.append(_warning(code, message, pos))
+    def warn(self, code: str, message: str, offset: int) -> None:
+        self.diags.append(Diagnostic("warning", code, message, offset))

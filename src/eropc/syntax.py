@@ -29,29 +29,25 @@ Grammar for ``.erop`` files (normative for this compiler):
 
 Field names such as ``botype`` or ``BizFail``, ROP-set names, and time units
 are contextual identifiers recognised positionally, not reserved words.
+
+An identifier in the AST is its IDENT token itself; positions are character
+offsets, which ``lexer.positions`` turns into line and column when one is shown.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .lexer import SourcePos, Token, TokenKind, string_value
+from .lexer import Token, TokenKind, string_value
 
 ROP_SETS = ("rights", "obligs", "prohibs")
 TIME_UNITS = ("hour", "minute", "day", "month", "year")
 EVENT_FIELDS = ("botype", "originator", "responder", "outcome")
 
 
-class Ident(NamedTuple):
-    """An identifier occurrence together with its source position."""
-
-    name: str
-    pos: SourcePos
-
-
 class EventField(NamedTuple):
-    name: Ident
-    value: Ident
+    name: Token
+    value: Token
 
 
 # --- declarations ---
@@ -69,8 +65,8 @@ class Decl(NamedTuple):
     """
 
     kind: str
-    names: list[Ident]
-    members: list[Ident]
+    names: list[Token]
+    members: list[Token]
 
 
 # --- constraints ---
@@ -79,26 +75,26 @@ class Decl(NamedTuple):
 class RopMembership(NamedTuple):
     """``BO in player.rights`` (membership of a ROP set)."""
 
-    bo: Ident
-    player: Ident
+    bo: Token
+    player: Token
     rop_set: str
 
 
 class OutcomeCheck(NamedTuple):
     """``BO.BizFail == true|false`` in a left-hand side."""
 
-    bo: Ident
-    value: Ident
+    bo: Token
+    value: Token
 
 
 class TimeDirect(NamedTuple):
-    event_var: Ident
+    event_var: Token
     op: str  # "==", "<" or ">"
     timestamp: str
 
 
 class TimePartial(NamedTuple):
-    event_var: Ident
+    event_var: Token
     unit: str
     lo: int
     hi: int
@@ -118,11 +114,11 @@ ConstraintAst = RopMembership | OutcomeCheck | TimeDirect | TimePartial | Histor
 class RopManip(NamedTuple):
     """``player.rights += BO(args...)`` or the ``-=`` form."""
 
-    player: Ident
+    player: Token
     rop_set: str
     op: str  # "add" or "remove"
-    bo: Ident
-    args: list[Ident]
+    bo: Token
+    args: list[Token]
     deadlines: list[str]
 
     @property
@@ -133,19 +129,19 @@ class RopManip(NamedTuple):
 class OutcomeSetAct(NamedTuple):
     """``BO.BizFail == true|false`` in a right-hand side (a setter)."""
 
-    bo: Ident
-    value: Ident
+    bo: Token
+    value: Token
 
 
 class ResetAct(NamedTuple):
-    player: Ident
+    player: Token
 
 
 class IfAct(NamedTuple):
     cond: list[ConstraintAst]
     then_actions: list["ActionAst"]
     else_actions: list["ActionAst"] | None
-    pos: SourcePos
+    pos: int
 
 
 ActionAst = RopManip | OutcomeSetAct | ResetAct | IfAct
@@ -153,8 +149,8 @@ ActionAst = RopManip | OutcomeSetAct | ResetAct | IfAct
 
 class RuleAst(NamedTuple):
     name: str
-    name_pos: SourcePos
-    event_var: Ident
+    name_pos: int
+    event_var: Token
     event_fields: list[EventField]
     constraints: list[ConstraintAst]
     actions: list[ActionAst]
@@ -166,9 +162,9 @@ class ContractAst(NamedTuple):
 
 
 class ParseError(Exception):
-    """Syntax error naming the expected construct and the offending token."""
+    """Syntax error naming the expected construct and the offending token's offset."""
 
-    def __init__(self, message: str, pos: SourcePos) -> None:
+    def __init__(self, message: str, pos: int) -> None:
         super().__init__(message)
         self.message = message
         self.pos = pos
@@ -214,12 +210,11 @@ class _Parser:
     def expect(self, kind: TokenKind, what: str) -> Token:
         tok = self.tokens[self.i]
         if tok.kind is not kind:
-            raise ParseError(f"expected {what} but found {self._show(tok)}", tok.pos)
+            raise ParseError(f"expected {what} but found {self._show(tok)}", tok.offset)
         return self.advance()
 
-    def ident(self, what: str = "an identifier") -> Ident:
-        tok = self.expect(TokenKind.IDENT, what)
-        return Ident(tok.lexeme, tok.pos)
+    def ident(self, what: str = "an identifier") -> Token:
+        return self.expect(TokenKind.IDENT, what)
 
     @staticmethod
     def _show(tok: Token) -> str:
@@ -229,7 +224,7 @@ class _Parser:
 
     def fail(self, message: str) -> ParseError:
         tok = self.peek()
-        return ParseError(f"{message} but found {self._show(tok)}", tok.pos)
+        return ParseError(f"{message} but found {self._show(tok)}", tok.offset)
 
     # grammar productions
 
@@ -246,7 +241,7 @@ class _Parser:
         if not rules:
             raise self.fail("expected 'rule'")
         if self.peek().kind in _DECL_KINDS:
-            raise ParseError("declarations must precede the first rule", self.peek().pos)
+            raise ParseError("declarations must precede the first rule", self.peek().offset)
         self.expect(TokenKind.EOF, "'rule' or end of input")
         return ContractAst(decls, rules)
 
@@ -264,7 +259,7 @@ class _Parser:
             self.advance()
         return Decl(kind, [name], members)
 
-    def ident_list(self, what: str) -> list[Ident]:
+    def ident_list(self, what: str) -> list[Token]:
         names = [self.ident(what)]
         while self.at(TokenKind.COMMA):
             self.advance()
@@ -290,7 +285,7 @@ class _Parser:
         self.expect(TokenKind.END, "'end'")
         return RuleAst(
             name=string_value(name_tok),
-            name_pos=name_tok.pos,
+            name_pos=name_tok.offset,
             event_var=event_var,
             event_fields=fields,
             constraints=constraints,
@@ -335,28 +330,29 @@ class _Parser:
 
         self.expect(TokenKind.DOT, "'in' or '.'")
         selector = self.ident("'BizFail', 'timestamp' or a time unit")
-        if selector.name == "BizFail":
+        if selector.lexeme == "BizFail":
             self.expect(TokenKind.EQ, "'=='")
             value = self.ident("'true' or 'false'")
             return OutcomeCheck(bo=subject, value=value)
-        if selector.name == "timestamp":
+        if selector.lexeme == "timestamp":
             op_tok = self.peek()
             if op_tok.kind not in (TokenKind.EQ, TokenKind.LT, TokenKind.GT):
                 raise self.fail("expected '==', '<' or '>'")
             self.advance()
             ts = self.expect(TokenKind.STRING, "a timestamp string")
             return TimeDirect(subject, op_tok.lexeme, string_value(ts))
-        if selector.name in TIME_UNITS:
+        if selector.lexeme in TIME_UNITS:
             self.expect(TokenKind.IN, "'in'")
             self.expect(TokenKind.LBRACKET, "'['")
             lo = self.expect(TokenKind.INT, "an integer")
             self.expect(TokenKind.COMMA, "','")
             hi = self.expect(TokenKind.INT, "an integer")
             self.expect(TokenKind.RBRACKET, "']'")
-            return TimePartial(subject, selector.name, int(lo.lexeme), int(hi.lexeme))
+            return TimePartial(subject, selector.lexeme, int(lo.lexeme), int(hi.lexeme))
         raise ParseError(
-            f"expected 'BizFail', 'timestamp' or a time unit after '.' but found '{selector.name}'",
-            selector.pos,
+            "expected 'BizFail', 'timestamp' or a time unit after '.' "
+            f"but found '{selector.lexeme}'",
+            selector.offset,
         )
 
     def ropset(self) -> str:
@@ -379,7 +375,7 @@ class _Parser:
             return ResetAct(self.ident("a role player name"))
         if tok.kind is TokenKind.IF:
             if inside_if:
-                raise ParseError("nested 'if' actions are not supported", tok.pos)
+                raise ParseError("nested 'if' actions are not supported", tok.offset)
             return self.if_action()
         if tok.kind is not TokenKind.IDENT:
             raise self.fail("expected an action")
@@ -391,14 +387,15 @@ class _Parser:
 
         self.expect(TokenKind.DOT, "'.'")
         selector = self.ident("a ROP set or 'BizFail'")
-        if selector.name == "BizFail":
+        if selector.lexeme == "BizFail":
             self.expect(TokenKind.EQ, "'=='")
             value = self.ident("'true' or 'false'")
             return OutcomeSetAct(bo=subject, value=value)
-        if selector.name not in ROP_SETS:
+        if selector.lexeme not in ROP_SETS:
             raise ParseError(
-                f"expected 'rights', 'obligs', 'prohibs' or 'BizFail' but found '{selector.name}'",
-                selector.pos,
+                "expected 'rights', 'obligs', 'prohibs' or 'BizFail' "
+                f"but found '{selector.lexeme}'",
+                selector.offset,
             )
         op_tok = self.peek()
         if op_tok.kind is TokenKind.PLUSEQ:
@@ -410,7 +407,7 @@ class _Parser:
         self.advance()
         bo = self.ident("a business operation name")
         self.expect(TokenKind.LPAREN, "'('")
-        args: list[Ident] = []
+        args: list[Token] = []
         deadlines: list[str] = []
         self.actual(args, deadlines)
         while self.at(TokenKind.COMMA):
@@ -418,10 +415,10 @@ class _Parser:
             self.actual(args, deadlines)
         self.expect(TokenKind.RPAREN, "')'")
         return RopManip(
-            player=subject, rop_set=selector.name, op=op, bo=bo, args=args, deadlines=deadlines
+            player=subject, rop_set=selector.lexeme, op=op, bo=bo, args=args, deadlines=deadlines
         )
 
-    def actual(self, args: list[Ident], deadlines: list[str]) -> None:
+    def actual(self, args: list[Token], deadlines: list[str]) -> None:
         tok = self.peek()
         if tok.kind is TokenKind.IDENT:
             args.append(self.ident())
@@ -447,4 +444,4 @@ class _Parser:
             self.advance()
             else_actions = self.action_block((TokenKind.ENDIF,), inside_if=True)
         self.expect(TokenKind.ENDIF, "'endif'")
-        return IfAct(cond, then_actions, else_actions, if_tok.pos)
+        return IfAct(cond, then_actions, else_actions, if_tok.offset)

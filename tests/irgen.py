@@ -20,13 +20,12 @@ from eropc.ir import (
     TimePartialComparison,
     lower_contract,
 )
-from eropc.lexer import SourcePos
+from eropc.lexer import Token, TokenKind
 from eropc.sema import SymbolTable, emitted_rule_names
 from eropc.syntax import (
     ContractAst,
     EventField,
     Historical,
-    Ident,
     IfAct,
     OutcomeCheck,
     OutcomeSetAct,
@@ -38,15 +37,15 @@ from eropc.syntax import (
     TimePartial,
 )
 
-POS = SourcePos(1, 1, 0)  # lowering drops positions, so one dummy serves all
+POS = 0  # lowering drops positions, so one dummy offset serves all
 
 players = st.sampled_from(("buyer", "seller", "store", "broker"))
 ops = st.sampled_from(("BuyRequest", "Payment", "Cancellation", "Shipment"))
 rop_sets = st.sampled_from(("rights", "obligs", "prohibs"))
 
 
-def ident(name: str) -> Ident:
-    return Ident(name, POS)
+def ident(name: str) -> Token:
+    return Token(TokenKind.IDENT, name, POS)
 
 
 def _fields(pairs) -> list[EventField]:

@@ -116,6 +116,44 @@ def test_check_and_compile_agree_on_diagnostics(tmp_path, capsys):
     assert check_err == compile_err
 
 
+# The complete ``--check`` stderr (``{}`` is the file) and exit code of each contract.
+CHECK_OUTPUT = {
+    "buyer_store.erop": (0, []),
+    "bad/e001.erop": (1, ["{}:2:12: error[E001]: duplicate declaration of 'buyer'"]),
+    "bad/e002.erop": (1, [
+        "{}:3:22: error[E002]: composite obligation member 'Ship' is not a declared "
+        "business operation"
+    ]),
+    "bad/e003.erop": (1, [
+        "{}:2:19: error[E003]: business operation 'payment' must begin with an upper-case letter"
+    ]),
+    "bad/e004.erop": (1, ["{}:6:5: error[E004]: 'Ship' is not declared"]),
+    "bad/e005.erop": (1, ["{}:7:11: error[E005]: 'Pay' is not a role player"]),
+    "bad/e006.erop": (1, [
+        "{}:5:6: error[E006]: event match must specify botype, originator, responder and "
+        "outcome exactly once"
+    ]),
+    "bad/e007.erop": (1, ['{}:10:6: error[E007]: duplicate rule name "R"']),
+    "bad/e008.erop": (1, [
+        "{}:6:20: error[E008]: outcome check expects 'true' or 'false', found 'maybe'"
+    ]),
+    "bad/e010.erop": (1, [
+        "{}:8:5: error[E010]: an 'if' action must be the only action of its rule"
+    ]),
+    "bad/e011.erop": (1, ["{}:6:5: error[E011]: empty or out-of-range hour window [30, 2]"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHECK_OUTPUT))
+def test_check_output_is_pinned_byte_for_byte(capsys, name):
+    path = str(CORPUS / name)
+    code, lines = CHECK_OUTPUT[name]
+    assert run([path, "--check"]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "".join(line.format(path) + "\n" for line in lines)
+
+
 def test_warnings_do_not_change_exit_code(tmp_path, capsys):
     src = tmp_path / "warn.erop"
     src.write_text(
@@ -183,7 +221,7 @@ def test_emit_ir_lex_error_exits_1(tmp_path, capsys):
 def test_emit_ast_prints_tree(capsys):
     assert run([str(CASE_STUDY), "--emit-ast"]) == 0
     out = capsys.readouterr().out
-    assert "Decl(kind='role player', names=[Ident(name='buyer'" in out and "RuleAst" in out
+    assert "Decl(kind='role player', names=[Token(IDENT, 'buyer', 11)" in out and "RuleAst" in out
     assert "deadlines=['01-01-2016 12:00:00']" in out
 
 

@@ -5,7 +5,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eropc.codegen import translate
-from eropc.lexer import KEYWORDS, LexError, SourcePos, TokenKind, string_value, tokenize
+from eropc.lexer import (
+    KEYWORDS,
+    LexError,
+    SourcePos,
+    Token,
+    TokenKind,
+    positions,
+    string_value,
+    tokenize,
+)
+from eropc.syntax import parse_contract
 
 
 def kinds(tokens):
@@ -14,6 +24,11 @@ def kinds(tokens):
 
 def lexemes(tokens):
     return [t.lexeme for t in tokens]
+
+
+def pos_of(source, offset):
+    (pos,) = positions(source, [offset])
+    return pos
 
 
 def test_roleplayer_declaration():
@@ -32,7 +47,8 @@ def test_roleplayer_declaration():
 def test_empty_input_is_just_eof():
     tokens = tokenize("")
     assert kinds(tokens) == [TokenKind.EOF]
-    assert tokens[0].pos.line == 1 and tokens[0].pos.col == 1
+    assert tokens[0].offset == 0
+    assert pos_of("", 0) == SourcePos(1, 1, 0)
 
 
 def test_rop_manipulation_line():
@@ -80,22 +96,23 @@ def test_positions_point_at_lexeme_start():
     for tok in tokenize(source):
         if tok.kind is TokenKind.EOF:
             continue
-        assert source[tok.pos.offset : tok.pos.offset + len(tok.lexeme)] == tok.lexeme
+        assert source[tok.offset : tok.offset + len(tok.lexeme)] == tok.lexeme
 
 
 def test_line_and_column_tracking():
-    tokens = tokenize("roleplayer buyer;\n  reset seller")
+    source = "roleplayer buyer;\n  reset seller"
+    tokens = tokenize(source)
     reset = next(t for t in tokens if t.kind is TokenKind.RESET)
-    assert (reset.pos.line, reset.pos.col) == (2, 3)
     seller = tokens[-2]
-    assert (seller.pos.line, seller.pos.col) == (2, 9)
+    found = positions(source, [reset.offset, seller.offset])
+    assert [(p.line, p.col) for p in found] == [(2, 3), (2, 9)]
 
 
 @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
 def test_any_line_ending_convention(newline):
-    tokens = tokenize(f"roleplayer buyer;{newline}reset seller")
-    reset = next(t for t in tokens if t.kind is TokenKind.RESET)
-    assert (reset.pos.line, reset.pos.col) == (2, 1)
+    source = f"roleplayer buyer;{newline}reset seller"
+    reset = next(t for t in tokenize(source) if t.kind is TokenKind.RESET)
+    assert str(pos_of(source, reset.offset)) == "2:1"
 
 
 def test_comments_are_skipped():
@@ -109,11 +126,11 @@ def test_tokenization_is_lossless():
     rebuilt = []
     cursor = 0
     for tok in tokens:
-        gap = source[cursor : tok.pos.offset]
+        gap = source[cursor : tok.offset]
         assert not gap.strip() or "//" in gap or "/*" in gap  # only trivia between tokens
         rebuilt.append(gap)
         rebuilt.append(tok.lexeme)
-        cursor = tok.pos.offset + len(tok.lexeme)
+        cursor = tok.offset + len(tok.lexeme)
     rebuilt.append(source[cursor:])
     assert "".join(rebuilt) == source
 
@@ -143,22 +160,23 @@ def test_two_char_operators_win_over_prefixes():
 
 
 def test_unterminated_string():
+    source = 'rule "oops\nend'
     with pytest.raises(LexError) as exc:
-        tokenize('rule "oops\nend')
-    assert exc.value.pos.line == 1 and exc.value.pos.col == 6
+        tokenize(source)
+    assert pos_of(source, exc.value.pos) == SourcePos(1, 6, 5)
 
 
 def test_unterminated_block_comment():
     with pytest.raises(LexError) as exc:
         tokenize("reset buyer /* no close")
-    assert exc.value.pos.col == 13
+    assert exc.value.pos == 12
 
 
 def test_illegal_character():
     with pytest.raises(LexError) as exc:
         tokenize("reset @buyer")
     assert "@" in exc.value.message
-    assert exc.value.pos.col == 7
+    assert exc.value.pos == 6
 
 
 @pytest.mark.parametrize("digit", ["\u00b2", "\u0661"])
@@ -166,7 +184,7 @@ def test_non_ascii_digits_are_illegal(digit):
     with pytest.raises(LexError) as exc:
         tokenize(f"e.hour in [{digit},3]")
     assert exc.value.message == f"illegal character {digit!r}"
-    assert exc.value.pos == SourcePos(1, 12, 11)
+    assert exc.value.pos == 11
 
 
 SUPERSCRIPT_HOUR = """roleplayer buyer;
@@ -191,21 +209,24 @@ def test_superscript_digit_is_a_diagnostic_not_a_crash():
 def test_trailing_bare_carriage_return_ends_the_line():
     eof = tokenize("reset buyer\r")[-1]
     assert eof.kind is TokenKind.EOF
-    assert eof.pos == SourcePos(2, 1, 12)
+    assert pos_of("reset buyer\r", eof.offset) == SourcePos(2, 1, 12)
 
 
 def test_block_comment_spanning_crlf_lines():
-    tokens = tokenize("a /* x\r\ny\r\n */ b")
-    assert [(t.lexeme, t.pos) for t in tokens] == [
-        ("a", SourcePos(1, 1, 0)), ("b", SourcePos(3, 5, 15)), ("", SourcePos(3, 6, 16))
+    source = "a /* x\r\ny\r\n */ b"
+    tokens = tokenize(source)
+    assert lexemes(tokens) == ["a", "b", ""]
+    assert positions(source, [t.offset for t in tokens]) == [
+        SourcePos(1, 1, 0), SourcePos(3, 5, 15), SourcePos(3, 6, 16)
     ]
 
 
 def test_string_cut_off_by_carriage_return():
+    source = 'reset\n rule "ab\rc"'
     with pytest.raises(LexError) as exc:
-        tokenize('reset\n rule "ab\rc"')
+        tokenize(source)
     assert exc.value.message == "unterminated string literal"
-    assert exc.value.pos == SourcePos(2, 7, 12)
+    assert pos_of(source, exc.value.pos) == SourcePos(2, 7, 12)
 
 
 # --- position oracle ---------------------------------------------------------
@@ -281,10 +302,28 @@ def test_positions_match_a_naive_count(source):
         with pytest.raises(LexError) as exc:
             tokenize(source)
         message, offset = error
-        assert (exc.value.message, exc.value.pos) == (message, naive_pos(source, offset))
+        assert (exc.value.message, exc.value.pos) == (message, offset)
+        assert positions(source, [offset]) == [naive_pos(source, offset)]
         return
     tokens = tokenize(source)
-    assert [(t.lexeme, t.pos.offset) for t in tokens[:-1]] == expected
-    assert tokens[-1].pos.offset == len(source)
-    for tok in tokens:
-        assert tok.pos == naive_pos(source, tok.pos.offset)
+    assert [(t.lexeme, t.offset) for t in tokens[:-1]] == expected
+    assert tokens[-1].offset == len(source)
+    offsets = [t.offset for t in tokens]
+    assert positions(source, offsets) == [naive_pos(source, offset) for offset in offsets]
+
+
+def held_tokens(node):
+    """Every Token reachable from an AST node."""
+    if isinstance(node, Token):
+        return [node]
+    if isinstance(node, (tuple, list)):
+        return [tok for child in node for tok in held_tokens(child)]
+    return []
+
+
+def test_parser_identifiers_are_the_very_tokens(case_study_source):
+    tokens = tokenize(case_study_source)
+    held = held_tokens(parse_contract(tokens))
+    lexed = {id(tok) for tok in tokens if tok.kind is TokenKind.IDENT}
+    assert len(held) > 100
+    assert all(id(tok) in lexed for tok in held)

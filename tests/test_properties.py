@@ -38,4 +38,4 @@ def test_lexer_round_trips_any_lexeme_sequence(pairs):
     assert tokens[-1].kind is TokenKind.EOF
     assert [t.lexeme for t in tokens[:-1]] == [lexeme for lexeme, _ in pairs]
     for tok in tokens[:-1]:
-        assert source[tok.pos.offset : tok.pos.offset + len(tok.lexeme)] == tok.lexeme
+        assert source[tok.offset : tok.offset + len(tok.lexeme)] == tok.lexeme

@@ -1,7 +1,7 @@
 import pytest
 
 from eropc import codegen
-from eropc.lexer import tokenize
+from eropc.lexer import positions, tokenize
 from eropc.sema import build_symbol_table, check_contract
 from eropc.syntax import parse_contract
 
@@ -15,9 +15,12 @@ end
 
 
 def analyze(source):
+    """The symbol table and the diagnostics in discovery order, offsets resolved."""
     ast = parse_contract(tokenize(source))
     tab, decl_diags = build_symbol_table(ast)
-    return tab, decl_diags + check_contract(ast, tab)
+    diags = decl_diags + check_contract(ast, tab)
+    found = positions(source, [d.pos for d in diags])
+    return tab, [d._replace(pos=pos) for d, pos in zip(diags, found)]
 
 
 def errors(diags):
@@ -89,6 +92,20 @@ end
     assert e001.code == "E001"
     assert e001.message == "duplicate declaration of 'React'"
     assert (e001.pos.line, e001.pos.col) == (4, 11)
+
+
+def test_rejected_duplicate_gets_neither_e003_nor_w001():
+    # only the accepted first declaration of a name is checked for casing and use
+    source = (
+        "roleplayer buyer;\nbusinessoperation Pay;\n"
+        "compoblig React(Pay)\ncompoblig React(Ghost, Ship)\nroleplayer React;\n" + RULE_TAIL
+    )
+    _, _, diags = codegen.analyze(source)
+    assert [(d.code, str(d.pos), d.message) for d in diags] == [
+        ("W001", "3:11", "composite obligation 'React' declared but never used"),
+        ("E001", "4:11", "duplicate declaration of 'React'"),
+        ("E001", "5:12", "duplicate declaration of 'React'"),
+    ]
 
 
 def test_lower_case_business_operation_is_e003():
@@ -411,8 +428,8 @@ end
     assert found != sorted(found)
 
     _, _, diags = codegen.analyze(source)
-    positions = [(d.pos.line, d.pos.col) for d in diags]
-    assert positions == sorted(found)
+    resolved = [(d.pos.line, d.pos.col) for d in diags]
+    assert resolved == sorted(found)
 
 
 def test_declaration_and_rule_diagnostics_merge_in_position_order():

@@ -1,6 +1,6 @@
 import pytest
 
-from eropc.lexer import tokenize
+from eropc.lexer import positions, tokenize
 from eropc.syntax import (
     BUSINESS_OP,
     COMP_OBLIG,
@@ -44,29 +44,29 @@ def test_declaration_section():
     ast = parse(DECLS + FIRST_RULE)
     decls = ast.decls
     assert decls[0].kind == ROLE_PLAYER
-    assert [n.name for n in decls[0].names] == ["buyer", "seller"]
+    assert [n.lexeme for n in decls[0].names] == ["buyer", "seller"]
     assert decls[0].members == []
     assert decls[1].kind == BUSINESS_OP
-    assert [n.name for n in decls[1].names] == [
+    assert [n.lexeme for n in decls[1].names] == [
         "BuyRequest", "Payment", "BuyConfirm", "BuyReject", "Cancellation",
     ]
     assert decls[1].members == []
     assert decls[2].kind == COMP_OBLIG
-    assert [n.name for n in decls[2].names] == ["ReactToBuyRequest"]
-    assert [m.name for m in decls[2].members] == ["BuyConfirm", "BuyReject"]
+    assert [n.lexeme for n in decls[2].names] == ["ReactToBuyRequest"]
+    assert [m.lexeme for m in decls[2].members] == ["BuyConfirm", "BuyReject"]
 
 
 def test_compoblig_trailing_semicolon_is_optional():
     with_semi = DECLS.replace(")\n", ");\n") + FIRST_RULE
-    assert parse(with_semi).decls[2].names[0].name == "ReactToBuyRequest"
+    assert parse(with_semi).decls[2].names[0].lexeme == "ReactToBuyRequest"
 
 
 def test_rule_shape():
     rule = parse(DECLS + FIRST_RULE).rules[0]
     assert isinstance(rule, RuleAst)
     assert rule.name == "BuyRequestReceived"
-    assert rule.event_var.name == "e"
-    assert [(f.name.name, f.value.name) for f in rule.event_fields] == [
+    assert rule.event_var.lexeme == "e"
+    assert [(f.name.lexeme, f.value.lexeme) for f in rule.event_fields] == [
         ("botype", "BUYREQ"),
         ("originator", "buyer"),
         ("responder", "store"),
@@ -74,16 +74,16 @@ def test_rule_shape():
     ]
     (constraint,) = rule.constraints
     assert isinstance(constraint, RopMembership)
-    assert (constraint.bo.name, constraint.player.name, constraint.rop_set) == (
+    assert (constraint.bo.lexeme, constraint.player.lexeme, constraint.rop_set) == (
         "BuyRequest", "buyer", "rights",
     )
     remove, add = rule.actions
     assert isinstance(remove, RopManip)
-    assert (remove.op, remove.rop_set, remove.bo.name) == ("remove", "rights", "BuyRequest")
-    assert [a.name for a in remove.args] == ["seller"]
+    assert (remove.op, remove.rop_set, remove.bo.lexeme) == ("remove", "rights", "BuyRequest")
+    assert [a.lexeme for a in remove.args] == ["seller"]
     assert remove.deadline is None
     assert isinstance(add, RopManip)
-    assert (add.op, add.bo.name, add.deadline) == ("add", "ReactToBuyRequest", "01-01-2016 12:00:00")
+    assert (add.op, add.bo.lexeme, add.deadline) == ("add", "ReactToBuyRequest", "01-01-2016 12:00:00")
 
 
 def test_event_fields_kept_in_source_order():
@@ -95,7 +95,7 @@ then
 end
 """
     rule = parse(scrambled).rules[0]
-    assert [f.name.name for f in rule.event_fields] == [
+    assert [f.name.lexeme for f in rule.event_fields] == [
         "outcome", "botype", "responder", "originator",
     ]
 
@@ -116,10 +116,10 @@ end
     assert isinstance(action, IfAct)
     (cond,) = action.cond
     assert isinstance(cond, OutcomeCheck)
-    assert cond.value.name == "false"
+    assert cond.value.lexeme == "false"
     (then_act,) = action.then_actions
-    assert isinstance(then_act, OutcomeSetAct) and then_act.value.name == "true"
-    assert [a.player.name for a in action.else_actions] == ["buyer", "seller"]
+    assert isinstance(then_act, OutcomeSetAct) and then_act.value.lexeme == "true"
+    assert [a.player.lexeme for a in action.else_actions] == ["buyer", "seller"]
 
 
 def test_if_without_else_differs_only_in_else_field():
@@ -153,7 +153,7 @@ end
 """
     actions = parse(source).rules[0].actions
     assert all(isinstance(a, ResetAct) for a in actions)
-    assert [a.player.name for a in actions] == ["buyer", "seller"]
+    assert [a.player.lexeme for a in actions] == ["buyer", "seller"]
 
 
 def test_constraint_variants_parse():
@@ -189,7 +189,8 @@ end
     with pytest.raises(ParseError) as exc:
         parse(source)
     assert "'then'" in exc.value.message
-    assert exc.value.pos.line == 6
+    (pos,) = positions(source, [exc.value.pos])
+    assert pos.line == 6
 
 
 def test_nested_if_is_rejected():
