@@ -10,8 +10,6 @@ import argparse
 import os
 import re
 import sys
-import tempfile
-from pathlib import Path
 
 from . import __version__
 from .codegen import (
@@ -64,7 +62,6 @@ def run(argv: list[str]) -> int:
         print(f"eropc: --package {args.package!r} is not a dotted Java identifier", file=sys.stderr)
         return 2
 
-    input_path = Path(args.input)
     source = _read_text(args.input)
     if source is None:
         return 2
@@ -80,7 +77,8 @@ def run(argv: list[str]) -> int:
             print(f"eropc: {args.lookup}: {err}", file=sys.stderr)
             return 2
 
-    package_name = args.package or sanitize_package_name(input_path.stem)
+    stem = os.path.splitext(args.input)[0]
+    package_name = args.package or sanitize_package_name(os.path.basename(stem))
     if args.emit_ast or args.emit_ir:
         return _run_debug_dump(args, source, package_name)
 
@@ -91,12 +89,12 @@ def run(argv: list[str]) -> int:
     if args.check:
         return 0
 
-    output = args.output or str(input_path.with_suffix(".drl"))
+    output = args.output or stem + ".drl"
     if output == "-":
         sys.stdout.write(text)
         return 0
     try:
-        _write_atomic(Path(output), text)
+        _write_atomic(output, text)
     except OSError:
         print(f"eropc: cannot write {output}", file=sys.stderr)
         return 2
@@ -106,7 +104,8 @@ def run(argv: list[str]) -> int:
 def _read_text(path: str) -> str | None:
     """The file's text without a UTF-8 byte-order mark, or None once the failure is reported."""
     try:
-        return Path(path).read_text(encoding="utf-8-sig")
+        with open(path, encoding="utf-8-sig") as handle:
+            return handle.read()
     except OSError:
         reason = ""
     except UnicodeDecodeError:
@@ -140,10 +139,11 @@ def _print_diagnostics(diags: list[Diagnostic], file: str) -> None:
         print(render_diagnostic(d, file), file=sys.stderr)
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    # render fully in memory, then write-and-rename so a failed compile can
-    # never leave a truncated output file behind
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent) or ".", prefix=path.name + ".")
+def _write_atomic(path: str, text: str) -> None:
+    # write a temp file, then rename it over the output, so no failure leaves a
+    # truncated output; like open(), os.open applies the umask to mode 0o666
+    tmp = f"{path}.{os.urandom(4).hex()}"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)

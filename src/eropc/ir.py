@@ -118,13 +118,8 @@ def _lower_rule(rule: syntax.RuleAst) -> tuple[IrRule, ...]:
     For an ``if``, its condition (negated for the ``else`` branch) comes
     before the rule's own constraints.
     """
-    fields = {f.name.lexeme: f.value.lexeme for f in rule.event_fields}
-    event = EventMatchCondition(
-        botype=fields["botype"],
-        originator=fields["originator"],
-        responder=fields["responder"],
-        outcome=fields["outcome"],
-    )
+    # sema (E006) leaves exactly the four fields, each once
+    event = EventMatchCondition(**{f.name.lexeme: f.value.lexeme for f in rule.event_fields})
     constraints = tuple(_lower_constraint(c) for c in rule.constraints)
     names = emitted_rule_names(rule)
     conditional = rule.actions[0]

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
-import enum
 import re
 from bisect import bisect_right
 from typing import NamedTuple
 
 
-class TokenKind(enum.Enum):
+class TokenKind:
+    """Plain str constants, faster to load than enum members; tokenize gives
+    each token the very object defined here, so kinds compare with ``is``."""
+
     # keywords
     ROLEPLAYER = "roleplayer"
     BUSINESSOPERATION = "businessoperation"
@@ -46,11 +48,12 @@ class TokenKind(enum.Enum):
     EOF = "EOF"
 
 
-# the keywords: the kinds whose value is a lower-case word
-KEYWORDS = {kind.value: kind for kind in TokenKind if kind.value.islower()}
+_KIND_NAMES = {kind: name for name, kind in vars(TokenKind).items() if name.isupper()}
+# the keywords: the kinds that are a lower-case word
+KEYWORDS = {kind: kind for kind in _KIND_NAMES if kind.islower()}
 
-# operators and punctuation: the kinds whose value is not a word
-_PUNCT = {kind.value: kind for kind in TokenKind if not kind.value.isalpha()}
+# operators and punctuation: the kinds that are not a word
+_PUNCT = {kind: kind for kind in _KIND_NAMES if not kind.isalpha()}
 _FIXED_KINDS = {**KEYWORDS, **_PUNCT}
 _GROUP_KINDS = {"word": TokenKind.IDENT, "string": TokenKind.STRING, "int": TokenKind.INT}
 
@@ -92,12 +95,12 @@ class SourcePos(NamedTuple):
 
 
 class Token(NamedTuple):
-    kind: TokenKind
+    kind: str  # a TokenKind constant
     lexeme: str
     offset: int  # 0-based character offset of the lexeme's start; see positions()
 
     def __repr__(self) -> str:
-        return f"Token({self.kind.name}, {self.lexeme!r}, {self.offset})"
+        return f"Token({_KIND_NAMES[self.kind]}, {self.lexeme!r}, {self.offset})"
 
 
 class LexError(Exception):

@@ -140,8 +140,9 @@ class _Checker:
             if name[0].islower() != lower:  # names start with an ASCII letter
                 case = "a lower-case" if lower else "an upper-case"
                 self.error("E003", f"{kind} '{name}' must begin with {case} letter", ident.offset)
-        for decl in ast.decls:
-            self.used.update(member.lexeme for member in decl.members)
+        for decl in ast.decls:  # only an accepted declaration's members count as uses
+            if self.tab.declared[decl.names[0].lexeme] is decl.names[0]:
+                self.used.update(member.lexeme for member in decl.members)
         seen_source: set[str] = set()
         seen_emitted: set[str] = set()
         for rule in ast.rules:

@@ -187,40 +187,39 @@ class _Parser:
         self.tokens = tokens
         self.i = 0
 
-    # token bookkeeping
+    # token bookkeeping: every advance() follows a kind test that excludes EOF,
+    # and only the final expect(EOF) in contract() steps past it
 
     def peek(self, ahead: int = 0) -> Token:
         if ahead:
             return self.tokens[min(self.i + ahead, len(self.tokens) - 1)]
-        return self.tokens[self.i]  # advance never moves past EOF
+        return self.tokens[self.i]
 
-    def at(self, kind: TokenKind) -> bool:
+    def at(self, kind: str) -> bool:
         return self.tokens[self.i].kind is kind
 
     def at_ident(self, name: str, ahead: int = 0) -> bool:
         tok = self.peek(ahead)
-        return tok.kind == TokenKind.IDENT and tok.lexeme == name
+        return tok.kind is TokenKind.IDENT and tok.lexeme == name
 
     def advance(self) -> Token:
         tok = self.tokens[self.i]
-        if tok.kind is not TokenKind.EOF:
-            self.i += 1
+        self.i += 1
         return tok
 
-    def expect(self, kind: TokenKind, what: str) -> Token:
+    def expect(self, kind: str, what: str) -> Token:
         tok = self.tokens[self.i]
         if tok.kind is not kind:
             raise ParseError(f"expected {what} but found {self._show(tok)}", tok.offset)
-        return self.advance()
+        self.i += 1
+        return tok
 
     def ident(self, what: str = "an identifier") -> Token:
         return self.expect(TokenKind.IDENT, what)
 
     @staticmethod
     def _show(tok: Token) -> str:
-        if tok.kind is TokenKind.EOF:
-            return "end of input"
-        return f"'{tok.lexeme}'"
+        return "end of input" if tok.kind is TokenKind.EOF else f"'{tok.lexeme}'"
 
     def fail(self, message: str) -> ParseError:
         tok = self.peek()
@@ -362,7 +361,7 @@ class _Parser:
             return tok.lexeme
         raise self.fail("expected 'rights', 'obligs' or 'prohibs'")
 
-    def action_block(self, stop: tuple[TokenKind, ...], inside_if: bool) -> list[ActionAst]:
+    def action_block(self, stop: tuple[str, ...], inside_if: bool) -> list[ActionAst]:
         actions = [self.action(inside_if)]
         while self.peek().kind not in stop and not self.at(TokenKind.EOF):
             actions.append(self.action(inside_if))

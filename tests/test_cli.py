@@ -76,6 +76,25 @@ def test_missing_input_exits_2(capsys):
     assert "cannot read missing.erop" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=oct)
+def test_output_mode_follows_the_umask(tmp_path, umask):
+    out = tmp_path / "contract.drl"
+    old = os.umask(umask)
+    try:
+        assert run([str(CASE_STUDY), "-o", str(out)]) == 0
+    finally:
+        os.umask(old)
+    assert out.stat().st_mode & 0o777 == 0o666 & ~umask
+
+
+def test_failed_write_leaves_no_temp_file(tmp_path, capsys):
+    out = tmp_path / "contract.drl"
+    out.mkdir()  # the final rename onto a directory fails
+    assert run([str(CASE_STUDY), "-o", str(out)]) == 2
+    assert "cannot write" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["contract.drl"]
+
+
 def test_unwritable_output_exits_2(tmp_path, capsys):
     out = tmp_path / "no" / "such" / "dir" / "x.drl"
     assert run([str(CASE_STUDY), "-o", str(out)]) == 2
@@ -223,6 +242,11 @@ def test_emit_ast_prints_tree(capsys):
     out = capsys.readouterr().out
     assert "Decl(kind='role player', names=[Token(IDENT, 'buyer', 11)" in out and "RuleAst" in out
     assert "deadlines=['01-01-2016 12:00:00']" in out
+
+
+def test_emit_ast_of_the_case_study_is_pinned_byte_for_byte(capsys):
+    assert run([str(CASE_STUDY), "--emit-ast"]) == 0
+    assert capsys.readouterr().out == (CORPUS / "buyer_store.ast").read_text(encoding="utf-8")
 
 
 def test_emit_ast_parse_error_exits_1(tmp_path, capsys):

@@ -83,6 +83,28 @@ def test_keywords_are_exactly_the_reserved_words():
     assert set(KEYWORDS) == set(RESERVED_WORDS)
 
 
+# every kind as defined, by identity: the parser compares kinds with ``is``
+KIND_CONSTANTS = {id(kind) for name, kind in vars(TokenKind).items() if name.isupper()}
+
+
+def test_case_study_kinds_are_the_very_constants(case_study_source):
+    tokens = tokenize(case_study_source)
+    assert all(id(tok.kind) in KIND_CONSTANTS for tok in tokens)
+
+
+def test_each_keyword_and_operator_lexes_to_its_own_kind():
+    fixed = [kind for name, kind in vars(TokenKind).items() if name.isupper() and kind.islower()]
+    fixed += _OPERATORS
+    assert len(fixed) == len(KIND_CONSTANTS) - 4  # all but IDENT, STRING, INT and EOF
+    for text in fixed:
+        tok, eof = tokenize(text)
+        assert (tok.kind, tok.lexeme) == (text, text)
+        assert id(tok.kind) in KIND_CONSTANTS
+        assert eof.kind is TokenKind.EOF
+    for text, kind in (("x", TokenKind.IDENT), ('"s"', TokenKind.STRING), ("7", TokenKind.INT)):
+        assert tokenize(text)[0].kind is kind
+
+
 def test_contextual_names_lex_as_ident():
     # field names, ROP sets and BizFail are not reserved
     for word in ("botype", "originator", "responder", "outcome", "rights", "obligs",

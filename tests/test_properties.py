@@ -39,3 +39,10 @@ def test_lexer_round_trips_any_lexeme_sequence(pairs):
     assert [t.lexeme for t in tokens[:-1]] == [lexeme for lexeme, _ in pairs]
     for tok in tokens[:-1]:
         assert source[tok.offset : tok.offset + len(tok.lexeme)] == tok.lexeme
+
+
+@given(st.lists(st.tuples(LEXEMES, TRIVIA), max_size=30))
+def test_every_kind_is_a_token_kind_constant(pairs):
+    constants = {id(kind) for name, kind in vars(TokenKind).items() if name.isupper()}
+    tokens = tokenize("".join(lexeme + trivia for lexeme, trivia in pairs))
+    assert all(id(tok.kind) in constants for tok in tokens)

@@ -108,6 +108,25 @@ def test_rejected_duplicate_gets_neither_e003_nor_w001():
     ]
 
 
+def test_rejected_duplicate_compoblig_members_are_no_uses():
+    # a business operation named only by a rejected declaration is still unused
+    source = (
+        "roleplayer buyer;\nbusinessoperation Pay, Ship;\n"
+        "compoblig React(Pay)\ncompoblig React(Ship)\n"
+    ) + """\
+rule "R"
+when e matches (botype == X, originator == buyer, responder == buyer, outcome == success)
+then
+    buyer.obligs += React(buyer)
+end
+"""
+    _, _, diags = codegen.analyze(source)
+    assert [(d.code, str(d.pos), d.message) for d in diags] == [
+        ("W001", "2:24", "business operation 'Ship' declared but never used"),
+        ("E001", "4:11", "duplicate declaration of 'React'"),
+    ]
+
+
 def test_lower_case_business_operation_is_e003():
     _, diags = analyze("roleplayer buyer;\nbusinessoperation payment;\n" + """\
 rule "R"

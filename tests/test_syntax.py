@@ -1,5 +1,6 @@
 import pytest
 
+from eropc.codegen import translate
 from eropc.lexer import positions, tokenize
 from eropc.syntax import (
     BUSINESS_OP,
@@ -236,3 +237,16 @@ def test_premature_eof():
 def test_parsing_is_deterministic():
     source = DECLS + FIRST_RULE
     assert parse(source) == parse(source)
+
+
+def test_every_token_boundary_prefix_is_diagnosed_or_compiled(case_study_source):
+    # the cursor never steps past EOF, wherever the input ends
+    cuts = {0, len(case_study_source)}
+    for tok in tokenize(case_study_source):
+        cuts.update((tok.offset, tok.offset + len(tok.lexeme)))
+    outcomes = set()
+    for cut in sorted(cuts):
+        text, diags = translate(case_study_source[:cut], "P")
+        assert (text is None) == any(d.is_error for d in diags)
+        outcomes.add(text is not None or diags[0].code)
+    assert outcomes == {True, "E-PARSE"}
