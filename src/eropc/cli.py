@@ -141,7 +141,9 @@ def _print_diagnostics(diags: list[Diagnostic], file: str) -> None:
 
 def _write_atomic(path: str, text: str) -> None:
     # write a temp file, then rename it over the output, so no failure leaves a
-    # truncated output; like open(), os.open applies the umask to mode 0o666
+    # truncated output; like open(), os.open applies the umask to mode 0o666.
+    # A symbolic link is resolved first, so the link stays and its target changes.
+    path = os.path.realpath(path)
     tmp = f"{path}.{os.urandom(4).hex()}"
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:

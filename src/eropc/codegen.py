@@ -1,4 +1,4 @@
-"""Code generation: IR to Augmented Drools text.
+"""Code generation: target rules to Augmented Drools text.
 
 Covers the front end shared by translate() and the CLI's debug modes, the
 declaration block, the configurable keyword-to-method lookup, and
@@ -12,23 +12,23 @@ import types
 from collections.abc import Mapping
 from typing import NamedTuple
 
-from .ir import (
-    AddOrRemAction,
-    HistoricalConstraint,
-    IrConstraint,
-    IrContract,
-    IrRule,
-    NegatedConjunction,
-    OutcomeConstraint,
-    OutcomeSet,
-    RopConstraint,
-    TimeDirectComparison,
-    TimePartialComparison,
-    lower_contract,
-)
+from .ir import IrContract, IrRule, NegatedConjunction, lower_contract
 from .lexer import LexError, positions, tokenize
 from .sema import Diagnostic, SymbolTable, build_symbol_table, check_contract
-from .syntax import ContractAst, ParseError, parse_contract
+from .syntax import (
+    EVENT_FIELDS,
+    ConstraintAst,
+    ContractAst,
+    Historical,
+    OutcomeCheck,
+    OutcomeSetAct,
+    ParseError,
+    RopManip,
+    RopMembership,
+    TimeDirect,
+    TimePartial,
+    parse_contract,
+)
 
 IMPORT_LINES = (
     "import uk.ac.ncl.erop.*;",
@@ -158,40 +158,46 @@ def emit_rule(rule: IrRule, lookup: Mapping[str, str], tab: SymbolTable) -> ADRu
     then_lines: list[str] = []
     arrays = 0
     for action in rule.actions:
-        if isinstance(action, AddOrRemAction):
-            if action.bo in tab.comp_obligs:
+        if isinstance(action, RopManip):
+            if action.bo.lexeme in tab.comp_obligs:
                 if action.op == "add":
                     arrays += 1
                 then_lines.extend(_compoblig_lines(action, lookup, tab, arrays))
             else:
                 then_lines.append(_plain_manip_line(action, lookup))
-        elif isinstance(action, OutcomeSet):
-            setter = lookup["bizfail.set"]
-            then_lines.append(f"{bo_global_name(action.bo)}.{setter}({_bool(action.value)});")
-        else:  # ResetAction
-            then_lines.append(f"{rop_var_name(action.player)}.{lookup['reset']}();")
+        elif isinstance(action, OutcomeSetAct):
+            setter = lookup["bizfail.set"]  # sema (E008) leaves the value 'true' or 'false'
+            bo, value = action.bo.lexeme, action.value.lexeme
+            then_lines.append(f"{bo_global_name(bo)}.{setter}({value});")
+        else:  # ResetAct
+            then_lines.append(f"{rop_var_name(action.player.lexeme)}.{lookup['reset']}();")
     return ADRule(name=rule.name, when_lines=when_lines, then_lines=then_lines)
 
 
-def constraint_expr(constraint: IrConstraint, lookup: Mapping[str, str]) -> str:
+def constraint_expr(
+    constraint: ConstraintAst | NegatedConjunction, lookup: Mapping[str, str]
+) -> str:
     """The parenthesis-free boolean expression a constraint evaluates."""
-    if isinstance(constraint, RopConstraint):
+    if isinstance(constraint, RopMembership):
         method = lookup[f"rop.matches.{constraint.rop_set}"]
-        return f"{rop_var_name(constraint.player)}.{method}({bo_global_name(constraint.bo)})"
-    if isinstance(constraint, OutcomeConstraint):
+        player, bo = constraint.player.lexeme, constraint.bo.lexeme
+        return f"{rop_var_name(player)}.{method}({bo_global_name(bo)})"
+    if isinstance(constraint, OutcomeCheck):  # sema (E008) leaves 'true' or 'false'
         getter = lookup["bizfail.get"]
-        return f"{bo_global_name(constraint.bo)}.{getter}() == {_bool(constraint.expected)}"
-    if isinstance(constraint, TimeDirectComparison):
+        return f"{bo_global_name(constraint.bo.lexeme)}.{getter}() == {constraint.value.lexeme}"
+    if isinstance(constraint, TimeDirect):
         accessor = lookup["time.stamp"]
         return f'$e.{accessor}() {constraint.op} "{constraint.timestamp}"'
-    if isinstance(constraint, TimePartialComparison):
+    if isinstance(constraint, TimePartial):
         accessor = lookup[f"time.{constraint.unit}"]
         return (
             f"$e.{accessor}() >= {constraint.lo} && $e.{accessor}() <= {constraint.hi}"
         )
-    if isinstance(constraint, HistoricalConstraint):
+    if isinstance(constraint, Historical):
+        # the values in canonical field order; sema (E006) leaves each field at most once
         method = lookup["historical.happened"]
-        args = ", ".join(f'"{value}"' for _, value in constraint.fields)
+        provided = {f.name.lexeme: f.value.lexeme for f in constraint.fields}
+        args = ", ".join(f'"{provided[name]}"' for name in EVENT_FIELDS if name in provided)
         call = f"engine.{method}({args})"
         return call if constraint.happened else f"!{call}"
     assert isinstance(constraint, NegatedConjunction)
@@ -199,37 +205,35 @@ def constraint_expr(constraint: IrConstraint, lookup: Mapping[str, str]) -> str:
     return f"!({inner})"
 
 
-def _plain_manip_line(action: AddOrRemAction, lookup: Mapping[str, str]) -> str:
+def _plain_manip_line(action: RopManip, lookup: Mapping[str, str]) -> str:
+    # sema (E009) leaves exactly one beneficiary
     method = lookup[f"rop.{action.op}.{_SET_SINGULAR[action.rop_set]}"]
-    args = [bo_global_name(action.bo), action.beneficiary]
+    args = [bo_global_name(action.bo.lexeme), action.args[0].lexeme]
     if action.deadline is not None:
         args.append(f'"{action.deadline}"')
-    return f"{rop_var_name(action.player)}.{method}({', '.join(args)});"
+    return f"{rop_var_name(action.player.lexeme)}.{method}({', '.join(args)});"
 
 
 def _compoblig_lines(
-    action: AddOrRemAction, lookup: Mapping[str, str], tab: SymbolTable, index: int
+    action: RopManip, lookup: Mapping[str, str], tab: SymbolTable, index: int
 ) -> list[str]:
     # Composite obligations travel by name and always go through the
     # obligation methods; adding one also needs the member operations packed
     # into a temporary array.
     method = lookup[f"rop.{action.op}.oblig"]
-    rop_var = rop_var_name(action.player)
+    rop_var = rop_var_name(action.player.lexeme)
+    name, beneficiary = action.bo.lexeme, action.args[0].lexeme
     if action.op == "remove":
-        return [f'{rop_var}.{method}("{action.bo}", {action.beneficiary});']
-    members = ", ".join(bo_global_name(m) for m in tab.comp_obligs[action.bo])
+        return [f'{rop_var}.{method}("{name}", {beneficiary});']
+    members = ", ".join(bo_global_name(m) for m in tab.comp_obligs[name])
     array = "bos" if index == 1 else f"bos{index}"
-    args = [f'"{action.bo}"', array, action.beneficiary]
+    args = [f'"{name}"', array, beneficiary]
     if action.deadline is not None:
         args.append(f'"{action.deadline}"')
     return [
         f"BusinessOperation[] {array} = {{{members}}};",
         f"{rop_var}.{method}({', '.join(args)});",
     ]
-
-
-def _bool(value: bool) -> str:
-    return "true" if value else "false"
 
 
 def build_ad_file(contract: IrContract, lookup: Mapping[str, str]) -> ADFile:

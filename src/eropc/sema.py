@@ -61,15 +61,10 @@ class SymbolTable:
     per-kind collections keep declaration order for code generation.
     """
 
-    def __init__(
-        self,
-        role_players: list[str] | None = None,
-        business_ops: list[str] | None = None,
-        comp_obligs: dict[str, list[str]] | None = None,
-    ) -> None:
-        self.role_players = [] if role_players is None else role_players
-        self.business_ops = [] if business_ops is None else business_ops
-        self.comp_obligs = {} if comp_obligs is None else comp_obligs
+    def __init__(self) -> None:
+        self.role_players: list[str] = []
+        self.business_ops: list[str] = []
+        self.comp_obligs: dict[str, list[str]] = {}
         self.kinds: dict[str, str] = {}
         self.declared: dict[str, Token] = {}
 

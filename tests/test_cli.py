@@ -95,6 +95,18 @@ def test_failed_write_leaves_no_temp_file(tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["contract.drl"]
 
 
+def test_symlinked_output_writes_through_the_link(tmp_path, golden_drl):
+    real = tmp_path / "real.drl"
+    real.write_text("old text")
+    out = tmp_path / "out.drl"
+    out.symlink_to("real.drl")  # relative, as `ln -s real.drl out.drl` makes it
+    code = run([str(CASE_STUDY), "--package", "BuyerStoreContractEx", "-o", str(out)])
+    assert code == 0
+    assert out.is_symlink() and os.readlink(out) == "real.drl"
+    assert real.read_bytes() == golden_drl.encode()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.drl", "real.drl"]
+
+
 def test_unwritable_output_exits_2(tmp_path, capsys):
     out = tmp_path / "no" / "such" / "dir" / "x.drl"
     assert run([str(CASE_STUDY), "-o", str(out)]) == 2

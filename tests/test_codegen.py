@@ -14,27 +14,59 @@ from eropc.codegen import (
     rop_var_name,
     translate,
 )
-from eropc.ir import (
-    AddOrRemAction,
-    EventMatchCondition,
-    HistoricalConstraint,
-    IrRule,
-    NegatedConjunction,
-    OutcomeConstraint,
-    ResetAction,
-    RopConstraint,
-    TimeDirectComparison,
-    TimePartialComparison,
-)
-from eropc.sema import SymbolTable
+from eropc.ir import NegatedConjunction, lower_contract
+from eropc.lexer import Token, TokenKind, tokenize
+from eropc.sema import build_symbol_table
+from eropc.syntax import ROLE_PLAYER, ContractAst, Decl, parse_contract
 
-EVENT = EventMatchCondition("BUYREQ", "buyer", "store", "success")
-
-CASE_TABLE = SymbolTable(
-    role_players=["buyer", "seller", "store"],
-    business_ops=["BuyRequest", "Payment", "BuyConfirm", "BuyReject", "Cancellation"],
-    comp_obligs={"ReactToBuyRequest": ["BuyConfirm", "BuyReject"]},
+CASE_DECLS = """\
+roleplayer buyer, seller, store;
+businessoperation BuyRequest, Payment, BuyConfirm, BuyReject, Cancellation;
+compoblig ReactToBuyRequest(BuyConfirm, BuyReject)
+"""
+CASE_TABLE, _ = build_symbol_table(
+    parse_contract(tokenize((CORPUS / "buyer_store.erop").read_text(encoding="utf-8")))
 )
+EVENT_LINE = (
+    '$e: Event(type=="BUYREQ", originator=="buyer", responder=="store", status=="success")'
+)
+
+
+def player_table(*names):
+    decl = Decl(ROLE_PLAYER, [Token(TokenKind.IDENT, name, 0) for name in names], [])
+    tab, _ = build_symbol_table(ContractAst([decl], []))
+    return tab
+
+
+def target_rules(when="", then="    reset buyer\n"):
+    """The target rules of one rule over the case-study declarations."""
+    source = CASE_DECLS + f"""\
+rule "R"
+when e matches (botype == BUYREQ, originator == buyer, responder == store, outcome == success)
+{when}then
+{then}end
+"""
+    (pieces,) = lower_contract(parse_contract(tokenize(source)), CASE_TABLE, "P").rules
+    return [emit_rule(piece, DEFAULT_LOOKUP, CASE_TABLE) for piece in pieces]
+
+
+def emitted(when="", then="    reset buyer\n"):
+    (rule,) = target_rules(when, then)
+    return rule
+
+
+def constraint(text):
+    """The syntax node of one left-hand-side constraint."""
+    source = CASE_DECLS + f"""\
+rule "R"
+when e matches (botype == BUYREQ, originator == buyer, responder == store, outcome == success)
+    {text}
+then
+    reset buyer
+end
+"""
+    (node,) = parse_contract(tokenize(source)).rules[0].constraints
+    return node
 
 
 @pytest.mark.parametrize(
@@ -141,7 +173,7 @@ global BusinessOperation cancellation;
 
 
 def test_declarations_one_player_no_ops():
-    text = render_file(ADFile("P", global_lines(SymbolTable(role_players=["alice"])), []))
+    text = render_file(ADFile("P", global_lines(player_table("alice")), []))
     lines = [line for line in text.splitlines() if line.startswith("global")]
     assert lines == [
         "global RelevanceEngine engine;",
@@ -152,7 +184,7 @@ def test_declarations_one_player_no_ops():
 
 
 def test_declarations_interleave_players_and_rop_sets():
-    text = render_file(ADFile("P", global_lines(SymbolTable(role_players=["a", "b", "c"])), []))
+    text = render_file(ADFile("P", global_lines(player_table("a", "b", "c")), []))
     names = [line.split()[-1].rstrip(";") for line in text.splitlines() if "RolePlayer" in line or "ROPSet" in line]
     assert names == ["a", "ropA", "b", "ropB", "c", "ropC"]
 
@@ -161,22 +193,12 @@ def test_declarations_interleave_players_and_rop_sets():
 
 
 def test_emit_first_case_study_rule():
-    rule = IrRule(
-        name="BuyRequestReceived",
-        event=EVENT,
-        constraints=(RopConstraint("buyer", "rights", "BuyRequest"),),
-        actions=(
-            AddOrRemAction("buyer", "rights", "remove", "BuyRequest", "seller"),
-            AddOrRemAction(
-                "seller", "obligs", "add", "ReactToBuyRequest", "buyer", "01-01-2016 12:00:00"
-            ),
-        ),
+    out = emitted(
+        when="    BuyRequest in buyer.rights\n",
+        then='    buyer.rights -= BuyRequest(seller)\n'
+        '    seller.obligs += ReactToBuyRequest(buyer, "01-01-2016 12:00:00")\n',
     )
-    out = emit_rule(rule, DEFAULT_LOOKUP, CASE_TABLE)
-    assert out.when_lines == [
-        '$e: Event(type=="BUYREQ", originator=="buyer", responder=="store", status=="success")',
-        "eval(ropBuyer.matchesRights(buyRequest))",
-    ]
+    assert out.when_lines == [EVENT_LINE, "eval(ropBuyer.matchesRights(buyRequest))"]
     assert out.then_lines == [
         "ropBuyer.removeRight(buyRequest, seller);",
         "BusinessOperation[] bos = {buyConfirm, buyReject};",
@@ -185,89 +207,97 @@ def test_emit_first_case_study_rule():
 
 
 def test_emit_reset_actions():
-    rule = IrRule("R", EVENT, (), (ResetAction("buyer"), ResetAction("seller")))
-    out = emit_rule(rule, DEFAULT_LOOKUP, CASE_TABLE)
+    out = emitted(then="    reset buyer\n    seller reset\n")
     assert out.then_lines == ["ropBuyer.reset();", "ropSeller.reset();"]
 
 
 def test_emit_rule_without_constraints_has_only_event_pattern():
-    rule = IrRule("R", EVENT, (), (ResetAction("buyer"),))
-    out = emit_rule(rule, DEFAULT_LOOKUP, CASE_TABLE)
-    assert out.when_lines == [
-        '$e: Event(type=="BUYREQ", originator=="buyer", responder=="store", status=="success")'
+    assert emitted().when_lines == [EVENT_LINE]
+
+
+def test_emit_outcome_setters():
+    out = emitted(then="    BuyRequest.BizFail == true\n    Payment.BizFail == false\n")
+    assert out.then_lines == [
+        "buyRequest.setBusinessFailure(true);",
+        "payment.setBusinessFailure(false);",
     ]
 
 
 def test_compoblig_removal_travels_by_name():
-    rule = IrRule(
-        "R", EVENT, (),
-        (AddOrRemAction("seller", "obligs", "remove", "ReactToBuyRequest", "buyer"),),
-    )
-    out = emit_rule(rule, DEFAULT_LOOKUP, CASE_TABLE)
+    out = emitted(then="    seller.obligs -= ReactToBuyRequest(buyer)\n")
     assert out.then_lines == ['ropSeller.removeObligation("ReactToBuyRequest", buyer);']
 
 
 def test_second_compoblig_array_gets_numbered():
-    rule = IrRule(
-        "R", EVENT, (),
-        (
-            AddOrRemAction("seller", "obligs", "add", "ReactToBuyRequest", "buyer"),
-            AddOrRemAction("buyer", "obligs", "add", "ReactToBuyRequest", "seller"),
-        ),
+    out = emitted(
+        then="    seller.obligs += ReactToBuyRequest(buyer)\n"
+        "    buyer.obligs += ReactToBuyRequest(seller)\n"
     )
-    out = emit_rule(rule, DEFAULT_LOOKUP, CASE_TABLE)
-    assert out.then_lines[0].startswith("BusinessOperation[] bos = ")
-    assert out.then_lines[2].startswith("BusinessOperation[] bos2 = ")
+    assert out.then_lines == [
+        "BusinessOperation[] bos = {buyConfirm, buyReject};",
+        'ropSeller.addObligation("ReactToBuyRequest", bos, buyer);',
+        "BusinessOperation[] bos2 = {buyConfirm, buyReject};",
+        'ropBuyer.addObligation("ReactToBuyRequest", bos2, seller);',
+    ]
 
 
 def test_compoblig_removal_does_not_consume_an_array_name():
-    rule = IrRule(
-        "R", EVENT, (),
-        (
-            AddOrRemAction("seller", "obligs", "remove", "ReactToBuyRequest", "buyer"),
-            AddOrRemAction("buyer", "obligs", "add", "ReactToBuyRequest", "seller"),
-        ),
+    out = emitted(
+        then="    seller.obligs -= ReactToBuyRequest(buyer)\n"
+        "    buyer.obligs += ReactToBuyRequest(seller)\n"
     )
-    out = emit_rule(rule, DEFAULT_LOOKUP, CASE_TABLE)
     assert out.then_lines[1].startswith("BusinessOperation[] bos = ")
 
 
 def test_plain_op_with_deadline():
-    rule = IrRule(
-        "R", EVENT, (),
-        (AddOrRemAction("buyer", "rights", "add", "Cancellation", "seller", "02-02-2016 09:00:00"),),
-    )
-    out = emit_rule(rule, DEFAULT_LOOKUP, CASE_TABLE)
+    out = emitted(then='    buyer.rights += Cancellation(seller, "02-02-2016 09:00:00")\n')
     assert out.then_lines == ['ropBuyer.addRight(cancellation, seller, "02-02-2016 09:00:00");']
 
 
+def test_else_rule_guard_comes_first():
+    then_rule, else_rule = target_rules(
+        when="    Payment in seller.obligs\n",
+        then="    if (BuyRequest.BizFail == false, BuyRequest in buyer.rights)\n"
+        "        then reset buyer\n        else reset seller\n    endif\n",
+    )
+    assert then_rule.when_lines == [
+        EVENT_LINE,
+        "eval(buyRequest.getBusinessFailure() == false)",
+        "eval(ropBuyer.matchesRights(buyRequest))",
+        "eval(ropSeller.matchesObligations(payment))",
+    ]
+    assert else_rule.when_lines == [
+        EVENT_LINE,
+        "eval(!(buyRequest.getBusinessFailure() == false && ropBuyer.matchesRights(buyRequest)))",
+        "eval(ropSeller.matchesObligations(payment))",
+    ]
+    assert else_rule.then_lines == ["ropSeller.reset();"]
+
+
 def test_constraint_expressions():
-    lookup = DEFAULT_LOOKUP
-    assert constraint_expr(RopConstraint("buyer", "obligs", "Payment"), lookup) == (
-        "ropBuyer.matchesObligations(payment)"
-    )
-    assert constraint_expr(RopConstraint("buyer", "prohibs", "Payment"), lookup) == (
-        "ropBuyer.matchesProhibitions(payment)"
-    )
-    assert constraint_expr(OutcomeConstraint("BuyRequest", True), lookup) == (
-        "buyRequest.getBusinessFailure() == true"
-    )
-    assert constraint_expr(TimeDirectComparison("<", "02-01-2016 00:00:00"), lookup) == (
-        '$e.getTimestamp() < "02-01-2016 00:00:00"'
-    )
-    assert constraint_expr(TimePartialComparison("hour", 9, 17), lookup) == (
-        "$e.getHour() >= 9 && $e.getHour() <= 17"
-    )
-    happened = HistoricalConstraint(True, (("botype", "BUYREQ"), ("originator", "buyer")))
-    assert constraint_expr(happened, lookup) == 'engine.eventHappened("BUYREQ", "buyer")'
-    not_happened = HistoricalConstraint(False, (("botype", "BUYPAY"),))
-    assert constraint_expr(not_happened, lookup) == '!engine.eventHappened("BUYPAY")'
+    cases = [
+        ("Payment in buyer.obligs", "ropBuyer.matchesObligations(payment)"),
+        ("Payment in buyer.prohibs", "ropBuyer.matchesProhibitions(payment)"),
+        ("BuyRequest.BizFail == true", "buyRequest.getBusinessFailure() == true"),
+        ('e.timestamp < "02-01-2016 00:00:00"', '$e.getTimestamp() < "02-01-2016 00:00:00"'),
+        ("e.hour in [9, 17]", "$e.getHour() >= 9 && $e.getHour() <= 17"),
+        ("happened (botype == BUYREQ, originator == buyer)",
+         'engine.eventHappened("BUYREQ", "buyer")'),
+        ("not happened (botype == BUYPAY)", '!engine.eventHappened("BUYPAY")'),
+    ]
+    for text, expected in cases:
+        assert constraint_expr(constraint(text), DEFAULT_LOOKUP) == expected
     negated = NegatedConjunction(
-        (OutcomeConstraint("BuyRequest", False), RopConstraint("buyer", "rights", "BuyRequest"))
+        (constraint("BuyRequest.BizFail == false"), constraint("BuyRequest in buyer.rights"))
     )
-    assert constraint_expr(negated, lookup) == (
+    assert constraint_expr(negated, DEFAULT_LOOKUP) == (
         "!(buyRequest.getBusinessFailure() == false && ropBuyer.matchesRights(buyRequest))"
     )
+
+
+def test_historical_fields_take_canonical_order():
+    happened = constraint("happened (originator == buyer, botype == BUYREQ)")
+    assert constraint_expr(happened, DEFAULT_LOOKUP) == 'engine.eventHappened("BUYREQ", "buyer")'
 
 
 # --- full translation ---

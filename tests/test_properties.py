@@ -1,6 +1,8 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import CORPUS
+from eropc.codegen import translate
 from eropc.ir import lower_contract
 from eropc.lexer import TokenKind, tokenize
 from eropc.sema import SymbolTable
@@ -9,13 +11,12 @@ from irgen import assert_split_laws, expected_piece_count, source_rules
 
 
 @given(source_rules())
-def test_split_laws_hold(case):
-    assert_split_laws(case)
+def test_split_laws_hold(rule):
+    assert_split_laws(rule)
 
 
 @given(st.lists(source_rules(), max_size=20))
-def test_rule_count_law_over_a_batch(cases):
-    rules = [case.ast for case in cases]
+def test_rule_count_law_over_a_batch(rules):
     contract = lower_contract(ContractAst([], rules), SymbolTable(), "P")
     assert len(contract.rules) == len(rules)  # one group per source rule
     assert sum(map(len, contract.rules)) == sum(map(expected_piece_count, rules))
@@ -46,3 +47,25 @@ def test_every_kind_is_a_token_kind_constant(pairs):
     constants = {id(kind) for name, kind in vars(TokenKind).items() if name.isupper()}
     tokens = tokenize("".join(lexeme + trivia for lexeme, trivia in pairs))
     assert all(id(tok.kind) in constants for tok in tokens)
+
+
+CASE_STUDY = (CORPUS / "buyer_store.erop").read_text(encoding="utf-8")
+CASE_TOKENS = tokenize(CASE_STUDY)[:-1]
+# every declaration kind's names, undeclared and lower-case names, the boolean
+# and outcome words, the contextual words, keywords, operators and literals
+REPLACEMENTS = (
+    "", "buyer", "store", "BuyRequest", "ReactToBuyRequest", "Unknown", "nobody",
+    "true", "false", "success", "e", "not", "happened", "rights", "BizFail", "hour",
+    "rule", "when", "then", "else", "end", "if", "endif", "in", "reset", "roleplayer",
+    ",", ";", ".", "(", ")", "==", "+=", "-=", "[", "]", "<",
+    '"01-01-2016 12:00:00"', '"R"', "0", "99",
+)
+
+
+@given(st.integers(0, len(CASE_TOKENS) - 1), st.sampled_from(REPLACEMENTS))
+@settings(max_examples=1000)
+def test_any_single_token_replacement_is_diagnosed_or_compiled(index, lexeme):
+    tok = CASE_TOKENS[index]
+    source = CASE_STUDY[: tok.offset] + lexeme + CASE_STUDY[tok.offset + len(tok.lexeme) :]
+    text, diags = translate(source, "P")
+    assert (text is None) == any(d.is_error for d in diags)
