@@ -20,8 +20,7 @@ from .codegen import (
     load_lookup,
     translate,
 )
-from .ir import dump_contract, lower_contract
-from .sema import Diagnostic
+from .sema import Diagnostic, split
 
 
 def render_diagnostic(d: Diagnostic, file: str) -> str:
@@ -48,7 +47,7 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--check", action="store_true", help="report diagnostics, write nothing")
     mode.add_argument("--emit-ast", action="store_true", help="dump the parse tree (debug)")
-    mode.add_argument("--emit-ir", action="store_true", help="dump the intermediate rules (debug)")
+    mode.add_argument("--emit-ir", action="store_true", help="dump the AD rules as split (debug)")
     p.add_argument("--version", action="version", version=f"eropc {__version__}")
     return p
 
@@ -77,11 +76,11 @@ def run(argv: list[str]) -> int:
             print(f"eropc: {args.lookup}: {err}", file=sys.stderr)
             return 2
 
+    if args.emit_ast or args.emit_ir:
+        return _run_debug_dump(args, source)
+
     stem = os.path.splitext(args.input)[0]
     package_name = args.package or sanitize_package_name(os.path.basename(stem))
-    if args.emit_ast or args.emit_ir:
-        return _run_debug_dump(args, source, package_name)
-
     text, diags = translate(source, package_name, lookup)
     _print_diagnostics(diags, args.input)
     if text is None:
@@ -114,23 +113,18 @@ def _read_text(path: str) -> str | None:
     return None
 
 
-def _run_debug_dump(args, source: str, package_name: str) -> int:
-    ast, tab, diags = analyze(source)
-    if ast is None:
-        _print_diagnostics(diags, args.input)
-        return 1
-
-    if args.emit_ast:  # the parse tree is printed even when the checks fail
-        for decl in ast.decls:
-            print(decl)
-        for rule in ast.rules:
-            print(rule)
+def _run_debug_dump(args, source: str) -> int:
+    ast, _, diags = analyze(source)
+    if args.emit_ast and ast is not None:  # the parse tree is printed even when checks fail
+        print(*ast.decls, *ast.rules, sep="\n")
         return 0
 
     _print_diagnostics(diags, args.input)
     if any(d.is_error for d in diags):
         return 1
-    print(dump_contract(lower_contract(ast, tab, package_name)))
+    for rule in ast.rules:  # one line per AD rule; the format is not stable
+        for name, guard, actions in split(rule):
+            print(f"rule {name!r} guard={guard!r} actions={actions!r}")
     return 0
 
 

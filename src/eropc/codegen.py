@@ -1,8 +1,10 @@
-"""Code generation: target rules to Augmented Drools text.
+"""Code generation: a checked contract to Augmented Drools text.
 
 Covers the front end shared by translate() and the CLI's debug modes, the
-declaration block, the configurable keyword-to-method lookup, and
-deterministic rendering (LF newlines, 4-space indent inside rules).
+declaration block and its name checks (E012), the configurable
+keyword-to-method lookup, and deterministic rendering (LF newlines, 4-space
+indent inside rules).  Each AD rule is one ``sema.split`` triple rendered
+straight to its text.
 """
 
 from __future__ import annotations
@@ -12,11 +14,20 @@ import types
 from collections.abc import Mapping
 from typing import NamedTuple
 
-from .ir import IrContract, IrRule, NegatedConjunction, lower_contract
 from .lexer import LexError, positions, tokenize
-from .sema import Diagnostic, SymbolTable, build_symbol_table, check_contract
+from .sema import (
+    Diagnostic,
+    NegatedConjunction,
+    SymbolTable,
+    TargetRule,
+    build_symbol_table,
+    check_contract,
+    split,
+)
 from .syntax import (
+    BUSINESS_OP,
     EVENT_FIELDS,
+    ROLE_PLAYER,
     ConstraintAst,
     ContractAst,
     Historical,
@@ -25,6 +36,7 @@ from .syntax import (
     ParseError,
     RopManip,
     RopMembership,
+    RuleAst,
     TimeDirect,
     TimePartial,
     parse_contract,
@@ -123,55 +135,83 @@ def rop_var_name(player: str) -> str:
     return "rop" + player[0].upper() + player[1:]
 
 
-class ADRule(NamedTuple):
-    name: str
-    when_lines: list[str]
-    then_lines: list[str]
+def ad_globals(name: str, kind: str) -> list[tuple[str, str]]:
+    """The (type, identifier) AD globals of one declared name; a composite obligation has none."""
+    if kind == ROLE_PLAYER:
+        return [("RolePlayer", name), ("ROPSet", rop_var_name(name))]
+    if kind == BUSINESS_OP:
+        return [("BusinessOperation", bo_global_name(name))]
+    return []
 
 
-class ADFile(NamedTuple):
-    package_name: str
-    globals: list[str]
-    rules: list[ADRule]
-
-
-def global_lines(tab: SymbolTable) -> list[str]:
-    lines = ["global RelevanceEngine engine;", "global EventLogger logger;"]
-    for player in tab.role_players:
-        lines.append(f"global RolePlayer {player};")
-        lines.append(f"global ROPSet {rop_var_name(player)};")
-    for bo in tab.business_ops:
-        lines.append(f"global BusinessOperation {bo_global_name(bo)};")
+def header_lines(package_name: str, tab: SymbolTable) -> list[str]:
+    """The package, the two imports, the two fixed globals, then each declared name's."""
+    lines = [f"package {package_name}", "", *IMPORT_LINES, ""]
+    lines += ["global RelevanceEngine engine;", "global EventLogger logger;"]
+    for name in tab.role_players + tab.business_ops:
+        for type_, ident in ad_globals(name, tab.kinds[name]):
+            lines.append(f"global {type_} {ident};")
     return lines
 
 
-def emit_rule(rule: IrRule, lookup: Mapping[str, str], tab: SymbolTable) -> ADRule:
-    """Render one target rule."""
-    ev = rule.event
-    when_lines = [
-        f'$e: Event(type=="{ev.botype}", originator=="{ev.originator}", '
-        f'responder=="{ev.responder}", status=="{ev.outcome}")'
-    ]
-    for constraint in rule.constraints:
-        when_lines.append(f"eval({constraint_expr(constraint, lookup)})")
+# the header's own globals and the then-block's composite-obligation arrays
+_TAKEN_IDENTIFIER = re.compile(r"engine|logger|bos[0-9]*")
 
-    then_lines: list[str] = []
+
+def check_globals(tab: SymbolTable) -> list[Diagnostic]:
+    """E012 at a declaration whose AD identifier is taken or is no Java identifier.
+
+    Of two names that give one identifier, the later declaration is reported.
+    """
+    diags: list[Diagnostic] = []
+    owners: dict[str, str] = {}
+    for name, kind in tab.kinds.items():  # declaration order
+        for _, ident in ad_globals(name, kind):
+            owner = owners.setdefault(ident, name)
+            if owner != name:
+                message = f"{kind} '{name}' and {tab.kinds[owner]} '{owner}' both become '{ident}'"
+            elif _TAKEN_IDENTIFIER.fullmatch(ident):
+                message = f"{kind} '{name}' becomes '{ident}', a name the AD output already uses"
+            elif not is_java_identifier(ident):
+                message = f"{kind} '{name}' becomes '{ident}', which is not a Java identifier"
+            else:
+                continue
+            diags.append(Diagnostic("error", "E012", message, tab.declared[name].offset))
+    return diags
+
+
+def event_line(rule: RuleAst) -> str:
+    """The ``$e: Event(...)`` pattern that opens each AD rule of a source rule."""
+    # sema (E006) leaves exactly the four fields, each once
+    ev = {f.name.lexeme: f.value.lexeme for f in rule.event_fields}
+    return (
+        f'$e: Event(type=="{ev["botype"]}", originator=="{ev["originator"]}", '
+        f'responder=="{ev["responder"]}", status=="{ev["outcome"]}")'
+    )
+
+
+def emit_rule(target: TargetRule, event: str, lookup: Mapping[str, str], tab: SymbolTable) -> str:
+    """The text of one AD rule of ``split``, under its source rule's event line."""
+    name, guard, actions = target
+    when = [event, *(f"eval({constraint_expr(constraint, lookup)})" for constraint in guard)]
+    then: list[str] = []  # never empty: the grammar gives every branch an action
     arrays = 0
-    for action in rule.actions:
+    for action in actions:
         if isinstance(action, RopManip):
             if action.bo.lexeme in tab.comp_obligs:
                 if action.op == "add":
                     arrays += 1
-                then_lines.extend(_compoblig_lines(action, lookup, tab, arrays))
+                then.extend(_compoblig_lines(action, lookup, tab, arrays))
             else:
-                then_lines.append(_plain_manip_line(action, lookup))
+                then.append(_plain_manip_line(action, lookup))
         elif isinstance(action, OutcomeSetAct):
             setter = lookup["bizfail.set"]  # sema (E008) leaves the value 'true' or 'false'
             bo, value = action.bo.lexeme, action.value.lexeme
-            then_lines.append(f"{bo_global_name(bo)}.{setter}({value});")
+            then.append(f"{bo_global_name(bo)}.{setter}({value});")
         else:  # ResetAct
-            then_lines.append(f"{rop_var_name(action.player.lexeme)}.{lookup['reset']}();")
-    return ADRule(name=rule.name, when_lines=when_lines, then_lines=then_lines)
+            then.append(f"{rop_var_name(action.player.lexeme)}.{lookup['reset']}();")
+    indent = "\n    ".join
+    return f'rule "{name}"\nwhen\n    {indent(when)}\nthen\n    {indent(then)}\nend\n'
 
 
 def constraint_expr(
@@ -236,33 +276,34 @@ def _compoblig_lines(
     ]
 
 
-def build_ad_file(contract: IrContract, lookup: Mapping[str, str]) -> ADFile:
-    """Render every target rule of the contract into an ADFile."""
-    rules = [
-        emit_rule(rule, lookup, contract.symbols) for group in contract.rules for rule in group
-    ]
-    return ADFile(
-        package_name=contract.package_name,
-        globals=global_lines(contract.symbols),
-        rules=rules,
-    )
+class IrContract(NamedTuple):
+    rules: list[tuple[RuleAst, list[TargetRule]]]  # each source rule with its split
 
 
-def render_rule(rule: ADRule) -> str:
-    lines = [f'rule "{rule.name}"', "when"]
-    lines.extend(f"    {line}" for line in rule.when_lines)
-    lines.append("then")
-    lines.extend(f"    {line}" for line in rule.then_lines)
-    lines.append("end")
-    return "\n".join(lines) + "\n"
+def lower_contract(ast: ContractAst) -> IrContract:
+    """Pair each source rule of a checked contract with its split."""
+    return IrContract([(rule, split(rule)) for rule in ast.rules])
+
+
+class ADFile(NamedTuple):
+    header: list[str]
+    rules: list[str]  # the text of each AD rule
+
+
+def build_ad_file(
+    contract: IrContract, tab: SymbolTable, package_name: str, lookup: Mapping[str, str]
+) -> ADFile:
+    """The header and the text of every AD rule of the contract."""
+    rules = []
+    for rule, targets in contract.rules:
+        event = event_line(rule)
+        rules.extend(emit_rule(target, event, lookup, tab) for target in targets)
+    return ADFile(header_lines(package_name, tab), rules)
 
 
 def render_file(ad_file: ADFile) -> str:
-    """The package/import/global header block followed by every rule."""
-    header = [f"package {ad_file.package_name}", "", *IMPORT_LINES, "", *ad_file.globals]
-    parts = ["\n".join(header) + "\n"]
-    parts.extend(render_rule(rule) for rule in ad_file.rules)
-    return "\n".join(parts)
+    """The header block followed by every rule, with a blank line before each rule."""
+    return "\n".join(["\n".join(ad_file.header) + "\n", *ad_file.rules])
 
 
 def analyze(source: str) -> tuple[ContractAst | None, SymbolTable | None, list[Diagnostic]]:
@@ -282,7 +323,7 @@ def analyze(source: str) -> tuple[ContractAst | None, SymbolTable | None, list[D
     else:
         tab, diags = build_symbol_table(ast)
         # offset order is (line, col) order; the sort is stable, so ties keep discovery order
-        diags = sorted(diags + check_contract(ast, tab), key=lambda d: d.pos)
+        diags = sorted(diags + check_contract(ast, tab) + check_globals(tab), key=lambda d: d.pos)
     found = positions(source, [d.pos for d in diags])
     return ast, tab, [d._replace(pos=pos) for d, pos in zip(diags, found)]
 
@@ -299,5 +340,5 @@ def translate(
     if any(d.is_error for d in diags):
         return None, diags
 
-    ad_file = build_ad_file(lower_contract(ast, tab, package_name), lookup)
+    ad_file = build_ad_file(lower_contract(ast), tab, package_name, lookup)
     return render_file(ad_file), diags

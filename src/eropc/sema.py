@@ -7,6 +7,7 @@ Error codes:
     E004 undeclared identifier            E009 bad ROP-manipulation arguments
     E005 identifier of the wrong kind     E010 'if' with sibling actions
     E011 empty or out-of-range time window
+    E012 declared name clashes in AD (codegen.analyze reports it)
 Warnings:
     W001 declared but unused              W002 unexpected outcome value
 """
@@ -111,15 +112,32 @@ def check_contract(ast: ContractAst, tab: SymbolTable) -> list[Diagnostic]:
     return checker.diags
 
 
-def emitted_rule_names(rule: RuleAst) -> list[str]:
-    """Target-file names of the rules a source rule compiles to, in lowering's order."""
+class NegatedConjunction(NamedTuple):
+    """The negation of an if-condition, guarding the rule for its else branch."""
+
+    items: list[ConstraintAst]
+
+
+# one AD rule: its name, its guard (the constraints that must hold) and its actions
+TargetRule = tuple[str, list[ConstraintAst | NegatedConjunction], list[ActionAst]]
+
+
+def split(rule: RuleAst) -> list[TargetRule]:
+    """The AD rules a source rule compiles to, in output order.
+
+    An ``if`` gives ``<name>IfThen``, guarded by its condition, and an ``else``
+    gives ``<name>IfElse``, guarded by the negation; the rule's own constraints
+    follow.  Only the actions decide, so E007 can split an unchecked rule.
+    """
     conditional = next((a for a in rule.actions if isinstance(a, IfAct)), None)
     if conditional is None:
-        return [rule.name]
-    names = [rule.name + "IfThen"]
+        return [(rule.name, rule.constraints, rule.actions)]
+    cond = conditional.cond
+    pieces = [(rule.name + "IfThen", cond + rule.constraints, conditional.then_actions)]
     if conditional.else_actions is not None:
-        names.append(rule.name + "IfElse")
-    return names
+        guard = [NegatedConjunction(cond), *rule.constraints]
+        pieces.append((rule.name + "IfElse", guard, conditional.else_actions))
+    return pieces
 
 
 class _Checker:
@@ -141,18 +159,13 @@ class _Checker:
         seen_source: set[str] = set()
         seen_emitted: set[str] = set()
         for rule in ast.rules:
-            names = emitted_rule_names(rule)
+            names = [name for name, _, _ in split(rule)]
+            clash = next((n for n in names if n in seen_emitted), None)
             if rule.name in seen_source:
                 self.error("E007", f'duplicate rule name "{rule.name}"', rule.name_pos)
-            else:
-                clash = next((n for n in names if n in seen_emitted), None)
-                if clash is not None:
-                    self.error(
-                        "E007",
-                        f'rule name "{clash}" collides with a rule produced by '
-                        "conditional splitting",
-                        rule.name_pos,
-                    )
+            elif clash is not None:
+                why = "collides with a rule produced by conditional splitting"
+                self.error("E007", f'rule name "{clash}" {why}', rule.name_pos)
             seen_source.add(rule.name)
             seen_emitted.update(names)
             self.check_rule(rule)
@@ -164,10 +177,10 @@ class _Checker:
         self.check_event_fields(rule)
         for constraint in rule.constraints:
             self.check_constraint(constraint, rule)
-        has_if = any(isinstance(a, IfAct) for a in rule.actions)
-        if has_if and len(rule.actions) > 1:
-            offset = next(a.pos for a in rule.actions if isinstance(a, IfAct))
-            self.error("E010", "an 'if' action must be the only action of its rule", offset)
+        conditional = next((a for a in rule.actions if isinstance(a, IfAct)), None)
+        if conditional is not None and len(rule.actions) > 1:
+            message = "an 'if' action must be the only action of its rule"
+            self.error("E010", message, conditional.pos)
         for action in rule.actions:
             self.check_action(action, rule)
 

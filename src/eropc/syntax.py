@@ -40,6 +40,7 @@ from typing import NamedTuple
 
 from .lexer import Token, TokenKind, string_value
 
+INT_MAX = 2**31 - 1  # a window bound is emitted into a Java int comparison
 ROP_SETS = ("rights", "obligs", "prohibs")
 TIME_UNITS = ("hour", "minute", "day", "month", "year")
 EVENT_FIELDS = ("botype", "originator", "responder", "outcome")
@@ -343,16 +344,23 @@ class _Parser:
         if selector.lexeme in TIME_UNITS:
             self.expect(TokenKind.IN, "'in'")
             self.expect(TokenKind.LBRACKET, "'['")
-            lo = self.expect(TokenKind.INT, "an integer")
+            lo = self.int_bound()
             self.expect(TokenKind.COMMA, "','")
-            hi = self.expect(TokenKind.INT, "an integer")
+            hi = self.int_bound()
             self.expect(TokenKind.RBRACKET, "']'")
-            return TimePartial(subject, selector.lexeme, int(lo.lexeme), int(hi.lexeme))
+            return TimePartial(subject, selector.lexeme, lo, hi)
         raise ParseError(
             "expected 'BizFail', 'timestamp' or a time unit after '.' "
             f"but found '{selector.lexeme}'",
             selector.offset,
         )
+
+    def int_bound(self) -> int:
+        tok = self.expect(TokenKind.INT, "an integer")
+        # measured before int(), which refuses a string of more than a few thousand digits
+        if len(tok.lexeme.lstrip("0")) > len(str(INT_MAX)) or int(tok.lexeme) > INT_MAX:
+            raise ParseError(f"integer out of range (at most {INT_MAX})", tok.offset)
+        return int(tok.lexeme)
 
     def ropset(self) -> str:
         tok = self.peek()

@@ -1,17 +1,18 @@
-"""Hypothesis strategies for random source rules, shared by the property suites.
+"""Hypothesis strategies for random source rules, shared by the property suites,
+and a reader for one rendered AD rule.
 
-The splitting laws compare the emitted rules with the source rule's own
-constraints rendered one by one, an expectation that lowering did not produce.
+The splitting laws compare the rendered rules with the source rule's own
+constraints rendered one by one, an expectation that splitting did not produce.
 """
+
+from typing import NamedTuple
 
 from hypothesis import strategies as st
 
-from eropc.codegen import DEFAULT_LOOKUP, constraint_expr, emit_rule
-from eropc.ir import IrRule, lower_contract
+from eropc.codegen import DEFAULT_LOOKUP, constraint_expr, emit_rule, event_line
 from eropc.lexer import Token, TokenKind
-from eropc.sema import SymbolTable, emitted_rule_names
+from eropc.sema import SymbolTable, split
 from eropc.syntax import (
-    ContractAst,
     EventField,
     Historical,
     IfAct,
@@ -90,7 +91,7 @@ simple_actions = st.one_of(
 
 
 @st.composite
-def source_rules(draw) -> RuleAst:
+def source_rules(draw, names=ops) -> RuleAst:
     event = _fields((
         ("botype", draw(st.sampled_from(("BUYREQ", "BUYPAY", "BUYCONF")))),
         ("originator", draw(players)),
@@ -108,7 +109,7 @@ def source_rules(draw) -> RuleAst:
             draw(st.lists(simple_actions, min_size=1, max_size=2)) if shape == "ifelse" else None
         )
         actions = [IfAct(cond, then_acts, else_acts, POS)]
-    return RuleAst(draw(ops), POS, ident("e"), event, own, actions)
+    return RuleAst(draw(names), POS, ident("e"), event, own, actions)
 
 
 def expected_piece_count(rule: RuleAst) -> int:
@@ -116,20 +117,40 @@ def expected_piece_count(rule: RuleAst) -> int:
     return 2 if isinstance(conditional, IfAct) and conditional.else_actions is not None else 1
 
 
-def lower_rule(rule: RuleAst) -> tuple[IrRule, ...]:
-    """The target rules lower_contract makes of one source rule."""
-    (pieces,) = lower_contract(ContractAst([], [rule]), SymbolTable(), "P").rules
-    return pieces
+class ReadRule(NamedTuple):
+    name: str
+    when_lines: list[str]
+    then_lines: list[str]
+
+
+def read_rule(text: str) -> ReadRule:
+    """The name and the when- and then-block lines of one rendered AD rule."""
+    head, when, *lines, end = text.split("\n")[:-1]
+    assert text.endswith("\n") and when == "when" and end == "end"
+    assert head.startswith('rule "') and head.endswith('"')
+    then = lines.index("then")
+    body = lines[:then] + lines[then + 1 :]
+    assert all(line.startswith("    ") and line[4] != " " for line in body)
+    return ReadRule(head[6:-1], [line[4:] for line in lines[:then]],
+                    [line[4:] for line in lines[then + 1 :]])
+
+
+def render_split(rule: RuleAst) -> list[ReadRule]:
+    """The AD rules one source rule renders to, read back."""
+    event = event_line(rule)
+    tab = SymbolTable()
+    return [read_rule(emit_rule(target, event, DEFAULT_LOOKUP, tab)) for target in split(rule)]
 
 
 def assert_split_laws(rule: RuleAst) -> None:
     """Rule-count, naming, constraint-preservation and negation laws for one rule."""
     lookup = DEFAULT_LOOKUP
-    pieces = lower_rule(rule)
-    assert len(pieces) == expected_piece_count(rule)
-    assert [piece.name for piece in pieces] == emitted_rule_names(rule)
+    emitted = render_split(rule)
+    assert len(emitted) == expected_piece_count(rule)
+    suffixes = ["IfThen", "IfElse"] if isinstance(rule.actions[0], IfAct) else [""]
+    names = [rule.name + suffix for suffix in suffixes]
+    assert [ad_rule.name for ad_rule in emitted] == names[: len(emitted)]
 
-    emitted = [emit_rule(piece, lookup, SymbolTable()) for piece in pieces]
     for constraint in rule.constraints:
         line = f"eval({constraint_expr(constraint, lookup)})"
         for ad_rule in emitted:

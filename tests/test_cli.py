@@ -203,7 +203,8 @@ def test_emit_ir_prints_one_line_per_rule(capsys):
     assert run([str(CASE_STUDY), "--emit-ir"]) == 0
     out = capsys.readouterr().out.strip().splitlines()
     assert len(out) == 15
-    assert out[0].startswith("rule 'BuyRequestReceived'")
+    assert out[0].startswith("rule 'BuyRequestReceived' guard=[RopMembership(")
+    assert out[2].startswith("rule 'BuyRequestBnessFailureIfElse' guard=[NegatedConjunction(")
 
 
 # W001 (line 1) is found after E004 (line 5) but sorts first
@@ -283,6 +284,22 @@ def test_superscript_digit_exits_1_with_a_diagnostic(tmp_path, capsys, mode):
     assert run([str(src), "-o", str(tmp_path / "hour.drl")] + mode) == 1
     assert capsys.readouterr().err == f"{src}:5:16: error[E-LEX]: illegal character '\u00b2'\n"
     assert not (tmp_path / "hour.drl").exists()
+
+
+def test_oversized_integer_exits_1_with_one_diagnostic(tmp_path, capsys):
+    src = tmp_path / "day.erop"
+    src.write_text(
+        "roleplayer buyer;\nbusinessoperation BuyRequest;\n"
+        'rule "R"\n'
+        "when e matches (botype == X, originator == buyer, responder == buyer, "
+        "outcome == success)\n"
+        f"    e.day in [1, {'5' * 5000}]\n"
+        "then\n    reset buyer\nend\n"
+    )
+    assert run([str(src), "-o", str(tmp_path / "day.drl")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"{src}:5:18: error[E-PARSE]: integer out of range (at most 2147483647)\n"
+    assert not (tmp_path / "day.drl").exists()
 
 
 @pytest.mark.parametrize(

@@ -8,16 +8,17 @@ from eropc.codegen import (
     bo_global_name,
     constraint_expr,
     emit_rule,
-    global_lines,
+    event_line,
+    header_lines,
     load_lookup,
     render_file,
     rop_var_name,
     translate,
 )
-from eropc.ir import NegatedConjunction, lower_contract
 from eropc.lexer import Token, TokenKind, tokenize
-from eropc.sema import build_symbol_table
+from eropc.sema import NegatedConjunction, build_symbol_table, split
 from eropc.syntax import ROLE_PLAYER, ContractAst, Decl, parse_contract
+from irgen import read_rule
 
 CASE_DECLS = """\
 roleplayer buyer, seller, store;
@@ -39,15 +40,16 @@ def player_table(*names):
 
 
 def target_rules(when="", then="    reset buyer\n"):
-    """The target rules of one rule over the case-study declarations."""
+    """The AD rules of one rule over the case-study declarations, read back."""
     source = CASE_DECLS + f"""\
 rule "R"
 when e matches (botype == BUYREQ, originator == buyer, responder == store, outcome == success)
 {when}then
 {then}end
 """
-    (pieces,) = lower_contract(parse_contract(tokenize(source)), CASE_TABLE, "P").rules
-    return [emit_rule(piece, DEFAULT_LOOKUP, CASE_TABLE) for piece in pieces]
+    (rule,) = parse_contract(tokenize(source)).rules
+    event, tab = event_line(rule), CASE_TABLE
+    return [read_rule(emit_rule(target, event, DEFAULT_LOOKUP, tab)) for target in split(rule)]
 
 
 def emitted(when="", then="    reset buyer\n"):
@@ -150,7 +152,7 @@ def test_load_lookup_value_must_be_a_java_identifier(value):
 
 
 def test_case_study_declarations():
-    assert render_file(ADFile("BuyerStoreContractEx", global_lines(CASE_TABLE), [])) == """\
+    assert render_file(ADFile(header_lines("BuyerStoreContractEx", CASE_TABLE), [])) == """\
 package BuyerStoreContractEx
 
 import uk.ac.ncl.erop.*;
@@ -173,7 +175,7 @@ global BusinessOperation cancellation;
 
 
 def test_declarations_one_player_no_ops():
-    text = render_file(ADFile("P", global_lines(player_table("alice")), []))
+    text = render_file(ADFile(header_lines("P", player_table("alice")), []))
     lines = [line for line in text.splitlines() if line.startswith("global")]
     assert lines == [
         "global RelevanceEngine engine;",
@@ -184,7 +186,7 @@ def test_declarations_one_player_no_ops():
 
 
 def test_declarations_interleave_players_and_rop_sets():
-    text = render_file(ADFile("P", global_lines(player_table("a", "b", "c")), []))
+    text = render_file(ADFile(header_lines("P", player_table("a", "b", "c")), []))
     names = [line.split()[-1].rstrip(";") for line in text.splitlines() if "RolePlayer" in line or "ROPSet" in line]
     assert names == ["a", "ropA", "b", "ropB", "c", "ropC"]
 
@@ -288,7 +290,7 @@ def test_constraint_expressions():
     for text, expected in cases:
         assert constraint_expr(constraint(text), DEFAULT_LOOKUP) == expected
     negated = NegatedConjunction(
-        (constraint("BuyRequest.BizFail == false"), constraint("BuyRequest in buyer.rights"))
+        [constraint("BuyRequest.BizFail == false"), constraint("BuyRequest in buyer.rights")]
     )
     assert constraint_expr(negated, DEFAULT_LOOKUP) == (
         "!(buyRequest.getBusinessFailure() == false && ropBuyer.matchesRights(buyRequest))"

@@ -1,16 +1,15 @@
-from eropc.codegen import translate
-from eropc.ir import (
-    EventMatchCondition,
-    IrContract,
-    IrRule,
-    NegatedConjunction,
-    dump_contract,
-    dump_rule,
+from eropc.codegen import (
+    DEFAULT_LOOKUP,
+    build_ad_file,
+    event_line,
     lower_contract,
+    render_file,
+    translate,
 )
 from eropc.lexer import tokenize
-from eropc.sema import SymbolTable, build_symbol_table
+from eropc.sema import NegatedConjunction, SymbolTable, split
 from eropc.syntax import ContractAst, ResetAct, parse_contract
+from irgen import render_split
 
 DECLS = """\
 roleplayer buyer, seller, store;
@@ -23,12 +22,6 @@ def parse(source):
     return parse_contract(tokenize(source))
 
 
-def lower(ast, package="Demo"):
-    tab, diags = build_symbol_table(ast)
-    assert not diags
-    return lower_contract(ast, tab, package)
-
-
 def test_first_case_study_rule_lowers_fully():
     ast = parse(DECLS + """\
 rule "BuyRequestReceived"
@@ -39,17 +32,17 @@ then
     seller.obligs += ReactToBuyRequest(buyer, "01-01-2016 12:00:00")
 end
 """)
-    ((rule,),) = lower(ast).rules
     (source,) = ast.rules
-    assert rule.name == "BuyRequestReceived"
-    assert rule.event == EventMatchCondition("BUYREQ", "buyer", "store", "success")
-    # lowering copies nothing: the target rule holds the source rule's own nodes
-    assert rule.constraints == tuple(source.constraints)
-    assert rule.actions == tuple(source.actions)
-    assert rule.actions[1].deadline == "01-01-2016 12:00:00"
-
-
-FAILURE_EVENT = EventMatchCondition("BUYREQ", "buyer", "store", "tecFail")
+    ((name, guard, actions),) = split(source)
+    assert name == "BuyRequestReceived"
+    # splitting copies nothing: the AD rule holds the source rule's own nodes
+    assert guard is source.constraints and actions is source.actions
+    assert actions[1].deadline == "01-01-2016 12:00:00"
+    (ad_rule,) = render_split(source)
+    assert ad_rule.when_lines == [
+        '$e: Event(type=="BUYREQ", originator=="buyer", responder=="store", status=="success")',
+        "eval(ropBuyer.matchesRights(buyRequest))",
+    ]
 
 
 def conditional_rule(else_branch):
@@ -67,63 +60,68 @@ end
 
 
 def test_conditional_rule_lowers_to_if_statement():
-    # the if statement lowers to an IfThen and an IfElse rule
-    ast = parse(conditional_rule("else reset buyer\n        reset seller"))
-    ((then_rule, else_rule),) = lower(ast).rules
-    (source,) = ast.rules
+    # the if statement splits into an IfThen and an IfElse rule
+    (source,) = parse(conditional_rule("else reset buyer\n        reset seller")).rules
     (conditional,) = source.actions
-    cond = tuple(conditional.cond)
-    own = tuple(source.constraints)
+    cond, own = conditional.cond, source.constraints
+    negated = [NegatedConjunction(cond), *own]
     # the if-condition first, the rule's own constraints after it
-    assert then_rule == IrRule(
-        "BuyRequestBnessFailureIfThen", FAILURE_EVENT, cond + own, tuple(conditional.then_actions)
-    )
-    assert else_rule == IrRule(
-        "BuyRequestBnessFailureIfElse",
-        FAILURE_EVENT,
-        (NegatedConjunction(cond),) + own,
-        tuple(conditional.else_actions),
-    )
+    assert split(source) == [
+        ("BuyRequestBnessFailureIfThen", cond + own, conditional.then_actions),
+        ("BuyRequestBnessFailureIfElse", negated, conditional.else_actions),
+    ]
+    then_rule, else_rule = render_split(source)
+    assert then_rule.then_lines == ["buyRequest.setBusinessFailure(true);"]
+    assert else_rule.when_lines[1] == "eval(!(buyRequest.getBusinessFailure() == false))"
+    assert else_rule.then_lines == ["ropBuyer.reset();", "ropSeller.reset();"]
 
 
 def test_if_without_else_lowers_to_one_if_then_rule():
-    ast = parse(conditional_rule(""))
-    ((then_rule,),) = lower(ast).rules
-    (conditional,) = ast.rules[0].actions
-    assert then_rule.name == "BuyRequestBnessFailureIfThen"
-    assert then_rule.constraints == (*conditional.cond, *ast.rules[0].constraints)
-    assert then_rule.actions == tuple(conditional.then_actions)
+    (source,) = parse(conditional_rule("")).rules
+    (conditional,) = source.actions
+    assert split(source) == [
+        ("BuyRequestBnessFailureIfThen", conditional.cond + source.constraints,
+         conditional.then_actions),
+    ]
+    assert [ad_rule.name for ad_rule in render_split(source)] == ["BuyRequestBnessFailureIfThen"]
+
+
+def test_split_of_an_unchecked_rule_follows_its_if():
+    # E010 rejects an 'if' with siblings, but E007 still needs the names it would give
+    (source,) = parse(DECLS + """\
+rule "R"
+when e matches (botype == X, originator == buyer, responder == store, outcome == success)
+then
+    reset buyer
+    if (BuyRequest.BizFail == false) then reset seller else reset store endif
+end
+""").rules
+    assert [name for name, _, _ in split(source)] == ["RIfThen", "RIfElse"]
 
 
 def test_rule_without_conditional_lowers_to_itself():
-    ast = parse(DECLS + """\
+    (source,) = parse(DECLS + """\
 rule "R"
 when e matches (botype == BUYREQ, originator == buyer, responder == store, outcome == success)
     BuyRequest in buyer.rights
 then
     reset buyer
 end
-""")
-    (source,) = ast.rules
-    assert lower(ast).rules == [(
-        IrRule(
-            "R",
-            EventMatchCondition("BUYREQ", "buyer", "store", "success"),
-            tuple(source.constraints),
-            tuple(source.actions),
-        ),
-    )]
+""").rules
+    assert split(source) == [("R", source.constraints, source.actions)]
 
 
 def test_event_fields_reordered_into_canonical_slots():
-    ast = parse(DECLS + """\
+    (source,) = parse(DECLS + """\
 rule "R"
 when e matches (outcome == success, responder == store, originator == buyer, botype == BUYREQ)
 then
     reset buyer
 end
-""")
-    assert lower(ast).rules[0][0].event == EventMatchCondition("BUYREQ", "buyer", "store", "success")
+""").rules
+    assert event_line(source) == (
+        '$e: Event(type=="BUYREQ", originator=="buyer", responder=="store", status=="success")'
+    )
 
 
 def test_both_reset_spellings_lower_identically():
@@ -135,7 +133,7 @@ then
     buyer reset
 end
 """
-    first, second = lower(parse(source)).rules[0][0].actions
+    ((_, _, (first, second)),) = split(parse(source).rules[0])
     assert type(first) is type(second) is ResetAct
     assert first.player.lexeme == second.player.lexeme == "buyer"
     text, _ = translate(source, "P")
@@ -143,20 +141,9 @@ end
 
 
 def test_lowering_empty_contract_is_vacuous():
-    contract = lower_contract(ContractAst(decls=[], rules=[]), SymbolTable(), "Empty")
+    contract = lower_contract(ContractAst(decls=[], rules=[]))
     assert contract.rules == []
-    assert isinstance(contract, IrContract)
-    assert dump_contract(contract) == ""
+    ad_file = build_ad_file(contract, SymbolTable(), "Empty", DEFAULT_LOOKUP)
+    assert ad_file.rules == []
+    assert render_file(ad_file).endswith("global EventLogger logger;\n")
 
-
-def test_dump_rule_is_one_line():
-    contract = lower(parse(DECLS + """\
-rule "R"
-when e matches (botype == X, originator == buyer, responder == store, outcome == success)
-then
-    reset buyer
-end
-"""))
-    line = dump_rule(contract.rules[0][0])
-    assert "\n" not in line
-    assert "'R'" in line and "ResetAct(player=Token(IDENT, 'buyer'" in line

@@ -2,12 +2,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CORPUS
-from eropc.codegen import translate
-from eropc.ir import lower_contract
+from eropc.codegen import DEFAULT_LOOKUP, build_ad_file, lower_contract, translate
 from eropc.lexer import TokenKind, tokenize
-from eropc.sema import SymbolTable
+from eropc.sema import SymbolTable, check_contract
 from eropc.syntax import ContractAst
-from irgen import assert_split_laws, expected_piece_count, source_rules
+from irgen import assert_split_laws, expected_piece_count, read_rule, source_rules
 
 
 @given(source_rules())
@@ -15,11 +14,27 @@ def test_split_laws_hold(rule):
     assert_split_laws(rule)
 
 
+def rendered_names(rules):
+    contract = lower_contract(ContractAst([], rules))
+    ad_file = build_ad_file(contract, SymbolTable(), "P", DEFAULT_LOOKUP)
+    return [read_rule(text).name for text in ad_file.rules]
+
+
 @given(st.lists(source_rules(), max_size=20))
 def test_rule_count_law_over_a_batch(rules):
-    contract = lower_contract(ContractAst([], rules), SymbolTable(), "P")
-    assert len(contract.rules) == len(rules)  # one group per source rule
-    assert sum(map(len, contract.rules)) == sum(map(expected_piece_count, rules))
+    contract = lower_contract(ContractAst([], rules))
+    assert [rule for rule, _ in contract.rules] == rules  # one entry per source rule
+    assert len(rendered_names(rules)) == sum(map(expected_piece_count, rules))
+
+
+@given(st.lists(source_rules(names=st.sampled_from(("R", "RIfThen", "RIfElse", "S"))), max_size=4))
+def test_e007_exactly_when_a_name_repeats(rules):
+    # a repeated source name is E007 even where the split names differ (an
+    # if/else "R" next to a plain "R"); otherwise E007 means the AD names repeat
+    e007 = [d for d in check_contract(ContractAst([], rules), SymbolTable()) if d.code == "E007"]
+    sources, targets = [rule.name for rule in rules], rendered_names(rules)
+    repeats = len(set(sources)) < len(sources) or len(set(targets)) < len(targets)
+    assert bool(e007) == repeats
 
 
 LEXEMES = st.sampled_from((

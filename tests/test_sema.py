@@ -465,3 +465,63 @@ end
     _, diags = translate(source, "P")
     codes = [d.code for d in diags if d.is_error]
     assert codes[:2] == ["E003", "E002"]
+
+
+def uses(*decl_lines, then="    buyer.rights -= Pay(buyer)\n"):
+    """A contract with the given declarations, buyer and Pay included, and one rule."""
+    return "\n".join(decl_lines) + "\n" + f"""\
+rule "R"
+when e matches (botype == X, originator == buyer, responder == buyer, outcome == success)
+then
+{then}end
+"""
+
+
+@pytest.mark.parametrize(
+    "decls, message, pos",
+    [
+        (("roleplayer buyer;", "businessoperation Pay, Buyer;"),
+         "business operation 'Buyer' and role player 'buyer' both become 'buyer'", (2, 24)),
+        (("businessoperation Buyer, Pay;", "roleplayer buyer;"),
+         "role player 'buyer' and business operation 'Buyer' both become 'buyer'", (2, 12)),
+        (("roleplayer buyer;", "businessoperation Pay, RopBuyer;"),
+         "business operation 'RopBuyer' and role player 'buyer' both become 'ropBuyer'", (2, 24)),
+        (("roleplayer buyer, engine;", "businessoperation Pay;"),
+         "role player 'engine' becomes 'engine', a name the AD output already uses", (1, 19)),
+        (("roleplayer buyer;", "businessoperation Pay, Bos;"),
+         "business operation 'Bos' becomes 'bos', a name the AD output already uses", (2, 24)),
+        (("roleplayer buyer;", "businessoperation Pay, Bos2;"),
+         "business operation 'Bos2' becomes 'bos2', a name the AD output already uses", (2, 24)),
+        (("roleplayer buyer, class;", "businessoperation Pay;"),
+         "role player 'class' becomes 'class', which is not a Java identifier", (1, 19)),
+        (("roleplayer buyer;", "businessoperation Pay, Int;"),
+         "business operation 'Int' becomes 'int', which is not a Java identifier", (2, 24)),
+    ],
+    ids=["op-after-player", "player-after-op", "rop-set", "engine", "bos", "bos2", "class", "int"],
+)
+def test_clashing_or_unusable_ad_name_is_e012(decls, message, pos):
+    # each of these compiled once, to a header that declares one global twice,
+    # redeclares a fixed global, shadows an operation or holds a Java keyword
+    _, _, diags = codegen.analyze(uses(*decls))
+    (e012,) = [d for d in diags if d.code == "E012"]
+    assert e012.message == message
+    assert (e012.pos.line, e012.pos.col) == pos
+
+
+def test_operation_named_like_the_compoblig_array_is_e012():
+    # the then-block's local 'bos' array would shadow the operation's global
+    source = uses(
+        "roleplayer buyer;",
+        "businessoperation Pay, Bos;",
+        "compoblig React(Pay)",
+        then="    buyer.obligs += React(buyer)\n    buyer.rights -= Bos(buyer)\n",
+    )
+    text, diags = codegen.translate(source, "P")
+    assert text is None
+    assert [d.code for d in diags] == ["E012"]
+
+
+def test_distinct_ad_names_get_no_e012():
+    source = uses("roleplayer buyer, engines, logger2, bosun;", "businessoperation Pay, Bos_;")
+    _, _, diags = codegen.analyze(source)
+    assert [d.code for d in diags if d.is_error] == []

@@ -180,6 +180,37 @@ end
     assert isinstance(constraints[4], Historical) and not constraints[4].happened
 
 
+def window_source(lo, hi):
+    return DECLS + f"""\
+rule "R"
+when e matches (botype == X, originator == buyer, responder == seller, outcome == success)
+    e.day in [{lo}, {hi}]
+then
+    reset buyer
+end
+"""
+
+
+@pytest.mark.parametrize(
+    "lo, hi, col",
+    [("1", "2147483648", 18), ("99999999999", "2", 15), ("1", "5" * 5000, 18)],
+)
+def test_window_bound_above_java_int_is_a_parse_error(lo, hi, col):
+    # the bound lands in a Java int comparison; 5,000 digits exceed int()'s own limit
+    text, diags = translate(window_source(lo, hi), "P")
+    assert text is None
+    (diag,) = diags
+    assert diag.code == "E-PARSE"
+    assert diag.message == "integer out of range (at most 2147483647)"
+    assert (diag.pos.line, diag.pos.col) == (6, col)
+
+
+def test_window_bound_of_java_int_max_compiles():
+    text, diags = translate(window_source("0002147483647", "2147483647"), "P")
+    assert diags and not any(d.is_error for d in diags)  # only W001s
+    assert "$e.getDay() >= 2147483647 && $e.getDay() <= 2147483647" in text
+
+
 def test_missing_then_is_a_parse_error():
     source = DECLS + """\
 rule "R"
