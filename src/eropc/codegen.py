@@ -31,8 +31,7 @@ from .syntax import (
     ConstraintAst,
     ContractAst,
     Historical,
-    OutcomeCheck,
-    OutcomeSetAct,
+    Outcome,
     ParseError,
     RopManip,
     RopMembership,
@@ -74,6 +73,8 @@ DEFAULT_LOOKUP = types.MappingProxyType({
 })
 
 _SET_SINGULAR = {"rights": "right", "obligs": "oblig", "prohibs": "prohib"}
+# each EROP event field, in canonical order, and its name in the AD event model
+_AD_FIELD = dict(zip(EVENT_FIELDS, ("type", "originator", "responder", "status")))
 
 _JAVA_IDENTIFIER = re.compile(r"[A-Za-z_$][A-Za-z0-9_$]*")
 _JAVA_RESERVED = frozenset(
@@ -184,10 +185,8 @@ def event_line(rule: RuleAst) -> str:
     """The ``$e: Event(...)`` pattern that opens each AD rule of a source rule."""
     # sema (E006) leaves exactly the four fields, each once
     ev = {f.name.lexeme: f.value.lexeme for f in rule.event_fields}
-    return (
-        f'$e: Event(type=="{ev["botype"]}", originator=="{ev["originator"]}", '
-        f'responder=="{ev["responder"]}", status=="{ev["outcome"]}")'
-    )
+    pairs = ", ".join(f'{ad}=="{ev[name]}"' for name, ad in _AD_FIELD.items())
+    return f"$e: Event({pairs})"
 
 
 def emit_rule(target: TargetRule, event: str, lookup: Mapping[str, str], tab: SymbolTable) -> str:
@@ -198,13 +197,21 @@ def emit_rule(target: TargetRule, event: str, lookup: Mapping[str, str], tab: Sy
     arrays = 0
     for action in actions:
         if isinstance(action, RopManip):
-            if action.bo.lexeme in tab.comp_obligs:
-                if action.op == "add":
-                    arrays += 1
-                then.extend(_compoblig_lines(action, lookup, tab, arrays))
-            else:
-                then.append(_plain_manip_line(action, lookup))
-        elif isinstance(action, OutcomeSetAct):
+            # sema leaves one beneficiary (E009) and a composite obligation only in obligs (E005)
+            method = lookup[f"rop.{action.op}.{_SET_SINGULAR[action.rop_set]}"]
+            bo = action.bo.lexeme
+            compoblig = bo in tab.comp_obligs  # it travels by name
+            args = [f'"{bo}"' if compoblig else bo_global_name(bo)]
+            if compoblig and action.op == "add":  # with its member operations in an array
+                arrays += 1
+                args.append("bos" if arrays == 1 else f"bos{arrays}")
+                members = ", ".join(bo_global_name(m) for m in tab.comp_obligs[bo])
+                then.append(f"BusinessOperation[] {args[1]} = {{{members}}};")
+            args.append(action.args[0].lexeme)
+            if action.deadline is not None:
+                args.append(f'"{action.deadline}"')
+            then.append(f"{rop_var_name(action.player.lexeme)}.{method}({', '.join(args)});")
+        elif isinstance(action, Outcome):
             setter = lookup["bizfail.set"]  # sema (E008) leaves the value 'true' or 'false'
             bo, value = action.bo.lexeme, action.value.lexeme
             then.append(f"{bo_global_name(bo)}.{setter}({value});")
@@ -222,7 +229,7 @@ def constraint_expr(
         method = lookup[f"rop.matches.{constraint.rop_set}"]
         player, bo = constraint.player.lexeme, constraint.bo.lexeme
         return f"{rop_var_name(player)}.{method}({bo_global_name(bo)})"
-    if isinstance(constraint, OutcomeCheck):  # sema (E008) leaves 'true' or 'false'
+    if isinstance(constraint, Outcome):  # sema (E008) leaves 'true' or 'false'
         getter = lookup["bizfail.get"]
         return f"{bo_global_name(constraint.bo.lexeme)}.{getter}() == {constraint.value.lexeme}"
     if isinstance(constraint, TimeDirect):
@@ -234,46 +241,17 @@ def constraint_expr(
             f"$e.{accessor}() >= {constraint.lo} && $e.{accessor}() <= {constraint.hi}"
         )
     if isinstance(constraint, Historical):
-        # the values in canonical field order; sema (E006) leaves each field at most once
+        # name/value pairs in canonical field order; sema (E006) leaves each field at most once
         method = lookup["historical.happened"]
         provided = {f.name.lexeme: f.value.lexeme for f in constraint.fields}
-        args = ", ".join(f'"{provided[name]}"' for name in EVENT_FIELDS if name in provided)
+        args = ", ".join(
+            f'"{ad}", "{provided[name]}"' for name, ad in _AD_FIELD.items() if name in provided
+        )
         call = f"engine.{method}({args})"
         return call if constraint.happened else f"!{call}"
     assert isinstance(constraint, NegatedConjunction)
     inner = " && ".join(constraint_expr(item, lookup) for item in constraint.items)
     return f"!({inner})"
-
-
-def _plain_manip_line(action: RopManip, lookup: Mapping[str, str]) -> str:
-    # sema (E009) leaves exactly one beneficiary
-    method = lookup[f"rop.{action.op}.{_SET_SINGULAR[action.rop_set]}"]
-    args = [bo_global_name(action.bo.lexeme), action.args[0].lexeme]
-    if action.deadline is not None:
-        args.append(f'"{action.deadline}"')
-    return f"{rop_var_name(action.player.lexeme)}.{method}({', '.join(args)});"
-
-
-def _compoblig_lines(
-    action: RopManip, lookup: Mapping[str, str], tab: SymbolTable, index: int
-) -> list[str]:
-    # Composite obligations travel by name and always go through the
-    # obligation methods; adding one also needs the member operations packed
-    # into a temporary array.
-    method = lookup[f"rop.{action.op}.oblig"]
-    rop_var = rop_var_name(action.player.lexeme)
-    name, beneficiary = action.bo.lexeme, action.args[0].lexeme
-    if action.op == "remove":
-        return [f'{rop_var}.{method}("{name}", {beneficiary});']
-    members = ", ".join(bo_global_name(m) for m in tab.comp_obligs[name])
-    array = "bos" if index == 1 else f"bos{index}"
-    args = [f'"{name}"', array, beneficiary]
-    if action.deadline is not None:
-        args.append(f'"{action.deadline}"')
-    return [
-        f"BusinessOperation[] {array} = {{{members}}};",
-        f"{rop_var}.{method}({', '.join(args)});",
-    ]
 
 
 class IrContract(NamedTuple):

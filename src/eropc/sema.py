@@ -6,7 +6,7 @@ Error codes:
     E003 name casing violation            E008 bad boolean literal
     E004 undeclared identifier            E009 bad ROP-manipulation arguments
     E005 identifier of the wrong kind     E010 'if' with sibling actions
-    E011 empty or out-of-range time window
+         (a compoblig outside obligs too) E011 empty or out-of-range time window
     E012 declared name clashes in AD (codegen.analyze reports it)
 Warnings:
     W001 declared but unused              W002 unexpected outcome value
@@ -28,8 +28,7 @@ from .syntax import (
     EventField,
     Historical,
     IfAct,
-    OutcomeCheck,
-    OutcomeSetAct,
+    Outcome,
     ResetAct,
     RopManip,
     RopMembership,
@@ -185,40 +184,42 @@ class _Checker:
             self.check_action(action, rule)
 
     def check_event_fields(self, rule: RuleAst) -> None:
-        counts = {name: 0 for name in EVENT_FIELDS}
-        for f in rule.event_fields:
-            if f.name.lexeme not in counts:
-                self.error("E006", f"unknown event field '{f.name.lexeme}'", f.name.offset)
-                continue
-            counts[f.name.lexeme] += 1
-            self.check_field_value(f)
-        if any(n != 1 for n in counts.values()):
+        if sorted(self.check_fields(rule.event_fields, once=False)) != sorted(EVENT_FIELDS):
             self.error(
                 "E006",
                 "event match must specify botype, originator, responder and outcome exactly once",
                 rule.event_var.offset,
             )
 
-    def check_field_value(self, f: EventField) -> None:
-        if f.name.lexeme in ("originator", "responder"):
-            self.expect_role_player(f.value)
-        elif f.name.lexeme == "outcome":
-            if f.value.lexeme.lower() not in OUTCOME_VALUES:
+    def check_fields(self, fields: list[EventField], once: bool) -> list[str]:
+        """Check a ``(field == value, ...)`` list; returns its known field names in order."""
+        names: list[str] = []
+        for f in fields:
+            name = f.name.lexeme
+            if name not in EVENT_FIELDS:
+                self.error("E006", f"unknown event field '{name}'", f.name.offset)
+                continue
+            if once and name in names:  # an event match leaves repeats to its four-field rule
+                self.error("E006", f"repeated event field '{name}'", f.name.offset)
+            names.append(name)
+            if name in ("originator", "responder"):
+                self.expect_role_player(f.value)
+            elif name == "outcome" and f.value.lexeme.lower() not in OUTCOME_VALUES:
                 self.warn(
                     "W002",
                     f"unexpected outcome value '{f.value.lexeme}' "
                     "(expected success, tecFail or bizFail)",
                     f.value.offset,
                 )
-        # botype values are free-form identifiers
+            # botype values are free-form identifiers
+        return names
 
     def check_constraint(self, constraint: ConstraintAst, rule: RuleAst) -> None:
         if isinstance(constraint, RopMembership):
-            self.expect_operation(constraint.bo)
+            self.expect_operation(constraint.bo, constraint.rop_set)
             self.expect_role_player(constraint.player)
-        elif isinstance(constraint, OutcomeCheck):
-            self.expect_operation(constraint.bo)
-            self.expect_bool(constraint.value, "outcome check")
+        elif isinstance(constraint, Outcome):
+            self.check_outcome(constraint, "outcome check")
         elif isinstance(constraint, (TimeDirect, TimePartial)):
             var = constraint.event_var
             if var.lexeme != rule.event_var.lexeme:
@@ -229,20 +230,12 @@ class _Checker:
                     message = f"empty or out-of-range {unit} window [{lo}, {hi}]"
                     self.error("E011", message, var.offset)
         elif isinstance(constraint, Historical):
-            seen: set[str] = set()
-            for f in constraint.fields:
-                if f.name.lexeme not in EVENT_FIELDS:
-                    self.error("E006", f"unknown event field '{f.name.lexeme}'", f.name.offset)
-                    continue
-                if f.name.lexeme in seen:
-                    self.error("E006", f"repeated event field '{f.name.lexeme}'", f.name.offset)
-                seen.add(f.name.lexeme)
-                self.check_field_value(f)
+            self.check_fields(constraint.fields, once=True)
 
     def check_action(self, action: ActionAst, rule: RuleAst) -> None:
         if isinstance(action, RopManip):
             self.expect_role_player(action.player)
-            self.expect_operation(action.bo)
+            self.expect_operation(action.bo, action.rop_set)
             if len(action.args) != 1 or len(action.deadlines) > 1:
                 self.error(
                     "E009",
@@ -252,9 +245,8 @@ class _Checker:
                 )
             for arg in action.args:
                 self.expect_role_player(arg)
-        elif isinstance(action, OutcomeSetAct):
-            self.expect_operation(action.bo)
-            self.expect_bool(action.value, "outcome setter")
+        elif isinstance(action, Outcome):
+            self.check_outcome(action, "outcome setter")
         elif isinstance(action, ResetAct):
             self.expect_role_player(action.player)
         else:
@@ -275,7 +267,8 @@ class _Checker:
         elif kind != ROLE_PLAYER:
             self.error("E005", f"'{ident.lexeme}' is not a role player", ident.offset)
 
-    def expect_operation(self, ident: Token) -> None:
+    def expect_operation(self, ident: Token, rop_set: str | None = None) -> None:
+        """A business operation, or a composite obligation outside a rights or prohibs set."""
         self.used.add(ident.lexeme)
         kind = self.tab.kinds.get(ident.lexeme)
         if kind is None:
@@ -285,8 +278,13 @@ class _Checker:
                 "E005", f"'{ident.lexeme}' is not a business operation or composite obligation",
                 ident.offset,
             )
+        elif kind == COMP_OBLIG and rop_set in ("rights", "prohibs"):
+            message = f"{COMP_OBLIG} '{ident.lexeme}' can only be in an obligs set, not {rop_set}"
+            self.error("E005", message, ident.offset)
 
-    def expect_bool(self, value: Token, where: str) -> None:
+    def check_outcome(self, outcome: Outcome, where: str) -> None:
+        self.expect_operation(outcome.bo)
+        value = outcome.value
         if value.lexeme not in ("true", "false"):
             self.error(
                 "E008", f"{where} expects 'true' or 'false', found '{value.lexeme}'", value.offset

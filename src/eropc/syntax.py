@@ -10,19 +10,18 @@ Grammar for ``.erop`` files (normative for this compiler):
     rule            := "rule" STRING "when" eventMatch constraint* "then" action+ "end"
     eventMatch      := IDENT "matches" "(" field ("," field)* ")"
     field           := IDENT "==" IDENT
-    constraint      := ropMembership | outcomeCheck | timeDirect | timePartial | historical
+    constraint      := ropMembership | outcome | timeDirect | timePartial | historical
     ropMembership   := IDENT "in" IDENT "." ropset
     ropset          := "rights" | "obligs" | "prohibs"
-    outcomeCheck    := IDENT "." "BizFail" "==" bool
+    outcome         := IDENT "." "BizFail" "==" bool   -- a check here, a setter as an action
     timeDirect      := IDENT "." "timestamp" ("==" | "<" | ">") STRING
     timePartial     := IDENT "." timeUnit "in" "[" INT "," INT "]"
     timeUnit        := "hour" | "minute" | "day" | "month" | "year"
     historical      := ["not"] "happened" "(" field ("," field)* ")"
-    action          := ropManip | outcomeSet | resetStmt | ifStmt
+    action          := ropManip | outcome | resetStmt | ifStmt
     ropManip        := IDENT "." ropset ("+=" | "-=") IDENT "(" actualList ")"
     actualList      := actual ("," actual)*
     actual          := IDENT | STRING
-    outcomeSet      := IDENT "." "BizFail" "==" bool
     resetStmt       := "reset" IDENT | IDENT "reset"
     ifStmt          := "if" "(" constraint ("," constraint)* ")" "then" action+ ["else" action+] "endif"
     bool            := IDENT    -- must be "true" or "false" (checked in sema)
@@ -36,7 +35,8 @@ offsets, which ``lexer.positions`` turns into line and column when one is shown.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections.abc import Callable
+from typing import NamedTuple, TypeVar
 
 from .lexer import Token, TokenKind, string_value
 
@@ -44,6 +44,7 @@ INT_MAX = 2**31 - 1  # a window bound is emitted into a Java int comparison
 ROP_SETS = ("rights", "obligs", "prohibs")
 TIME_UNITS = ("hour", "minute", "day", "month", "year")
 EVENT_FIELDS = ("botype", "originator", "responder", "outcome")
+T = TypeVar("T")
 
 
 class EventField(NamedTuple):
@@ -81,8 +82,8 @@ class RopMembership(NamedTuple):
     rop_set: str
 
 
-class OutcomeCheck(NamedTuple):
-    """``BO.BizFail == true|false`` in a left-hand side."""
+class Outcome(NamedTuple):
+    """``BO.BizFail == true|false``: a check as a constraint, a setter as an action."""
 
     bo: Token
     value: Token
@@ -106,7 +107,7 @@ class Historical(NamedTuple):
     fields: list[EventField]
 
 
-ConstraintAst = RopMembership | OutcomeCheck | TimeDirect | TimePartial | Historical
+ConstraintAst = RopMembership | Outcome | TimeDirect | TimePartial | Historical
 
 
 # --- actions ---
@@ -127,13 +128,6 @@ class RopManip(NamedTuple):
         return self.deadlines[0] if self.deadlines else None
 
 
-class OutcomeSetAct(NamedTuple):
-    """``BO.BizFail == true|false`` in a right-hand side (a setter)."""
-
-    bo: Token
-    value: Token
-
-
 class ResetAct(NamedTuple):
     player: Token
 
@@ -145,7 +139,7 @@ class IfAct(NamedTuple):
     pos: int
 
 
-ActionAst = RopManip | OutcomeSetAct | ResetAct | IfAct
+ActionAst = RopManip | Outcome | ResetAct | IfAct
 
 
 class RuleAst(NamedTuple):
@@ -248,23 +242,24 @@ class _Parser:
     def decl(self) -> Decl:
         kind = _DECL_KINDS[self.advance().kind]
         if kind != COMP_OBLIG:
-            names = self.ident_list(f"a {kind} name")
+            names = self.comma_list(self.ident, f"a {kind} name")
             self.expect(TokenKind.SEMI, "';'")
             return Decl(kind, names, [])
         name = self.ident(f"a {kind} name")
         self.expect(TokenKind.LPAREN, "'('")
-        members = self.ident_list("a member business operation")
+        members = self.comma_list(self.ident, "a member business operation")
         self.expect(TokenKind.RPAREN, "')'")
         if self.at(TokenKind.SEMI):  # trailing ';' is optional here
             self.advance()
         return Decl(kind, [name], members)
 
-    def ident_list(self, what: str) -> list[Token]:
-        names = [self.ident(what)]
+    def comma_list(self, item: Callable[..., T], *args: str) -> list[T]:
+        """``item ("," item)*``, each item parsed by ``item(*args)``."""
+        items = [item(*args)]
         while self.at(TokenKind.COMMA):
             self.advance()
-            names.append(self.ident(what))
-        return names
+            items.append(item(*args))
+        return items
 
     def rule(self) -> RuleAst:
         self.expect(TokenKind.RULE, "'rule'")
@@ -294,10 +289,7 @@ class _Parser:
 
     def event_fields(self) -> list[EventField]:
         self.expect(TokenKind.LPAREN, "'('")
-        fields = [self.event_field()]
-        while self.at(TokenKind.COMMA):
-            self.advance()
-            fields.append(self.event_field())
+        fields = self.comma_list(self.event_field)
         self.expect(TokenKind.RPAREN, "')'")
         return fields
 
@@ -331,9 +323,7 @@ class _Parser:
         self.expect(TokenKind.DOT, "'in' or '.'")
         selector = self.ident("'BizFail', 'timestamp' or a time unit")
         if selector.lexeme == "BizFail":
-            self.expect(TokenKind.EQ, "'=='")
-            value = self.ident("'true' or 'false'")
-            return OutcomeCheck(bo=subject, value=value)
+            return self.outcome(subject)
         if selector.lexeme == "timestamp":
             op_tok = self.peek()
             if op_tok.kind not in (TokenKind.EQ, TokenKind.LT, TokenKind.GT):
@@ -395,9 +385,7 @@ class _Parser:
         self.expect(TokenKind.DOT, "'.'")
         selector = self.ident("a ROP set or 'BizFail'")
         if selector.lexeme == "BizFail":
-            self.expect(TokenKind.EQ, "'=='")
-            value = self.ident("'true' or 'false'")
-            return OutcomeSetAct(bo=subject, value=value)
+            return self.outcome(subject)
         if selector.lexeme not in ROP_SETS:
             raise ParseError(
                 "expected 'rights', 'obligs', 'prohibs' or 'BizFail' "
@@ -414,26 +402,23 @@ class _Parser:
         self.advance()
         bo = self.ident("a business operation name")
         self.expect(TokenKind.LPAREN, "'('")
-        args: list[Token] = []
-        deadlines: list[str] = []
-        self.actual(args, deadlines)
-        while self.at(TokenKind.COMMA):
-            self.advance()
-            self.actual(args, deadlines)
+        actuals = self.comma_list(self.actual)
         self.expect(TokenKind.RPAREN, "')'")
+        args = [tok for tok in actuals if tok.kind is TokenKind.IDENT]
+        deadlines = [string_value(tok) for tok in actuals if tok.kind is TokenKind.STRING]
         return RopManip(
             player=subject, rop_set=selector.lexeme, op=op, bo=bo, args=args, deadlines=deadlines
         )
 
-    def actual(self, args: list[Token], deadlines: list[str]) -> None:
-        tok = self.peek()
-        if tok.kind is TokenKind.IDENT:
-            args.append(self.ident())
-        elif tok.kind is TokenKind.STRING:
-            self.advance()
-            deadlines.append(string_value(tok))
-        else:
+    def actual(self) -> Token:
+        if self.peek().kind not in (TokenKind.IDENT, TokenKind.STRING):
             raise self.fail("expected an argument (identifier or string)")
+        return self.advance()
+
+    def outcome(self, bo: Token) -> Outcome:
+        """The rest of ``BO.BizFail == value``, once ``BO . BizFail`` is read."""
+        self.expect(TokenKind.EQ, "'=='")
+        return Outcome(bo, self.ident("'true' or 'false'"))
 
     def if_action(self) -> IfAct:
         if_tok = self.expect(TokenKind.IF, "'if'")

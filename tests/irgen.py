@@ -16,8 +16,7 @@ from eropc.syntax import (
     EventField,
     Historical,
     IfAct,
-    OutcomeCheck,
-    OutcomeSetAct,
+    Outcome,
     ResetAct,
     RopManip,
     RopMembership,
@@ -44,7 +43,7 @@ def _fields(pairs) -> list[EventField]:
 constraints = st.one_of(
     st.builds(lambda player, rop_set, bo: RopMembership(ident(bo), ident(player), rop_set),
               players, rop_sets, ops),
-    st.builds(lambda bo, value: OutcomeCheck(ident(bo), ident(value)),
+    st.builds(lambda bo, value: Outcome(ident(bo), ident(value)),
               ops, st.sampled_from(("true", "false"))),
     st.builds(
         lambda op, timestamp: TimeDirect(ident("e"), op, timestamp),
@@ -84,7 +83,7 @@ simple_actions = st.one_of(
         players,
         st.none() | st.just("01-01-2016 12:00:00"),
     ),
-    st.builds(lambda bo, value: OutcomeSetAct(ident(bo), ident(value)),
+    st.builds(lambda bo, value: Outcome(ident(bo), ident(value)),
               ops, st.sampled_from(("true", "false"))),
     st.builds(lambda player: ResetAct(ident(player)), players),
 )

@@ -168,10 +168,18 @@ CHECK_OUTPUT = {
     "bad/e008.erop": (1, [
         "{}:6:20: error[E008]: outcome check expects 'true' or 'false', found 'maybe'"
     ]),
+    "bad/e009.erop": (1, [
+        "{}:7:21: error[E009]: ROP manipulation takes one beneficiary role player and an "
+        "optional deadline string"
+    ]),
     "bad/e010.erop": (1, [
         "{}:8:5: error[E010]: an 'if' action must be the only action of its rule"
     ]),
     "bad/e011.erop": (1, ["{}:6:5: error[E011]: empty or out-of-range hour window [30, 2]"]),
+    "bad/e012.erop": (1, [
+        "{}:2:24: error[E012]: business operation 'Buyer' and role player 'buyer' both become "
+        "'buyer'"
+    ]),
 }
 
 

@@ -230,6 +230,13 @@ def test_compoblig_removal_travels_by_name():
     assert out.then_lines == ['ropSeller.removeObligation("ReactToBuyRequest", buyer);']
 
 
+def test_compoblig_removal_keeps_its_deadline():
+    out = emitted(then='    seller.obligs -= ReactToBuyRequest(buyer, "01-01-2016 12:00:00")\n')
+    assert out.then_lines == [
+        'ropSeller.removeObligation("ReactToBuyRequest", buyer, "01-01-2016 12:00:00");'
+    ]
+
+
 def test_second_compoblig_array_gets_numbered():
     out = emitted(
         then="    seller.obligs += ReactToBuyRequest(buyer)\n"
@@ -284,8 +291,9 @@ def test_constraint_expressions():
         ('e.timestamp < "02-01-2016 00:00:00"', '$e.getTimestamp() < "02-01-2016 00:00:00"'),
         ("e.hour in [9, 17]", "$e.getHour() >= 9 && $e.getHour() <= 17"),
         ("happened (botype == BUYREQ, originator == buyer)",
-         'engine.eventHappened("BUYREQ", "buyer")'),
-        ("not happened (botype == BUYPAY)", '!engine.eventHappened("BUYPAY")'),
+         'engine.eventHappened("type", "BUYREQ", "originator", "buyer")'),
+        ("not happened (botype == BUYPAY)", '!engine.eventHappened("type", "BUYPAY")'),
+        ("happened (outcome == success)", 'engine.eventHappened("status", "success")'),
     ]
     for text, expected in cases:
         assert constraint_expr(constraint(text), DEFAULT_LOOKUP) == expected
@@ -299,7 +307,16 @@ def test_constraint_expressions():
 
 def test_historical_fields_take_canonical_order():
     happened = constraint("happened (originator == buyer, botype == BUYREQ)")
-    assert constraint_expr(happened, DEFAULT_LOOKUP) == 'engine.eventHappened("BUYREQ", "buyer")'
+    assert constraint_expr(happened, DEFAULT_LOOKUP) == (
+        'engine.eventHappened("type", "BUYREQ", "originator", "buyer")'
+    )
+
+
+def test_historical_field_names_are_kept():
+    by_originator = constraint_expr(constraint("happened (originator == buyer)"), DEFAULT_LOOKUP)
+    by_responder = constraint_expr(constraint("happened (responder == buyer)"), DEFAULT_LOOKUP)
+    assert by_originator == 'engine.eventHappened("originator", "buyer")'
+    assert by_responder == 'engine.eventHappened("responder", "buyer")'
 
 
 # --- full translation ---

@@ -203,6 +203,32 @@ end
     assert codes == ["E005", "E005", "E005"]  # bo slot, player slot, reset target
 
 
+@pytest.mark.parametrize(
+    "when, then, rop_set, pos",
+    [
+        ("", "seller.rights += React(buyer)", "rights", (8, 22)),
+        ("", "seller.prohibs -= React(buyer)", "prohibs", (8, 23)),
+        ("React in seller.rights", "seller.obligs += React(buyer)", "rights", (6, 5)),
+        ("React in seller.prohibs", "seller.obligs -= React(buyer)", "prohibs", (6, 5)),
+    ],
+)
+def test_compoblig_outside_obligs_is_e005(when, then, rop_set, pos):
+    decls = "roleplayer buyer, seller;\nbusinessoperation Pay;\ncompoblig React(Pay)\n"
+    _, diags = analyze(decls + f"""\
+rule "R"
+when e matches (botype == X, originator == buyer, responder == seller, outcome == success)
+    {when}
+then
+    {then}
+end
+""")
+    (e005,) = errors(diags)
+    assert e005.code == "E005" and (e005.pos.line, e005.pos.col) == pos
+    assert e005.message == (
+        f"composite obligation 'React' can only be in an obligs set, not {rop_set}"
+    )
+
+
 def test_event_field_set_is_checked():
     _, diags = analyze("roleplayer buyer;\nbusinessoperation Pay;\n" + """\
 rule "R"

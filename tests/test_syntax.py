@@ -8,8 +8,7 @@ from eropc.syntax import (
     ROLE_PLAYER,
     Historical,
     IfAct,
-    OutcomeCheck,
-    OutcomeSetAct,
+    Outcome,
     ParseError,
     ResetAct,
     RopManip,
@@ -116,10 +115,10 @@ end
     (action,) = parse(source).rules[0].actions
     assert isinstance(action, IfAct)
     (cond,) = action.cond
-    assert isinstance(cond, OutcomeCheck)
+    assert isinstance(cond, Outcome)
     assert cond.value.lexeme == "false"
     (then_act,) = action.then_actions
-    assert isinstance(then_act, OutcomeSetAct) and then_act.value.lexeme == "true"
+    assert isinstance(then_act, Outcome) and then_act.value.lexeme == "true"
     assert [a.player.lexeme for a in action.else_actions] == ["buyer", "seller"]
 
 
@@ -171,7 +170,7 @@ then
 end
 """
     constraints = parse(source).rules[0].constraints
-    assert isinstance(constraints[0], OutcomeCheck)
+    assert isinstance(constraints[0], Outcome)
     assert isinstance(constraints[1], TimeDirect)
     assert (constraints[1].op, constraints[1].timestamp) == ("<", "02-01-2016 00:00:00")
     assert isinstance(constraints[2], TimePartial)
