@@ -14,7 +14,7 @@ import types
 from collections.abc import Mapping
 from typing import NamedTuple
 
-from .lexer import LexError, positions, tokenize
+from .lexer import LexError, positions, token_offsets, tokenize
 from .sema import (
     Diagnostic,
     NegatedConjunction,
@@ -177,7 +177,7 @@ def check_globals(tab: SymbolTable) -> list[Diagnostic]:
                 message = f"{kind} '{name}' becomes '{ident}', which is not a Java identifier"
             else:
                 continue
-            diags.append(Diagnostic("error", "E012", message, tab.declared[name].offset))
+            diags.append(Diagnostic("error", "E012", message, tab.declared[name].index))
     return diags
 
 
@@ -288,21 +288,22 @@ def analyze(source: str) -> tuple[ContractAst | None, SymbolTable | None, list[D
     """Tokenize, parse, build the symbol table and check; diagnostics in (line, col) order.
 
     A lexical or syntax error gives ``(None, None, [its E-LEX or E-PARSE])``.
-    The stages record offsets; this is the one place that turns them into
-    SourcePos, all at once.
+    The stages record token indexes (an E-LEX, a character offset); this is
+    the one place that turns them into SourcePos, all at once.
     """
     ast = tab = None
     try:
         ast = parse_contract(tokenize(source))
-    except LexError as err:
-        diags = [Diagnostic("error", "E-LEX", err.message, err.pos)]
+    except LexError as err:  # no token stream: its position is a character offset
+        (pos,) = positions(source, [err.pos])
+        return None, None, [Diagnostic("error", "E-LEX", err.message, pos)]
     except ParseError as err:
         diags = [Diagnostic("error", "E-PARSE", err.message, err.pos)]
     else:
         tab, diags = build_symbol_table(ast)
-        # offset order is (line, col) order; the sort is stable, so ties keep discovery order
+        # index order is (line, col) order; the sort is stable, so ties keep discovery order
         diags = sorted(diags + check_contract(ast, tab) + check_globals(tab), key=lambda d: d.pos)
-    found = positions(source, [d.pos for d in diags])
+    found = positions(source, token_offsets(source, [d.pos for d in diags]))
     return ast, tab, [d._replace(pos=pos) for d, pos in zip(diags, found)]
 
 

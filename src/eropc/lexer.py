@@ -54,33 +54,28 @@ KEYWORDS = {kind: kind for kind in _KIND_NAMES if kind.islower()}
 
 # operators and punctuation: the kinds that are not a word
 _PUNCT = {kind: kind for kind in _KIND_NAMES if not kind.isalpha()}
-_FIXED_KINDS = {**KEYWORDS, **_PUNCT}
-_GROUP_KINDS = {"word": TokenKind.IDENT, "string": TokenKind.STRING, "int": TokenKind.INT}
+_FIXED_KINDS = {**KEYWORDS, **_PUNCT, "": TokenKind.EOF}
 
-# Each match is a run of blanks followed by one alternative; ``trivia`` also
-# takes blanks so that those at the very end of the source match too.  Longer
-# operators come before their one-character prefixes.  Whatever no other
-# alternative accepts is caught by ``bad``: an unterminated string or block
-# comment, a string holding a backslash (EROP defines no escapes, and the
-# string would pass verbatim into an AD string literal), or an illegal
-# character.  Letters and digits are ASCII only.
+# Each match is any trivia (blanks, comments), then one lexeme: the only group.
+# Longer operators come before their one-character prefixes.  ``\Z`` gives the
+# EOF lexeme "" and keeps ``.`` from backtracking into trailing trivia; ``.``
+# takes one character that nothing else accepts: an unterminated string or block
+# comment, a string holding a backslash (EROP defines no escapes, and the string
+# would pass verbatim into an AD string literal), or an illegal character.
+# Letters and digits are ASCII only.
 _TOKEN_RE = re.compile(
-    r"[ \t\r\n]*(?:"
-    r"(?P<trivia>[ \t\r\n]+|//[^\r\n]*|/\*.*?\*/)"
-    r"|(?P<word>[A-Za-z][A-Za-z0-9_]*)"
-    f"|(?P<punct>{'|'.join(map(re.escape, sorted(_PUNCT, key=len, reverse=True)))})"
-    r'|(?P<string>"[^"\\\r\n]*")'
-    r"|(?P<int>[0-9]+)"
-    r"|(?P<bad>.))",
+    r"(?:[ \t\r\n]+|//[^\r\n]*|/\*.*?\*/)*("
+    r"[A-Za-z][A-Za-z0-9_]*"
+    f"|{'|'.join(map(re.escape, sorted(_PUNCT, key=len, reverse=True)))}"
+    r'|"[^"\\\r\n]*"'
+    r"|[0-9]+"
+    r"|\Z|.)",
     re.DOTALL,
 )
 # Any of \n, \r\n, or \r counts as a single line break.
 _LINE_BREAK = re.compile(r"\r\n?|\n")
 # A string start whose first backslash comes before its closing quote.
 _BACKSLASH_STRING = re.compile(r'"[^"\\\r\n]*\\')
-
-# NamedTuple generates a Python-level __new__; tokenize's loop skips it.
-_new = tuple.__new__
 
 
 class SourcePos(NamedTuple):
@@ -95,12 +90,24 @@ class SourcePos(NamedTuple):
 
 
 class Token(NamedTuple):
+    """One token the parser keeps in the syntax tree."""
     kind: str  # a TokenKind constant
     lexeme: str
-    offset: int  # 0-based character offset of the lexeme's start; see positions()
+    index: int  # the token's index in its TokenStream; see token_offsets()
 
     def __repr__(self) -> str:
-        return f"Token({_KIND_NAMES[self.kind]}, {self.lexeme!r}, {self.offset})"
+        return f"Token({_KIND_NAMES[self.kind]}, {self.lexeme!r}, {self.index})"
+
+
+class TokenStream:
+    """Parallel lists: token ``i`` is ``kinds[i]`` (a TokenKind constant) and
+    ``lexemes[i]``; the last token is EOF, lexeme ``""``, and ``len`` counts it."""
+
+    def __init__(self, kinds: list[str], lexemes: list[str]) -> None:
+        self.kinds, self.lexemes = kinds, lexemes
+
+    def __len__(self) -> int:
+        return len(self.kinds)
 
 
 class LexError(Exception):
@@ -112,27 +119,40 @@ class LexError(Exception):
         self.pos = pos
 
 
-def tokenize(source: str) -> list[Token]:
-    """Tokenize EROP source, returning a token list terminated by EOF.
+def tokenize(source: str) -> TokenStream:
+    """Tokenize EROP source into a TokenStream terminated by EOF.
 
     Whitespace, ``//`` line comments and ``/* */`` block comments are
     skipped.  Raises LexError for an unterminated string literal, a string
     literal holding a backslash, an unterminated block comment, or an
-    illegal character.
+    illegal character.  No offset is computed unless there is an error.
     """
-    tokens: list[Token] = []
-    for m in _TOKEN_RE.finditer(source):
-        group = m.lastgroup
-        if group == "trivia":
-            continue
-        start = m.start(group)
-        text = m.group(group)
-        kind = _FIXED_KINDS.get(text) or _GROUP_KINDS.get(group)
-        if kind is None:
-            raise LexError(_bad_token_message(source, start), start)
-        tokens.append(_new(Token, (kind, text, start)))
-    tokens.append(Token(TokenKind.EOF, "", len(source)))
-    return tokens
+    lexemes = _TOKEN_RE.findall(source)
+    if len(lexemes) > 1 and not lexemes[-2]:  # trailing trivia, then ``\Z`` matched twice
+        lexemes.pop()
+    kind_of = {lexeme: _FIXED_KINDS.get(lexeme) or _kind(lexeme) for lexeme in set(lexemes)}
+    kinds = list(map(kind_of.__getitem__, lexemes))
+    if None in kind_of.values():
+        (start,) = token_offsets(source, [kinds.index(None)])
+        raise LexError(_bad_token_message(source, start), start)
+    return TokenStream(kinds, lexemes)
+
+
+def _kind(lexeme: str) -> str | None:
+    """The kind of a lexeme that is no keyword, operator or EOF; None for a bad one."""
+    if lexeme[0] == '"':  # a lone '"' starts an unterminated string
+        return TokenKind.STRING if len(lexeme) > 1 else None
+    if lexeme.isascii() and lexeme[0].isalpha():  # 'é'.isalpha() and '²'.isdigit() are true
+        return TokenKind.IDENT
+    return TokenKind.INT if lexeme.isascii() and lexeme.isdigit() else None
+
+
+def token_offsets(source: str, indexes: list[int]) -> list[int]:
+    """The character offset of each token index of ``source``, from one pass of the
+    tokenizing pattern that stops at the largest index asked for."""
+    matches = zip(range(max(indexes, default=-1) + 1), _TOKEN_RE.finditer(source))
+    starts = [m.start(1) for _, m in matches]
+    return [starts[i] for i in indexes]
 
 
 def positions(source: str, offsets: list[int]) -> list[SourcePos]:
@@ -162,6 +182,6 @@ def _bad_token_message(source: str, start: int) -> str:
     return f"illegal character {source[start]!r}"
 
 
-def string_value(token: Token) -> str:
-    """Contents of a STRING token without the surrounding quotes."""
-    return token.lexeme[1:-1]
+def string_value(lexeme: str) -> str:
+    """Contents of a STRING lexeme without the surrounding quotes."""
+    return lexeme[1:-1]

@@ -6,7 +6,8 @@ Error codes:
     E003 name casing violation            E008 bad boolean literal
     E004 undeclared identifier            E009 bad ROP-manipulation arguments
     E005 identifier of the wrong kind     E010 'if' with sibling actions
-         (a compoblig outside obligs too) E011 empty or out-of-range time window
+         (a compoblig outside obligs      E011 empty or out-of-range time window
+         or with BizFail too)
     E012 declared name clashes in AD (codegen.analyze reports it)
 Warnings:
     W001 declared but unused              W002 unexpected outcome value
@@ -46,7 +47,7 @@ class Diagnostic(NamedTuple):
     severity: str  # "error" or "warning"
     code: str
     message: str
-    pos: SourcePos | int  # sema records an offset; codegen.analyze resolves it
+    pos: SourcePos | int  # sema records a token index; codegen.analyze resolves it
 
     @property
     def is_error(self) -> bool:
@@ -80,7 +81,7 @@ def build_symbol_table(ast: ContractAst) -> tuple[SymbolTable, list[Diagnostic]]
             name = ident.lexeme
             if name in tab.kinds:
                 message = f"duplicate declaration of '{name}'"
-                diags.append(Diagnostic("error", "E001", message, ident.offset))
+                diags.append(Diagnostic("error", "E001", message, ident.index))
                 continue
             tab.kinds[name] = decl.kind
             tab.declared[name] = ident
@@ -100,7 +101,7 @@ def build_symbol_table(ast: ContractAst) -> tuple[SymbolTable, list[Diagnostic]]
                 members.append(member.lexeme)
             else:
                 message = f"{COMP_OBLIG} member '{member.lexeme}' is not a declared {BUSINESS_OP}"
-                diags.append(Diagnostic("error", "E002", message, member.offset))
+                diags.append(Diagnostic("error", "E002", message, member.index))
     return tab, diags
 
 
@@ -151,7 +152,7 @@ class _Checker:
             lower = kind == ROLE_PLAYER
             if name[0].islower() != lower:  # names start with an ASCII letter
                 case = "a lower-case" if lower else "an upper-case"
-                self.error("E003", f"{kind} '{name}' must begin with {case} letter", ident.offset)
+                self.error("E003", f"{kind} '{name}' must begin with {case} letter", ident.index)
         for decl in ast.decls:  # only an accepted declaration's members count as uses
             if self.tab.declared[decl.names[0].lexeme] is decl.names[0]:
                 self.used.update(member.lexeme for member in decl.members)
@@ -188,7 +189,7 @@ class _Checker:
             self.error(
                 "E006",
                 "event match must specify botype, originator, responder and outcome exactly once",
-                rule.event_var.offset,
+                rule.event_var.index,
             )
 
     def check_fields(self, fields: list[EventField], once: bool) -> list[str]:
@@ -197,10 +198,10 @@ class _Checker:
         for f in fields:
             name = f.name.lexeme
             if name not in EVENT_FIELDS:
-                self.error("E006", f"unknown event field '{name}'", f.name.offset)
+                self.error("E006", f"unknown event field '{name}'", f.name.index)
                 continue
             if once and name in names:  # an event match leaves repeats to its four-field rule
-                self.error("E006", f"repeated event field '{name}'", f.name.offset)
+                self.error("E006", f"repeated event field '{name}'", f.name.index)
             names.append(name)
             if name in ("originator", "responder"):
                 self.expect_role_player(f.value)
@@ -209,7 +210,7 @@ class _Checker:
                     "W002",
                     f"unexpected outcome value '{f.value.lexeme}' "
                     "(expected success, tecFail or bizFail)",
-                    f.value.offset,
+                    f.value.index,
                 )
             # botype values are free-form identifiers
         return names
@@ -223,12 +224,12 @@ class _Checker:
         elif isinstance(constraint, (TimeDirect, TimePartial)):
             var = constraint.event_var
             if var.lexeme != rule.event_var.lexeme:
-                self.error("E004", f"'{var.lexeme}' is not declared", var.offset)
+                self.error("E004", f"'{var.lexeme}' is not declared", var.index)
             if isinstance(constraint, TimePartial):
                 unit, lo, hi = constraint.unit, constraint.lo, constraint.hi
                 if lo > hi or hi > UNIT_MAX.get(unit, hi):
                     message = f"empty or out-of-range {unit} window [{lo}, {hi}]"
-                    self.error("E011", message, var.offset)
+                    self.error("E011", message, var.index)
         elif isinstance(constraint, Historical):
             self.check_fields(constraint.fields, once=True)
 
@@ -241,7 +242,7 @@ class _Checker:
                     "E009",
                     "ROP manipulation takes one beneficiary role player and an optional "
                     "deadline string",
-                    action.bo.offset,
+                    action.bo.index,
                 )
             for arg in action.args:
                 self.expect_role_player(arg)
@@ -263,41 +264,45 @@ class _Checker:
         self.used.add(ident.lexeme)
         kind = self.tab.kinds.get(ident.lexeme)
         if kind is None:
-            self.error("E004", f"'{ident.lexeme}' is not declared", ident.offset)
+            self.error("E004", f"'{ident.lexeme}' is not declared", ident.index)
         elif kind != ROLE_PLAYER:
-            self.error("E005", f"'{ident.lexeme}' is not a role player", ident.offset)
+            self.error("E005", f"'{ident.lexeme}' is not a role player", ident.index)
 
-    def expect_operation(self, ident: Token, rop_set: str | None = None) -> None:
-        """A business operation, or a composite obligation outside a rights or prohibs set."""
+    def expect_operation(self, ident: Token, rop_set: str | None) -> None:
+        """A business operation, or a composite obligation in an obligs set; ``rop_set``
+        is None for ``BO.BizFail``, which only a business operation has."""
         self.used.add(ident.lexeme)
         kind = self.tab.kinds.get(ident.lexeme)
         if kind is None:
-            self.error("E004", f"'{ident.lexeme}' is not declared", ident.offset)
+            self.error("E004", f"'{ident.lexeme}' is not declared", ident.index)
         elif kind == ROLE_PLAYER:
             self.error(
                 "E005", f"'{ident.lexeme}' is not a business operation or composite obligation",
-                ident.offset,
+                ident.index,
             )
-        elif kind == COMP_OBLIG and rop_set in ("rights", "prohibs"):
+        elif kind == COMP_OBLIG and rop_set is None:
+            message = f"{COMP_OBLIG} '{ident.lexeme}' has no BizFail flag; a {BUSINESS_OP} has one"
+            self.error("E005", message, ident.index)
+        elif kind == COMP_OBLIG and rop_set != "obligs":
             message = f"{COMP_OBLIG} '{ident.lexeme}' can only be in an obligs set, not {rop_set}"
-            self.error("E005", message, ident.offset)
+            self.error("E005", message, ident.index)
 
     def check_outcome(self, outcome: Outcome, where: str) -> None:
-        self.expect_operation(outcome.bo)
+        self.expect_operation(outcome.bo, None)
         value = outcome.value
         if value.lexeme not in ("true", "false"):
             self.error(
-                "E008", f"{where} expects 'true' or 'false', found '{value.lexeme}'", value.offset
+                "E008", f"{where} expects 'true' or 'false', found '{value.lexeme}'", value.index
             )
 
     def report_unused(self) -> None:
         for name, ident in self.tab.declared.items():
             if name not in self.used:
                 kind = self.tab.kinds[name]
-                self.warn("W001", f"{kind} '{name}' declared but never used", ident.offset)
+                self.warn("W001", f"{kind} '{name}' declared but never used", ident.index)
 
-    def error(self, code: str, message: str, offset: int) -> None:
-        self.diags.append(Diagnostic("error", code, message, offset))
+    def error(self, code: str, message: str, index: int) -> None:
+        self.diags.append(Diagnostic("error", code, message, index))
 
-    def warn(self, code: str, message: str, offset: int) -> None:
-        self.diags.append(Diagnostic("warning", code, message, offset))
+    def warn(self, code: str, message: str, index: int) -> None:
+        self.diags.append(Diagnostic("warning", code, message, index))

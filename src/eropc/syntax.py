@@ -29,8 +29,9 @@ Grammar for ``.erop`` files (normative for this compiler):
 Field names such as ``botype`` or ``BizFail``, ROP-set names, and time units
 are contextual identifiers recognised positionally, not reserved words.
 
-An identifier in the AST is its IDENT token itself; positions are character
-offsets, which ``lexer.positions`` turns into line and column when one is shown.
+An identifier in the AST is a Token of its kind, lexeme and token index; every
+position is a token index, which ``lexer.token_offsets`` and ``lexer.positions``
+turn into line and column when one is shown.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from typing import NamedTuple, TypeVar
 
-from .lexer import Token, TokenKind, string_value
+from .lexer import Token, TokenKind, TokenStream, string_value
 
 INT_MAX = 2**31 - 1  # a window bound is emitted into a Java int comparison
 ROP_SETS = ("rights", "obligs", "prohibs")
@@ -157,7 +158,7 @@ class ContractAst(NamedTuple):
 
 
 class ParseError(Exception):
-    """Syntax error naming the expected construct and the offending token's offset."""
+    """Syntax error naming the expected construct and the offending token's index."""
 
     def __init__(self, message: str, pos: int) -> None:
         super().__init__(message)
@@ -170,61 +171,58 @@ _DECL_KINDS = {
     TokenKind.BUSINESSOPERATION: BUSINESS_OP,
     TokenKind.COMPOBLIG: COMP_OBLIG,
 }
+_MANIP_OPS = {TokenKind.PLUSEQ: "add", TokenKind.MINUSEQ: "remove"}
+
+# Token is a NamedTuple, whose generated __new__ is Python code; this skips it.
+_new = tuple.__new__
 
 
-def parse_contract(tokens: list[Token]) -> ContractAst:
+def parse_contract(tokens: TokenStream) -> ContractAst:
     """Parse a full contract (declarations followed by rules)."""
     return _Parser(tokens).contract()
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]) -> None:
-        self.tokens = tokens
+    def __init__(self, tokens: TokenStream) -> None:
+        self.kinds = tokens.kinds
+        self.lexemes = tokens.lexemes
         self.i = 0
 
-    # token bookkeeping: every advance() follows a kind test that excludes EOF,
-    # and only the final expect(EOF) in contract() steps past it
-
-    def peek(self, ahead: int = 0) -> Token:
-        if ahead:
-            return self.tokens[min(self.i + ahead, len(self.tokens) - 1)]
-        return self.tokens[self.i]
+    # token bookkeeping by index; a Token is built only for the AST.  Every step
+    # past a token follows a kind test, and only expect(EOF) passes EOF.
 
     def at(self, kind: str) -> bool:
-        return self.tokens[self.i].kind is kind
+        return self.kinds[self.i] is kind
 
     def at_ident(self, name: str, ahead: int = 0) -> bool:
-        tok = self.peek(ahead)
-        return tok.kind is TokenKind.IDENT and tok.lexeme == name
+        i = self.i + ahead
+        return self.kinds[i] is TokenKind.IDENT and self.lexemes[i] == name
 
-    def advance(self) -> Token:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, kind: str, what: str) -> Token:
-        tok = self.tokens[self.i]
-        if tok.kind is not kind:
-            raise ParseError(f"expected {what} but found {self._show(tok)}", tok.offset)
-        self.i += 1
-        return tok
+    def expect(self, kind: str, what: str) -> str:
+        """Step past a token of ``kind`` and return its lexeme."""
+        i = self.i
+        if self.kinds[i] is not kind:
+            raise self.fail(f"expected {what}")
+        self.i = i + 1
+        return self.lexemes[i]
 
     def ident(self, what: str = "an identifier") -> Token:
-        return self.expect(TokenKind.IDENT, what)
-
-    @staticmethod
-    def _show(tok: Token) -> str:
-        return "end of input" if tok.kind is TokenKind.EOF else f"'{tok.lexeme}'"
+        i = self.i
+        if self.kinds[i] is not TokenKind.IDENT:
+            raise self.fail(f"expected {what}")
+        self.i = i + 1
+        return _new(Token, (TokenKind.IDENT, self.lexemes[i], i))
 
     def fail(self, message: str) -> ParseError:
-        tok = self.peek()
-        return ParseError(f"{message} but found {self._show(tok)}", tok.offset)
+        i = self.i
+        found = "end of input" if self.kinds[i] is TokenKind.EOF else f"'{self.lexemes[i]}'"
+        return ParseError(f"{message} but found {found}", i)
 
     # grammar productions
 
     def contract(self) -> ContractAst:
         decls: list[Decl] = []
-        while self.peek().kind in _DECL_KINDS:
+        while self.kinds[self.i] in _DECL_KINDS:
             decls.append(self.decl())
         if not decls:
             raise self.fail("expected a declaration (roleplayer, businessoperation or compoblig)")
@@ -234,13 +232,14 @@ class _Parser:
             rules.append(self.rule())
         if not rules:
             raise self.fail("expected 'rule'")
-        if self.peek().kind in _DECL_KINDS:
-            raise ParseError("declarations must precede the first rule", self.peek().offset)
+        if self.kinds[self.i] in _DECL_KINDS:
+            raise ParseError("declarations must precede the first rule", self.i)
         self.expect(TokenKind.EOF, "'rule' or end of input")
         return ContractAst(decls, rules)
 
     def decl(self) -> Decl:
-        kind = _DECL_KINDS[self.advance().kind]
+        kind = _DECL_KINDS[self.kinds[self.i]]
+        self.i += 1
         if kind != COMP_OBLIG:
             names = self.comma_list(self.ident, f"a {kind} name")
             self.expect(TokenKind.SEMI, "';'")
@@ -250,20 +249,21 @@ class _Parser:
         members = self.comma_list(self.ident, "a member business operation")
         self.expect(TokenKind.RPAREN, "')'")
         if self.at(TokenKind.SEMI):  # trailing ';' is optional here
-            self.advance()
+            self.i += 1
         return Decl(kind, [name], members)
 
     def comma_list(self, item: Callable[..., T], *args: str) -> list[T]:
         """``item ("," item)*``, each item parsed by ``item(*args)``."""
         items = [item(*args)]
         while self.at(TokenKind.COMMA):
-            self.advance()
+            self.i += 1
             items.append(item(*args))
         return items
 
     def rule(self) -> RuleAst:
         self.expect(TokenKind.RULE, "'rule'")
-        name_tok = self.expect(TokenKind.STRING, "a rule name string")
+        name_pos = self.i
+        name = string_value(self.expect(TokenKind.STRING, "a rule name string"))
         self.expect(TokenKind.WHEN, "'when'")
         event_var = self.ident("an event variable")
         self.expect(TokenKind.MATCHES, "'matches'")
@@ -271,7 +271,7 @@ class _Parser:
 
         constraints: list[ConstraintAst] = []
         while not self.at(TokenKind.THEN):
-            if self.peek().kind is not TokenKind.IDENT:
+            if not self.at(TokenKind.IDENT):
                 raise self.fail("expected a constraint or 'then'")
             constraints.append(self.constraint())
         self.expect(TokenKind.THEN, "'then'")
@@ -279,8 +279,8 @@ class _Parser:
         actions = self.action_block((TokenKind.END,), inside_if=False)
         self.expect(TokenKind.END, "'end'")
         return RuleAst(
-            name=string_value(name_tok),
-            name_pos=name_tok.offset,
+            name=name,
+            name_pos=name_pos,
             event_var=event_var,
             event_fields=fields,
             constraints=constraints,
@@ -300,120 +300,115 @@ class _Parser:
         return EventField(name, value)
 
     def constraint(self) -> ConstraintAst:
-        tok = self.peek()
-        if tok.kind is not TokenKind.IDENT:
+        if not self.at(TokenKind.IDENT):
             raise self.fail("expected a constraint")
 
         if self.at_ident("not") and self.at_ident("happened", 1):
-            self.advance()
-            self.advance()
+            self.i += 2
             return Historical(happened=False, fields=self.event_fields())
-        if self.at_ident("happened") and self.peek(1).kind is TokenKind.LPAREN:
-            self.advance()
+        if self.at_ident("happened") and self.kinds[self.i + 1] is TokenKind.LPAREN:
+            self.i += 1
             return Historical(happened=True, fields=self.event_fields())
 
         subject = self.ident()
         if self.at(TokenKind.IN):
-            self.advance()
+            self.i += 1
             player = self.ident("a role player name")
             self.expect(TokenKind.DOT, "'.'")
             rop_set = self.ropset()
             return RopMembership(bo=subject, player=player, rop_set=rop_set)
 
         self.expect(TokenKind.DOT, "'in' or '.'")
-        selector = self.ident("'BizFail', 'timestamp' or a time unit")
-        if selector.lexeme == "BizFail":
+        selector = self.expect(TokenKind.IDENT, "'BizFail', 'timestamp' or a time unit")
+        if selector == "BizFail":
             return self.outcome(subject)
-        if selector.lexeme == "timestamp":
-            op_tok = self.peek()
-            if op_tok.kind not in (TokenKind.EQ, TokenKind.LT, TokenKind.GT):
+        if selector == "timestamp":
+            op = self.kinds[self.i]  # an operator's kind is its lexeme
+            if op not in (TokenKind.EQ, TokenKind.LT, TokenKind.GT):
                 raise self.fail("expected '==', '<' or '>'")
-            self.advance()
+            self.i += 1
             ts = self.expect(TokenKind.STRING, "a timestamp string")
-            return TimeDirect(subject, op_tok.lexeme, string_value(ts))
-        if selector.lexeme in TIME_UNITS:
+            return TimeDirect(subject, op, string_value(ts))
+        if selector in TIME_UNITS:
             self.expect(TokenKind.IN, "'in'")
             self.expect(TokenKind.LBRACKET, "'['")
             lo = self.int_bound()
             self.expect(TokenKind.COMMA, "','")
             hi = self.int_bound()
             self.expect(TokenKind.RBRACKET, "']'")
-            return TimePartial(subject, selector.lexeme, lo, hi)
+            return TimePartial(subject, selector, lo, hi)
         raise ParseError(
-            "expected 'BizFail', 'timestamp' or a time unit after '.' "
-            f"but found '{selector.lexeme}'",
-            selector.offset,
+            f"expected 'BizFail', 'timestamp' or a time unit after '.' but found '{selector}'",
+            self.i - 1,
         )
 
     def int_bound(self) -> int:
-        tok = self.expect(TokenKind.INT, "an integer")
+        lexeme = self.expect(TokenKind.INT, "an integer")
         # measured before int(), which refuses a string of more than a few thousand digits
-        if len(tok.lexeme.lstrip("0")) > len(str(INT_MAX)) or int(tok.lexeme) > INT_MAX:
-            raise ParseError(f"integer out of range (at most {INT_MAX})", tok.offset)
-        return int(tok.lexeme)
+        if len(lexeme.lstrip("0")) > len(str(INT_MAX)) or int(lexeme) > INT_MAX:
+            raise ParseError(f"integer out of range (at most {INT_MAX})", self.i - 1)
+        return int(lexeme)
 
     def ropset(self) -> str:
-        tok = self.peek()
-        if tok.kind is TokenKind.IDENT and tok.lexeme in ROP_SETS:
-            self.advance()
-            return tok.lexeme
+        lexeme = self.lexemes[self.i]
+        if self.at(TokenKind.IDENT) and lexeme in ROP_SETS:
+            self.i += 1
+            return lexeme
         raise self.fail("expected 'rights', 'obligs' or 'prohibs'")
 
     def action_block(self, stop: tuple[str, ...], inside_if: bool) -> list[ActionAst]:
         actions = [self.action(inside_if)]
-        while self.peek().kind not in stop and not self.at(TokenKind.EOF):
+        while self.kinds[self.i] not in stop and not self.at(TokenKind.EOF):
             actions.append(self.action(inside_if))
         return actions
 
     def action(self, inside_if: bool) -> ActionAst:
-        tok = self.peek()
-        if tok.kind is TokenKind.RESET:
-            self.advance()
+        kind = self.kinds[self.i]
+        if kind is TokenKind.RESET:
+            self.i += 1
             return ResetAct(self.ident("a role player name"))
-        if tok.kind is TokenKind.IF:
+        if kind is TokenKind.IF:
             if inside_if:
-                raise ParseError("nested 'if' actions are not supported", tok.offset)
+                raise ParseError("nested 'if' actions are not supported", self.i)
             return self.if_action()
-        if tok.kind is not TokenKind.IDENT:
+        if kind is not TokenKind.IDENT:
             raise self.fail("expected an action")
 
         subject = self.ident()
         if self.at(TokenKind.RESET):
-            self.advance()
+            self.i += 1
             return ResetAct(subject)
 
         self.expect(TokenKind.DOT, "'.'")
-        selector = self.ident("a ROP set or 'BizFail'")
-        if selector.lexeme == "BizFail":
+        selector = self.expect(TokenKind.IDENT, "a ROP set or 'BizFail'")
+        if selector == "BizFail":
             return self.outcome(subject)
-        if selector.lexeme not in ROP_SETS:
+        if selector not in ROP_SETS:
             raise ParseError(
-                "expected 'rights', 'obligs', 'prohibs' or 'BizFail' "
-                f"but found '{selector.lexeme}'",
-                selector.offset,
+                f"expected 'rights', 'obligs', 'prohibs' or 'BizFail' but found '{selector}'",
+                self.i - 1,
             )
-        op_tok = self.peek()
-        if op_tok.kind is TokenKind.PLUSEQ:
-            op = "add"
-        elif op_tok.kind is TokenKind.MINUSEQ:
-            op = "remove"
-        else:
+        op = _MANIP_OPS.get(self.kinds[self.i])
+        if op is None:
             raise self.fail("expected '+=' or '-='")
-        self.advance()
+        self.i += 1
         bo = self.ident("a business operation name")
         self.expect(TokenKind.LPAREN, "'('")
         actuals = self.comma_list(self.actual)
         self.expect(TokenKind.RPAREN, "')'")
         args = [tok for tok in actuals if tok.kind is TokenKind.IDENT]
-        deadlines = [string_value(tok) for tok in actuals if tok.kind is TokenKind.STRING]
+        deadlines = [string_value(tok.lexeme) for tok in actuals if tok.kind is TokenKind.STRING]
         return RopManip(
-            player=subject, rop_set=selector.lexeme, op=op, bo=bo, args=args, deadlines=deadlines
+            player=subject, rop_set=selector, op=op, bo=bo, args=args, deadlines=deadlines
         )
 
     def actual(self) -> Token:
-        if self.peek().kind not in (TokenKind.IDENT, TokenKind.STRING):
+        i = self.i
+        kind = self.kinds[i]
+        if kind is not TokenKind.IDENT and kind is not TokenKind.STRING:
             raise self.fail("expected an argument (identifier or string)")
-        return self.advance()
+        self.i = i + 1
+        return _new(Token, (kind, self.lexemes[i], i))
 
     def outcome(self, bo: Token) -> Outcome:
         """The rest of ``BO.BizFail == value``, once ``BO . BizFail`` is read."""
@@ -421,19 +416,20 @@ class _Parser:
         return Outcome(bo, self.ident("'true' or 'false'"))
 
     def if_action(self) -> IfAct:
-        if_tok = self.expect(TokenKind.IF, "'if'")
+        pos = self.i
+        self.expect(TokenKind.IF, "'if'")
         self.expect(TokenKind.LPAREN, "'('")
         cond = [self.constraint()]
         while not self.at(TokenKind.RPAREN):
             if self.at(TokenKind.COMMA):  # separators are optional between conditions
-                self.advance()
+                self.i += 1
             cond.append(self.constraint())
         self.expect(TokenKind.RPAREN, "')'")
         self.expect(TokenKind.THEN, "'then'")
         then_actions = self.action_block((TokenKind.ELSE, TokenKind.ENDIF), inside_if=True)
         else_actions = None
         if self.at(TokenKind.ELSE):
-            self.advance()
+            self.i += 1
             else_actions = self.action_block((TokenKind.ENDIF,), inside_if=True)
         self.expect(TokenKind.ENDIF, "'endif'")
-        return IfAct(cond, then_actions, else_actions, if_tok.offset)
+        return IfAct(cond, then_actions, else_actions, pos)

@@ -261,7 +261,7 @@ def test_emit_ir_lex_error_exits_1(tmp_path, capsys):
 def test_emit_ast_prints_tree(capsys):
     assert run([str(CASE_STUDY), "--emit-ast"]) == 0
     out = capsys.readouterr().out
-    assert "Decl(kind='role player', names=[Token(IDENT, 'buyer', 11)" in out and "RuleAst" in out
+    assert "Decl(kind='role player', names=[Token(IDENT, 'buyer', 1)" in out and "RuleAst" in out
     assert "deadlines=['01-01-2016 12:00:00']" in out
 
 

@@ -13,17 +13,24 @@ from eropc.lexer import (
     TokenKind,
     positions,
     string_value,
+    token_offsets,
     tokenize,
 )
 from eropc.syntax import parse_contract
 
 
-def kinds(tokens):
-    return [t.kind for t in tokens]
+def kinds(source):
+    return tokenize(source).kinds
 
 
-def lexemes(tokens):
-    return [t.lexeme for t in tokens]
+def lexemes(source):
+    return tokenize(source).lexemes
+
+
+def spans(source):
+    """The ``(lexeme, offset)`` of every token, EOF included, offsets found on demand."""
+    tokens = tokenize(source)
+    return list(zip(tokens.lexemes, token_offsets(source, list(range(len(tokens))))))
 
 
 def pos_of(source, offset):
@@ -33,7 +40,8 @@ def pos_of(source, offset):
 
 def test_roleplayer_declaration():
     tokens = tokenize("roleplayer buyer, seller;")
-    assert kinds(tokens) == [
+    assert len(tokens) == 6
+    assert tokens.kinds == [
         TokenKind.ROLEPLAYER,
         TokenKind.IDENT,
         TokenKind.COMMA,
@@ -41,19 +49,18 @@ def test_roleplayer_declaration():
         TokenKind.SEMI,
         TokenKind.EOF,
     ]
-    assert lexemes(tokens) == ["roleplayer", "buyer", ",", "seller", ";", ""]
+    assert tokens.lexemes == ["roleplayer", "buyer", ",", "seller", ";", ""]
 
 
 def test_empty_input_is_just_eof():
-    tokens = tokenize("")
-    assert kinds(tokens) == [TokenKind.EOF]
-    assert tokens[0].offset == 0
+    assert spans("") == [("", 0)]
+    assert kinds("") == [TokenKind.EOF]
     assert pos_of("", 0) == SourcePos(1, 1, 0)
 
 
 def test_rop_manipulation_line():
-    tokens = tokenize("buyer.rights -= BuyRequest(seller)")
-    assert kinds(tokens) == [
+    source = "buyer.rights -= BuyRequest(seller)"
+    assert kinds(source) == [
         TokenKind.IDENT,
         TokenKind.DOT,
         TokenKind.IDENT,
@@ -64,7 +71,7 @@ def test_rop_manipulation_line():
         TokenKind.RPAREN,
         TokenKind.EOF,
     ]
-    assert lexemes(tokens)[:-1] == ["buyer", ".", "rights", "-=", "BuyRequest", "(", "seller", ")"]
+    assert lexemes(source)[:-1] == ["buyer", ".", "rights", "-=", "BuyRequest", "(", "seller", ")"]
 
 
 RESERVED_WORDS = ("roleplayer", "businessoperation", "compoblig", "rule", "when", "matches",
@@ -73,9 +80,9 @@ RESERVED_WORDS = ("roleplayer", "businessoperation", "compoblig", "rule", "when"
 
 def test_keywords_are_never_ident():
     for word in RESERVED_WORDS:
-        (tok, _eof) = tokenize(word)
-        assert tok.kind != TokenKind.IDENT
-        assert tok.lexeme == word
+        tokens = tokenize(word)
+        assert tokens.kinds[0] != TokenKind.IDENT
+        assert tokens.lexemes == [word, ""]
 
 
 def test_keywords_are_exactly_the_reserved_words():
@@ -88,8 +95,7 @@ KIND_CONSTANTS = {id(kind) for name, kind in vars(TokenKind).items() if name.isu
 
 
 def test_case_study_kinds_are_the_very_constants(case_study_source):
-    tokens = tokenize(case_study_source)
-    assert all(id(tok.kind) in KIND_CONSTANTS for tok in tokens)
+    assert all(id(kind) in KIND_CONSTANTS for kind in kinds(case_study_source))
 
 
 def test_each_keyword_and_operator_lexes_to_its_own_kind():
@@ -97,85 +103,81 @@ def test_each_keyword_and_operator_lexes_to_its_own_kind():
     fixed += _OPERATORS
     assert len(fixed) == len(KIND_CONSTANTS) - 4  # all but IDENT, STRING, INT and EOF
     for text in fixed:
-        tok, eof = tokenize(text)
-        assert (tok.kind, tok.lexeme) == (text, text)
-        assert id(tok.kind) in KIND_CONSTANTS
-        assert eof.kind is TokenKind.EOF
+        tokens = tokenize(text)
+        assert (tokens.kinds, tokens.lexemes) == ([text, TokenKind.EOF], [text, ""])
+        assert id(tokens.kinds[0]) in KIND_CONSTANTS
+        assert tokens.kinds[1] is TokenKind.EOF
     for text, kind in (("x", TokenKind.IDENT), ('"s"', TokenKind.STRING), ("7", TokenKind.INT)):
-        assert tokenize(text)[0].kind is kind
+        assert kinds(text)[0] is kind
 
 
 def test_contextual_names_lex_as_ident():
     # field names, ROP sets and BizFail are not reserved
     for word in ("botype", "originator", "responder", "outcome", "rights", "obligs",
                  "prohibs", "BizFail", "happened", "not", "timestamp", "hour"):
-        (tok, _eof) = tokenize(word)
-        assert tok.kind == TokenKind.IDENT
+        assert kinds(word) == [TokenKind.IDENT, TokenKind.EOF]
 
 
 def test_positions_point_at_lexeme_start():
     source = 'rule "R"\nwhen e matches (botype == BUYREQ)\n'
-    for tok in tokenize(source):
-        if tok.kind is TokenKind.EOF:
-            continue
-        assert source[tok.offset : tok.offset + len(tok.lexeme)] == tok.lexeme
+    for lexeme, offset in spans(source):
+        assert source[offset : offset + len(lexeme)] == lexeme
 
 
 def test_line_and_column_tracking():
     source = "roleplayer buyer;\n  reset seller"
     tokens = tokenize(source)
-    reset = next(t for t in tokens if t.kind is TokenKind.RESET)
-    seller = tokens[-2]
-    found = positions(source, [reset.offset, seller.offset])
+    reset = tokens.kinds.index(TokenKind.RESET)
+    seller = len(tokens) - 2
+    found = positions(source, token_offsets(source, [reset, seller]))
     assert [(p.line, p.col) for p in found] == [(2, 3), (2, 9)]
 
 
 @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
 def test_any_line_ending_convention(newline):
     source = f"roleplayer buyer;{newline}reset seller"
-    reset = next(t for t in tokenize(source) if t.kind is TokenKind.RESET)
-    assert str(pos_of(source, reset.offset)) == "2:1"
+    (offset,) = token_offsets(source, [kinds(source).index(TokenKind.RESET)])
+    assert str(pos_of(source, offset)) == "2:1"
 
 
 def test_comments_are_skipped():
     source = "// header\nroleplayer buyer; /* mid\ncomment */ reset buyer"
-    assert lexemes(tokenize(source))[:-1] == ["roleplayer", "buyer", ";", "reset", "buyer"]
+    assert lexemes(source)[:-1] == ["roleplayer", "buyer", ";", "reset", "buyer"]
 
 
 def test_tokenization_is_lossless():
     source = 'roleplayer buyer; // c\n/* b */ rule "R" when e matches (botype == X)\n'
-    tokens = tokenize(source)
     rebuilt = []
     cursor = 0
-    for tok in tokens:
-        gap = source[cursor : tok.offset]
+    for lexeme, offset in spans(source):
+        gap = source[cursor:offset]
         assert not gap.strip() or "//" in gap or "/*" in gap  # only trivia between tokens
         rebuilt.append(gap)
-        rebuilt.append(tok.lexeme)
-        cursor = tok.offset + len(tok.lexeme)
+        rebuilt.append(lexeme)
+        cursor = offset + len(lexeme)
     rebuilt.append(source[cursor:])
     assert "".join(rebuilt) == source
 
 
 def test_tokenize_is_pure():
     source = 'rule "R" when e matches (botype == BUYREQ) then reset buyer end'
-    assert tokenize(source) == tokenize(source)
+    first, second = tokenize(source), tokenize(source)
+    assert (first.kinds, first.lexemes) == (second.kinds, second.lexemes)
 
 
 def test_string_literal_and_value():
-    (tok, _eof) = tokenize('"01-01-2016 12:00:00"')
-    assert tok.kind is TokenKind.STRING
-    assert string_value(tok) == "01-01-2016 12:00:00"
+    tokens = tokenize('"01-01-2016 12:00:00"')
+    assert tokens.kinds == [TokenKind.STRING, TokenKind.EOF]
+    assert string_value(tokens.lexemes[0]) == "01-01-2016 12:00:00"
 
 
 def test_int_literal():
-    (tok, _eof) = tokenize("42")
-    assert tok.kind is TokenKind.INT and tok.lexeme == "42"
+    tokens = tokenize("42")
+    assert tokens.kinds[0] is TokenKind.INT and tokens.lexemes[0] == "42"
 
 
 def test_two_char_operators_win_over_prefixes():
-    toks = tokenize("<= >= == += -= < >")
-    assert kinds(toks)[:-1] == [
+    assert kinds("<= >= == += -= < >")[:-1] == [
         TokenKind.LE, TokenKind.GE, TokenKind.EQ, TokenKind.PLUSEQ,
         TokenKind.MINUSEQ, TokenKind.LT, TokenKind.GT,
     ]
@@ -229,16 +231,16 @@ def test_superscript_digit_is_a_diagnostic_not_a_crash():
 
 
 def test_trailing_bare_carriage_return_ends_the_line():
-    eof = tokenize("reset buyer\r")[-1]
-    assert eof.kind is TokenKind.EOF
-    assert pos_of("reset buyer\r", eof.offset) == SourcePos(2, 1, 12)
+    source = "reset buyer\r"
+    assert spans(source)[-1] == ("", 12)
+    assert kinds(source)[-1] is TokenKind.EOF
+    assert pos_of(source, 12) == SourcePos(2, 1, 12)
 
 
 def test_block_comment_spanning_crlf_lines():
     source = "a /* x\r\ny\r\n */ b"
-    tokens = tokenize(source)
-    assert lexemes(tokens) == ["a", "b", ""]
-    assert positions(source, [t.offset for t in tokens]) == [
+    assert lexemes(source) == ["a", "b", ""]
+    assert positions(source, token_offsets(source, [0, 1, 2])) == [
         SourcePos(1, 1, 0), SourcePos(3, 5, 15), SourcePos(3, 6, 16)
     ]
 
@@ -310,7 +312,7 @@ def naive_pos(source, offset):
 
 
 PIECES = st.sampled_from((
-    "\r", "\n", "\r\n", "\t", "\f", " ", " ", "\u00b2", "_", "/", "*", '"', '"', "\\",
+    "\r", "\n", "\r\n", "\t", "\f", " ", " ", "\u00b2", "\u00e9", "_", "/", "*", '"', '"', "\\",
     "a", "Zq", "rule", "in", "x_1", "0", "42", "//", "/*", "*/",
     ",", ";", ".", "(", ")", "[", "]", "==", "+=", "-=", "<", ">", "=", "!",
 ))
@@ -327,11 +329,72 @@ def test_positions_match_a_naive_count(source):
         assert (exc.value.message, exc.value.pos) == (message, offset)
         assert positions(source, [offset]) == [naive_pos(source, offset)]
         return
-    tokens = tokenize(source)
-    assert [(t.lexeme, t.offset) for t in tokens[:-1]] == expected
-    assert tokens[-1].offset == len(source)
-    offsets = [t.offset for t in tokens]
+    found = spans(source)
+    assert found[:-1] == expected
+    assert found[-1] == ("", len(source))
+    offsets = [offset for _, offset in found]
     assert positions(source, offsets) == [naive_pos(source, offset) for offset in offsets]
+
+
+# --- trivia-joined lexemes --------------------------------------------------
+
+POOL = (
+    *RESERVED_WORDS, "buyer", "BuyRequest", "x_1", "Zq9", "BizFail", "0", "42", "007",
+    '""', '"01-01-2016 12:00:00"', '"a // b /* c"', '"\u00e9\u00b2"', *_OPERATORS,
+)
+TRIVIA = (" ", "\t", "\n", "\r\n", "\r", "// c\n", "// c\r\n", "/* x */", "/* a\r\n*b/ */")
+
+
+def ascii_kind(lexeme):
+    """The kind of one lexeme of POOL, or EOF for ``""``, decided on ASCII alone."""
+    if lexeme == "":
+        return TokenKind.EOF
+    if lexeme in RESERVED_WORDS or lexeme in _OPERATORS:
+        return lexeme
+    if lexeme[0] == '"':
+        return TokenKind.STRING
+    if lexeme[0] in string.digits:
+        return TokenKind.INT
+    assert lexeme[0] in string.ascii_letters
+    return TokenKind.IDENT
+
+
+@st.composite
+def trivia_joined(draw):
+    """``(source, lexemes, offsets)``: POOL lexemes with trivia between each two,
+    and optional trivia before and after; no lexeme gives the empty source or a
+    trivia-only one."""
+    pool = draw(st.lists(st.sampled_from(POOL), max_size=30))
+    gap = st.lists(st.sampled_from(TRIVIA), min_size=1, max_size=3).map("".join)
+    leading = st.lists(st.sampled_from(TRIVIA), max_size=2).map("".join)
+    # a line comment that the end of the source closes can only come last
+    trailing = st.tuples(leading, st.sampled_from(("", "// end"))).map("".join)
+    parts, offsets = [draw(leading)], []
+    length = len(parts[0])
+    for i, lexeme in enumerate(pool):
+        if i:
+            parts.append(draw(gap))
+            length += len(parts[-1])
+        offsets.append(length)
+        parts.append(lexeme)
+        length += len(lexeme)
+    parts.append(draw(trailing))
+    return "".join(parts), pool, offsets
+
+
+@given(trivia_joined())
+@settings(max_examples=400)
+def test_trivia_joined_lexemes_lex_back_with_their_offsets(case):
+    source, pool, offsets = case
+    tokens = tokenize(source)
+    assert tokens.lexemes == [*pool, ""]  # exactly one EOF, and it comes last
+    assert tokens.kinds.count(TokenKind.EOF) == 1 and tokens.kinds[-1] is TokenKind.EOF
+    assert len(tokens) == len(pool) + 1
+    indexes = list(range(len(tokens)))
+    assert token_offsets(source, indexes) == [*offsets, len(source)]
+    assert token_offsets(source, indexes[::-1]) == [len(source), *offsets[::-1]]
+    assert tokens.kinds == [ascii_kind(lexeme) for lexeme in tokens.lexemes]
+    assert all(id(kind) in KIND_CONSTANTS for kind in tokens.kinds)
 
 
 def held_tokens(node):
@@ -344,8 +407,10 @@ def held_tokens(node):
 
 
 def test_parser_identifiers_are_the_very_tokens(case_study_source):
+    # each Token the syntax tree keeps is the IDENT at its index, its lexeme the very string
     tokens = tokenize(case_study_source)
     held = held_tokens(parse_contract(tokens))
-    lexed = {id(tok) for tok in tokens if tok.kind is TokenKind.IDENT}
     assert len(held) > 100
-    assert all(id(tok) in lexed for tok in held)
+    for tok in held:
+        assert tok.kind is tokens.kinds[tok.index] is TokenKind.IDENT
+        assert tok.lexeme is tokens.lexemes[tok.index]

@@ -3,7 +3,7 @@ from hypothesis import strategies as st
 
 from conftest import CORPUS
 from eropc.codegen import DEFAULT_LOOKUP, build_ad_file, lower_contract, translate
-from eropc.lexer import TokenKind, tokenize
+from eropc.lexer import TokenKind, token_offsets, tokenize
 from eropc.sema import SymbolTable, check_contract
 from eropc.syntax import ContractAst
 from irgen import assert_split_laws, expected_piece_count, read_rule, source_rules
@@ -51,21 +51,24 @@ TRIVIA = st.sampled_from((" ", "  ", "\t", "\n", "\r\n", " // note\n", " /* x */
 def test_lexer_round_trips_any_lexeme_sequence(pairs):
     source = "".join(lexeme + trivia for lexeme, trivia in pairs)
     tokens = tokenize(source)
-    assert tokens[-1].kind is TokenKind.EOF
-    assert [t.lexeme for t in tokens[:-1]] == [lexeme for lexeme, _ in pairs]
-    for tok in tokens[:-1]:
-        assert source[tok.offset : tok.offset + len(tok.lexeme)] == tok.lexeme
+    assert tokens.kinds[-1] is TokenKind.EOF
+    assert tokens.lexemes[:-1] == [lexeme for lexeme, _ in pairs]
+    offsets = token_offsets(source, list(range(len(tokens) - 1)))
+    for offset, lexeme in zip(offsets, tokens.lexemes[:-1]):
+        assert source[offset : offset + len(lexeme)] == lexeme
 
 
 @given(st.lists(st.tuples(LEXEMES, TRIVIA), max_size=30))
 def test_every_kind_is_a_token_kind_constant(pairs):
     constants = {id(kind) for name, kind in vars(TokenKind).items() if name.isupper()}
     tokens = tokenize("".join(lexeme + trivia for lexeme, trivia in pairs))
-    assert all(id(tok.kind) in constants for tok in tokens)
+    assert all(id(kind) in constants for kind in tokens.kinds)
 
 
 CASE_STUDY = (CORPUS / "buyer_store.erop").read_text(encoding="utf-8")
-CASE_TOKENS = tokenize(CASE_STUDY)[:-1]
+_CASE_LEXEMES = tokenize(CASE_STUDY).lexemes[:-1]
+# the offset and lexeme of every token before EOF
+CASE_TOKENS = list(zip(token_offsets(CASE_STUDY, list(range(len(_CASE_LEXEMES)))), _CASE_LEXEMES))
 # every declaration kind's names, undeclared and lower-case names, the boolean
 # and outcome words, the contextual words, keywords, operators and literals
 REPLACEMENTS = (
@@ -80,7 +83,7 @@ REPLACEMENTS = (
 @given(st.integers(0, len(CASE_TOKENS) - 1), st.sampled_from(REPLACEMENTS))
 @settings(max_examples=1000)
 def test_any_single_token_replacement_is_diagnosed_or_compiled(index, lexeme):
-    tok = CASE_TOKENS[index]
-    source = CASE_STUDY[: tok.offset] + lexeme + CASE_STUDY[tok.offset + len(tok.lexeme) :]
+    offset, old = CASE_TOKENS[index]
+    source = CASE_STUDY[:offset] + lexeme + CASE_STUDY[offset + len(old) :]
     text, diags = translate(source, "P")
     assert (text is None) == any(d.is_error for d in diags)

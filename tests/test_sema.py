@@ -1,7 +1,7 @@
 import pytest
 
 from eropc import codegen
-from eropc.lexer import positions, tokenize
+from eropc.lexer import positions, token_offsets, tokenize
 from eropc.sema import build_symbol_table, check_contract
 from eropc.syntax import parse_contract
 
@@ -15,11 +15,11 @@ end
 
 
 def analyze(source):
-    """The symbol table and the diagnostics in discovery order, offsets resolved."""
+    """The symbol table and the diagnostics in discovery order, positions resolved."""
     ast = parse_contract(tokenize(source))
     tab, decl_diags = build_symbol_table(ast)
     diags = decl_diags + check_contract(ast, tab)
-    found = positions(source, [d.pos for d in diags])
+    found = positions(source, token_offsets(source, [d.pos for d in diags]))
     return tab, [d._replace(pos=pos) for d, pos in zip(diags, found)]
 
 
@@ -227,6 +227,31 @@ end
     assert e005.message == (
         f"composite obligation 'React' can only be in an obligs set, not {rop_set}"
     )
+
+
+@pytest.mark.parametrize(
+    "when, then, pos",
+    [
+        ("React.BizFail == false", "seller.obligs += React(buyer)", "6:5"),
+        ("", "React.BizFail == true", "8:5"),
+    ],
+)
+def test_compoblig_outcome_check_or_setter_is_e005(when, then, pos):
+    # a composite obligation has no AD global to read or set the flag through
+    decls = "roleplayer buyer, seller;\nbusinessoperation Pay;\ncompoblig React(Pay)\n"
+    text, diags = codegen.translate(decls + f"""\
+rule "R"
+when e matches (botype == X, originator == buyer, responder == seller, outcome == success)
+    {when}
+then
+    {then}
+end
+""", "P")
+    assert text is None
+    assert [(d.code, str(d.pos), d.message) for d in diags] == [
+        ("E005", pos, "composite obligation 'React' has no BizFail flag; "
+                      "a business operation has one"),
+    ]
 
 
 def test_event_field_set_is_checked():

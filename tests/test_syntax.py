@@ -1,7 +1,7 @@
 import pytest
 
-from eropc.codegen import translate
-from eropc.lexer import positions, tokenize
+from eropc.codegen import analyze, translate
+from eropc.lexer import token_offsets, tokenize
 from eropc.syntax import (
     BUSINESS_OP,
     COMP_OBLIG,
@@ -220,8 +220,8 @@ end
     with pytest.raises(ParseError) as exc:
         parse(source)
     assert "'then'" in exc.value.message
-    (pos,) = positions(source, [exc.value.pos])
-    assert pos.line == 6
+    _, _, (diag,) = analyze(source)
+    assert (diag.code, diag.message, str(diag.pos)) == ("E-PARSE", exc.value.message, "6:5")
 
 
 def test_nested_if_is_rejected():
@@ -272,8 +272,9 @@ def test_parsing_is_deterministic():
 def test_every_token_boundary_prefix_is_diagnosed_or_compiled(case_study_source):
     # the cursor never steps past EOF, wherever the input ends
     cuts = {0, len(case_study_source)}
-    for tok in tokenize(case_study_source):
-        cuts.update((tok.offset, tok.offset + len(tok.lexeme)))
+    lexemes = tokenize(case_study_source).lexemes
+    for offset, lexeme in zip(token_offsets(case_study_source, list(range(len(lexemes)))), lexemes):
+        cuts.update((offset, offset + len(lexeme)))
     outcomes = set()
     for cut in sorted(cuts):
         text, diags = translate(case_study_source[:cut], "P")
