@@ -9,6 +9,7 @@ straight to its text.
 
 from __future__ import annotations
 
+import gc
 import re
 import types
 from collections.abc import Mapping
@@ -314,10 +315,20 @@ def translate(
 
     Returns ``(text, diagnostics)``; ``text`` is None when any error
     diagnostic was produced, in which case nothing was rendered.
-    """
-    ast, tab, diags = analyze(source)
-    if any(d.is_error for d in diags):
-        return None, diags
 
-    ad_file = build_ad_file(lower_contract(ast), tab, package_name, lookup)
-    return render_file(ad_file), diags
+    The cyclic garbage collector is paused for the whole compile, then left as
+    the caller had it: a compile builds only acyclic trees, which reference
+    counting frees, so the collections its allocations set off free nothing.
+    """
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        ast, tab, diags = analyze(source)
+        if any(d.is_error for d in diags):
+            return None, diags
+
+        ad_file = build_ad_file(lower_contract(ast), tab, package_name, lookup)
+        return render_file(ad_file), diags
+    finally:
+        if gc_was_enabled:
+            gc.enable()

@@ -158,13 +158,13 @@ def token_offsets(source: str, indexes: list[int]) -> list[int]:
 def positions(source: str, offsets: list[int]) -> list[SourcePos]:
     """The line and column of each offset into ``source``.
 
-    The line-start table is built once per call, and only for a non-empty
-    ``offsets``; each line is then found by bisection.
+    The line-start table is built once per call, for a non-empty ``offsets``
+    and only up to the largest; each line is then found by bisection.
     """
     if not offsets:
         return []
     line_starts = [0]
-    line_starts.extend(m.end() for m in _LINE_BREAK.finditer(source))
+    line_starts.extend(m.end() for m in _LINE_BREAK.finditer(source, 0, max(offsets) + 1))
     result = []
     for offset in offsets:
         line = bisect_right(line_starts, offset)

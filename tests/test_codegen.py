@@ -1,3 +1,7 @@
+import gc
+import re
+import traceback
+
 import pytest
 
 from conftest import CORPUS
@@ -437,3 +441,69 @@ def test_output_uses_lf_and_four_space_indent(golden_drl):
     assert "\r" not in golden_drl
     body_lines = [l for l in golden_drl.splitlines() if l.startswith(" ")]
     assert body_lines and all(l.startswith("    ") and not l.startswith("     ") for l in body_lines)
+
+
+# --- the collector pause -----------------------------------------------------
+
+# the pause is safe only while a compile builds no reference cycle: one that
+# did (say, a parent pointer in the syntax tree) would wait for a collection
+COMPILES = [
+    pytest.param((CORPUS / "buyer_store.erop").read_text(encoding="utf-8"), id="golden"),
+    *(pytest.param(path.read_text(encoding="utf-8"), id=path.name)
+      for path in sorted((CORPUS / "bad").glob("*.erop"))),
+    pytest.param("roleplayer \u20ac;", id="lex-error"),
+    pytest.param("roleplayer buyer", id="parse-error"),
+    pytest.param("", id="empty"),
+]
+
+
+@pytest.mark.parametrize("source", COMPILES)
+def test_a_compile_leaves_no_cyclic_garbage(source):
+    gc.collect()
+    translate(source, "P")
+    assert gc.collect() == 0
+
+
+def repeated_case_study(source, copies):
+    """The case study's rules ``copies`` times over, copy k renamed Name_<k>."""
+    at = source.index('\nrule "') + 1
+    return source[:at] + "\n".join(
+        re.sub(r'^rule "(\w+)"$', rf'rule "\1_{k}"', source[at:], flags=re.M)
+        for k in range(copies)
+    )
+
+
+def test_no_collection_runs_during_a_compile(case_study_source):
+    source = repeated_case_study(case_study_source, 20)
+    collections = []
+
+    # the first allocation after translate re-enables the collector may start
+    # one collection in the caller; only one under translate's frame counts
+    def count(phase, info):
+        stack = traceback.walk_stack(None)
+        if phase == "start" and any(frame.f_code is translate.__code__ for frame, _ in stack):
+            collections.append(info["generation"])
+
+    assert gc.isenabled()
+    gc.collect()  # no collection is due as translate starts
+    gc.callbacks.append(count)
+    try:
+        text, diags = translate(source, "P")
+    finally:
+        gc.callbacks.remove(count)
+    assert text is not None and diags == []
+    assert collections == []
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_translate_leaves_the_collector_as_the_caller_had_it(case_study_source, enabled):
+    (gc.enable if enabled else gc.disable)()
+    try:
+        translate(case_study_source, "P")
+        assert gc.isenabled() is enabled
+        with pytest.raises(KeyError):
+            translate(case_study_source, "P", {})
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()

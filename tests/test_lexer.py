@@ -336,6 +336,21 @@ def test_positions_match_a_naive_count(source):
     assert positions(source, offsets) == [naive_pos(source, offset) for offset in offsets]
 
 
+LINES = st.lists(st.sampled_from(("a", "bc", " ", "\n", "\r", "\r\n")), max_size=30).map("".join)
+
+
+@given(LINES, st.data())
+@settings(max_examples=300)
+def test_positions_scanned_up_to_the_largest_offset_match_a_naive_count(source, data):
+    # no token starts between the CR and LF of a CRLF, so no offset is asked for there
+    valid = [o for o in range(len(source) + 1) if o == 0 or not source.startswith("\r\n", o - 1)]
+    # alone, each offset bounds the scan: right after every break, at the last character, ...
+    for offset in valid:
+        assert positions(source, [offset]) == [naive_pos(source, offset)]
+    offsets = data.draw(st.lists(st.sampled_from(valid), max_size=8))
+    assert positions(source, offsets) == [naive_pos(source, offset) for offset in offsets]
+
+
 # --- trivia-joined lexemes --------------------------------------------------
 
 POOL = (
