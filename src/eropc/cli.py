@@ -123,8 +123,8 @@ def _run_debug_dump(args, source: str) -> int:
     if any(d.is_error for d in diags):
         return 1
     for rule in ast.rules:  # one line per AD rule; the format is not stable
-        for name, guard, actions in split(rule):
-            print(f"rule {name!r} guard={guard!r} actions={actions!r}")
+        for piece in split(rule):
+            print(f"rule {piece.name!r} guard={piece.constraints!r} actions={piece.actions!r}")
     return 0
 
 

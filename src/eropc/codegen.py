@@ -3,8 +3,8 @@
 Covers the front end shared by translate() and the CLI's debug modes, the
 declaration block and its name checks (E012), the configurable
 keyword-to-method lookup, and deterministic rendering (LF newlines, 4-space
-indent inside rules).  Each AD rule is one ``sema.split`` triple rendered
-straight to its text.
+indent inside rules).  Each AD rule is one RuleAst that ``sema.split`` gives,
+rendered straight to its text.
 """
 
 from __future__ import annotations
@@ -15,12 +15,10 @@ import types
 from collections.abc import Mapping
 from typing import NamedTuple
 
-from .lexer import LexError, positions, token_offsets, tokenize
+from .lexer import FrontEndError, positions, tokenize
 from .sema import (
     Diagnostic,
-    NegatedConjunction,
     SymbolTable,
-    TargetRule,
     build_symbol_table,
     check_contract,
     split,
@@ -32,8 +30,8 @@ from .syntax import (
     ConstraintAst,
     ContractAst,
     Historical,
+    NegatedConjunction,
     Outcome,
-    ParseError,
     RopManip,
     RopMembership,
     RuleAst,
@@ -109,12 +107,8 @@ def load_lookup(text: str) -> dict[str, str]:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got '{raw.strip()}'")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if not key or not value:
+        key, _, value = map(str.strip, line.partition("="))
+        if not key or not value:  # a line without "=" has an empty value
             raise ConfigError(f"line {lineno}: expected 'key = value', got '{raw.strip()}'")
         if key not in DEFAULT_LOOKUP:
             raise ConfigError(f"line {lineno}: unknown key '{key}'")
@@ -190,13 +184,12 @@ def event_line(rule: RuleAst) -> str:
     return f"$e: Event({pairs})"
 
 
-def emit_rule(target: TargetRule, event: str, lookup: Mapping[str, str], tab: SymbolTable) -> str:
+def emit_rule(rule: RuleAst, event: str, lookup: Mapping[str, str], tab: SymbolTable) -> str:
     """The text of one AD rule of ``split``, under its source rule's event line."""
-    name, guard, actions = target
-    when = [event, *(f"eval({constraint_expr(constraint, lookup)})" for constraint in guard)]
+    when = [event, *(f"eval({constraint_expr(c, lookup)})" for c in rule.constraints)]
     then: list[str] = []  # never empty: the grammar gives every branch an action
     arrays = 0
-    for action in actions:
+    for action in rule.actions:
         if isinstance(action, RopManip):
             # sema leaves one beneficiary (E009) and a composite obligation only in obligs (E005)
             method = lookup[f"rop.{action.op}.{_SET_SINGULAR[action.rop_set]}"]
@@ -219,7 +212,7 @@ def emit_rule(target: TargetRule, event: str, lookup: Mapping[str, str], tab: Sy
         else:  # ResetAct
             then.append(f"{rop_var_name(action.player.lexeme)}.{lookup['reset']}();")
     indent = "\n    ".join
-    return f'rule "{name}"\nwhen\n    {indent(when)}\nthen\n    {indent(then)}\nend\n'
+    return f'rule "{rule.name}"\nwhen\n    {indent(when)}\nthen\n    {indent(then)}\nend\n'
 
 
 def constraint_expr(
@@ -256,7 +249,7 @@ def constraint_expr(
 
 
 class IrContract(NamedTuple):
-    rules: list[tuple[RuleAst, list[TargetRule]]]  # each source rule with its split
+    rules: list[tuple[RuleAst, list[RuleAst]]]  # each source rule with its split
 
 
 def lower_contract(ast: ContractAst) -> IrContract:
@@ -274,9 +267,9 @@ def build_ad_file(
 ) -> ADFile:
     """The header and the text of every AD rule of the contract."""
     rules = []
-    for rule, targets in contract.rules:
+    for rule, pieces in contract.rules:
         event = event_line(rule)
-        rules.extend(emit_rule(target, event, lookup, tab) for target in targets)
+        rules.extend(emit_rule(piece, event, lookup, tab) for piece in pieces)
     return ADFile(header_lines(package_name, tab), rules)
 
 
@@ -289,22 +282,19 @@ def analyze(source: str) -> tuple[ContractAst | None, SymbolTable | None, list[D
     """Tokenize, parse, build the symbol table and check; diagnostics in (line, col) order.
 
     A lexical or syntax error gives ``(None, None, [its E-LEX or E-PARSE])``.
-    The stages record token indexes (an E-LEX, a character offset); this is
-    the one place that turns them into SourcePos, all at once.
+    Every stage records token indexes; this is the one place that turns them
+    into SourcePos, all in one ``positions`` call.
     """
     ast = tab = None
     try:
         ast = parse_contract(tokenize(source))
-    except LexError as err:  # no token stream: its position is a character offset
-        (pos,) = positions(source, [err.pos])
-        return None, None, [Diagnostic("error", "E-LEX", err.message, pos)]
-    except ParseError as err:
-        diags = [Diagnostic("error", "E-PARSE", err.message, err.pos)]
+    except FrontEndError as err:
+        diags = [Diagnostic("error", err.code, err.message, err.pos)]
     else:
         tab, diags = build_symbol_table(ast)
         # index order is (line, col) order; the sort is stable, so ties keep discovery order
         diags = sorted(diags + check_contract(ast, tab) + check_globals(tab), key=lambda d: d.pos)
-    found = positions(source, token_offsets(source, [d.pos for d in diags]))
+    found = positions(source, [d.pos for d in diags])
     return ast, tab, [d._replace(pos=pos) for d, pos in zip(diags, found)]
 
 

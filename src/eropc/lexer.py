@@ -93,7 +93,7 @@ class Token(NamedTuple):
     """One token the parser keeps in the syntax tree."""
     kind: str  # a TokenKind constant
     lexeme: str
-    index: int  # the token's index in its TokenStream; see token_offsets()
+    index: int  # the token's index in its TokenStream; see positions()
 
     def __repr__(self) -> str:
         return f"Token({_KIND_NAMES[self.kind]}, {self.lexeme!r}, {self.index})"
@@ -110,13 +110,20 @@ class TokenStream:
         return len(self.kinds)
 
 
-class LexError(Exception):
-    """Lexical error with the offset of the offending character."""
+class FrontEndError(Exception):
+    """A lexical or syntax error: its ``message``, ``code`` and offending token index ``pos``."""
+    code: str  # the diagnostic code, set by each subclass
 
     def __init__(self, message: str, pos: int) -> None:
         super().__init__(message)
         self.message = message
         self.pos = pos
+
+
+class LexError(FrontEndError):
+    """Lexical error at the token that no kind accepts."""
+
+    code = "E-LEX"
 
 
 def tokenize(source: str) -> TokenStream:
@@ -133,8 +140,8 @@ def tokenize(source: str) -> TokenStream:
     kind_of = {lexeme: _FIXED_KINDS.get(lexeme) or _kind(lexeme) for lexeme in set(lexemes)}
     kinds = list(map(kind_of.__getitem__, lexemes))
     if None in kind_of.values():
-        (start,) = token_offsets(source, [kinds.index(None)])
-        raise LexError(_bad_token_message(source, start), start)
+        bad = kinds.index(None)
+        raise LexError(_bad_token_message(source, positions(source, [bad])[0].offset), bad)
     return TokenStream(kinds, lexemes)
 
 
@@ -147,26 +154,21 @@ def _kind(lexeme: str) -> str | None:
     return TokenKind.INT if lexeme.isascii() and lexeme.isdigit() else None
 
 
-def token_offsets(source: str, indexes: list[int]) -> list[int]:
-    """The character offset of each token index of ``source``, from one pass of the
-    tokenizing pattern that stops at the largest index asked for."""
-    matches = zip(range(max(indexes, default=-1) + 1), _TOKEN_RE.finditer(source))
-    starts = [m.start(1) for _, m in matches]
-    return [starts[i] for i in indexes]
+def positions(source: str, indexes: list[int]) -> list[SourcePos]:
+    """The line, column and offset of each token index of ``source``.
 
-
-def positions(source: str, offsets: list[int]) -> list[SourcePos]:
-    """The line and column of each offset into ``source``.
-
-    The line-start table is built once per call, for a non-empty ``offsets``
-    and only up to the largest; each line is then found by bisection.
+    One pass of the tokenizing pattern finds the token starts up to the largest
+    index asked for, line breaks are scanned up to the last of those starts, and
+    each line is then found by bisection.
     """
-    if not offsets:
+    if not indexes:
         return []
+    starts = [m.start(1) for _, m in zip(range(max(indexes) + 1), _TOKEN_RE.finditer(source))]
     line_starts = [0]
-    line_starts.extend(m.end() for m in _LINE_BREAK.finditer(source, 0, max(offsets) + 1))
+    line_starts.extend(m.end() for m in _LINE_BREAK.finditer(source, 0, starts[-1] + 1))
     result = []
-    for offset in offsets:
+    for index in indexes:
+        offset = starts[index]
         line = bisect_right(line_starts, offset)
         result.append(SourcePos(line, offset - line_starts[line - 1] + 1, offset))
     return result

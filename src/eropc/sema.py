@@ -29,6 +29,7 @@ from .syntax import (
     EventField,
     Historical,
     IfAct,
+    NegatedConjunction,
     Outcome,
     ResetAct,
     RopManip,
@@ -47,7 +48,7 @@ class Diagnostic(NamedTuple):
     severity: str  # "error" or "warning"
     code: str
     message: str
-    pos: SourcePos | int  # sema records a token index; codegen.analyze resolves it
+    pos: SourcePos | int  # a token index, as every stage records it; codegen.analyze resolves it
 
     @property
     def is_error(self) -> bool:
@@ -112,31 +113,23 @@ def check_contract(ast: ContractAst, tab: SymbolTable) -> list[Diagnostic]:
     return checker.diags
 
 
-class NegatedConjunction(NamedTuple):
-    """The negation of an if-condition, guarding the rule for its else branch."""
-
-    items: list[ConstraintAst]
-
-
-# one AD rule: its name, its guard (the constraints that must hold) and its actions
-TargetRule = tuple[str, list[ConstraintAst | NegatedConjunction], list[ActionAst]]
-
-
-def split(rule: RuleAst) -> list[TargetRule]:
+def split(rule: RuleAst) -> list[RuleAst]:
     """The AD rules a source rule compiles to, in output order.
 
-    An ``if`` gives ``<name>IfThen``, guarded by its condition, and an ``else``
-    gives ``<name>IfElse``, guarded by the negation; the rule's own constraints
-    follow.  Only the actions decide, so E007 can split an unchecked rule.
+    A rule without an ``if`` is its own only AD rule.  An ``if`` gives ``<name>IfThen``,
+    guarded by its condition, and an ``else`` gives ``<name>IfElse``, guarded by the
+    negation; the rule's own constraints follow, and each piece keeps the rule's name
+    position and event match.  Only the actions decide, so E007 can split an unchecked rule.
     """
     conditional = next((a for a in rule.actions if isinstance(a, IfAct)), None)
     if conditional is None:
-        return [(rule.name, rule.constraints, rule.actions)]
-    cond = conditional.cond
-    pieces = [(rule.name + "IfThen", cond + rule.constraints, conditional.then_actions)]
-    if conditional.else_actions is not None:
-        guard = [NegatedConjunction(cond), *rule.constraints]
-        pieces.append((rule.name + "IfElse", guard, conditional.else_actions))
+        return [rule]
+    name, name_pos, event_var, fields, own, _ = rule
+    cond, then_actions, else_actions, _ = conditional
+    pieces = [RuleAst(name + "IfThen", name_pos, event_var, fields, cond + own, then_actions)]
+    if else_actions is not None:
+        guard = [NegatedConjunction(cond), *own]
+        pieces.append(RuleAst(name + "IfElse", name_pos, event_var, fields, guard, else_actions))
     return pieces
 
 
@@ -159,7 +152,7 @@ class _Checker:
         seen_source: set[str] = set()
         seen_emitted: set[str] = set()
         for rule in ast.rules:
-            names = [name for name, _, _ in split(rule)]
+            names = [piece.name for piece in split(rule)]
             clash = next((n for n in names if n in seen_emitted), None)
             if rule.name in seen_source:
                 self.error("E007", f'duplicate rule name "{rule.name}"', rule.name_pos)

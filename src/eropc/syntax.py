@@ -29,9 +29,9 @@ Grammar for ``.erop`` files (normative for this compiler):
 Field names such as ``botype`` or ``BizFail``, ROP-set names, and time units
 are contextual identifiers recognised positionally, not reserved words.
 
-An identifier in the AST is a Token of its kind, lexeme and token index; every
-position is a token index, which ``lexer.token_offsets`` and ``lexer.positions``
-turn into line and column when one is shown.
+An identifier in the AST is a Token of its kind, lexeme and token index.  Every
+position, a lexical or syntax error's too, is a token index, which one call of
+``lexer.positions`` turns into line and column; ``sema.split`` gives RuleAsts.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from typing import NamedTuple, TypeVar
 
-from .lexer import Token, TokenKind, TokenStream, string_value
+from .lexer import FrontEndError, Token, TokenKind, TokenStream, string_value
 
 INT_MAX = 2**31 - 1  # a window bound is emitted into a Java int comparison
 ROP_SETS = ("rights", "obligs", "prohibs")
@@ -111,6 +111,12 @@ class Historical(NamedTuple):
 ConstraintAst = RopMembership | Outcome | TimeDirect | TimePartial | Historical
 
 
+class NegatedConjunction(NamedTuple):
+    """The negation of an if-condition: ``sema.split`` guards an else branch with it."""
+
+    items: list[ConstraintAst]
+
+
 # --- actions ---
 
 
@@ -148,7 +154,7 @@ class RuleAst(NamedTuple):
     name_pos: int
     event_var: Token
     event_fields: list[EventField]
-    constraints: list[ConstraintAst]
+    constraints: list[ConstraintAst | NegatedConjunction]
     actions: list[ActionAst]
 
 
@@ -157,13 +163,10 @@ class ContractAst(NamedTuple):
     rules: list[RuleAst]
 
 
-class ParseError(Exception):
-    """Syntax error naming the expected construct and the offending token's index."""
+class ParseError(FrontEndError):
+    """Syntax error naming the expected construct, at the offending token."""
 
-    def __init__(self, message: str, pos: int) -> None:
-        super().__init__(message)
-        self.message = message
-        self.pos = pos
+    code = "E-PARSE"
 
 
 _DECL_KINDS = {

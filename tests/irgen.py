@@ -138,7 +138,7 @@ def render_split(rule: RuleAst) -> list[ReadRule]:
     """The AD rules one source rule renders to, read back."""
     event = event_line(rule)
     tab = SymbolTable()
-    return [read_rule(emit_rule(target, event, DEFAULT_LOOKUP, tab)) for target in split(rule)]
+    return [read_rule(emit_rule(piece, event, DEFAULT_LOOKUP, tab)) for piece in split(rule)]
 
 
 def assert_split_laws(rule: RuleAst) -> None:

@@ -180,6 +180,14 @@ CHECK_OUTPUT = {
         "{}:2:24: error[E012]: business operation 'Buyer' and role player 'buyer' both become "
         "'buyer'"
     ]),
+    # three diagnostics at one token keep their discovery order: check_contract's
+    # E003 and W001, then check_globals' E012
+    "bad/same_position.erop": (1, [
+        "{}:2:24: error[E003]: business operation 'class' must begin with an upper-case letter",
+        "{}:2:24: warning[W001]: business operation 'class' declared but never used",
+        "{}:2:24: error[E012]: business operation 'class' becomes 'class', which is not a Java "
+        "identifier",
+    ]),
 }
 
 
@@ -354,6 +362,10 @@ def test_malformed_lookup_exits_2(tmp_path, capsys):
     [
         ("rop.remove.rigth = revokeRight\n", "line 1: unknown key 'rop.remove.rigth'"),
         ("# reset\nreset = not a name\n", "line 2: 'not a name' is not a Java identifier"),
+        ("reset\n", "line 1: expected 'key = value', got 'reset'"),
+        ("reset =\n", "line 1: expected 'key = value', got 'reset ='"),
+        ("= wipe\n", "line 1: expected 'key = value', got '= wipe'"),
+        ("# map\n reset =  # none\n", "line 2: expected 'key = value', got 'reset =  # none'"),
     ],
 )
 def test_lookup_mistake_exits_2(tmp_path, capsys, text, message):

@@ -53,7 +53,7 @@ when e matches (botype == BUYREQ, originator == buyer, responder == store, outco
 """
     (rule,) = parse_contract(tokenize(source)).rules
     event, tab = event_line(rule), CASE_TABLE
-    return [read_rule(emit_rule(target, event, DEFAULT_LOOKUP, tab)) for target in split(rule)]
+    return [read_rule(emit_rule(piece, event, DEFAULT_LOOKUP, tab)) for piece in split(rule)]
 
 
 def emitted(when="", then="    reset buyer\n"):

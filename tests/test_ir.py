@@ -8,7 +8,7 @@ from eropc.codegen import (
 )
 from eropc.lexer import tokenize
 from eropc.sema import NegatedConjunction, SymbolTable, split
-from eropc.syntax import ContractAst, ResetAct, parse_contract
+from eropc.syntax import ContractAst, ResetAct, RuleAst, parse_contract
 from irgen import render_split
 
 DECLS = """\
@@ -33,11 +33,11 @@ then
 end
 """)
     (source,) = ast.rules
-    ((name, guard, actions),) = split(source)
-    assert name == "BuyRequestReceived"
-    # splitting copies nothing: the AD rule holds the source rule's own nodes
-    assert guard is source.constraints and actions is source.actions
-    assert actions[1].deadline == "01-01-2016 12:00:00"
+    assert split(source) == [source]
+    (piece,) = split(source)
+    # splitting copies nothing: the AD rule is the source rule itself
+    assert piece is source and piece.name == "BuyRequestReceived"
+    assert piece.actions[1].deadline == "01-01-2016 12:00:00"
     (ad_rule,) = render_split(source)
     assert ad_rule.when_lines == [
         '$e: Event(type=="BUYREQ", originator=="buyer", responder=="store", status=="success")',
@@ -65,11 +65,15 @@ def test_conditional_rule_lowers_to_if_statement():
     (conditional,) = source.actions
     cond, own = conditional.cond, source.constraints
     negated = [NegatedConjunction(cond), *own]
+    head = source.name_pos, source.event_var, source.event_fields
     # the if-condition first, the rule's own constraints after it
     assert split(source) == [
-        ("BuyRequestBnessFailureIfThen", cond + own, conditional.then_actions),
-        ("BuyRequestBnessFailureIfElse", negated, conditional.else_actions),
+        RuleAst("BuyRequestBnessFailureIfThen", *head, cond + own, conditional.then_actions),
+        RuleAst("BuyRequestBnessFailureIfElse", *head, negated, conditional.else_actions),
     ]
+    for piece in split(source):  # each piece keeps the source rule's own event nodes
+        assert piece.event_var is source.event_var
+        assert piece.event_fields is source.event_fields
     then_rule, else_rule = render_split(source)
     assert then_rule.then_lines == ["buyRequest.setBusinessFailure(true);"]
     assert else_rule.when_lines[1] == "eval(!(buyRequest.getBusinessFailure() == false))"
@@ -80,8 +84,9 @@ def test_if_without_else_lowers_to_one_if_then_rule():
     (source,) = parse(conditional_rule("")).rules
     (conditional,) = source.actions
     assert split(source) == [
-        ("BuyRequestBnessFailureIfThen", conditional.cond + source.constraints,
-         conditional.then_actions),
+        RuleAst("BuyRequestBnessFailureIfThen", source.name_pos, source.event_var,
+                source.event_fields, conditional.cond + source.constraints,
+                conditional.then_actions),
     ]
     assert [ad_rule.name for ad_rule in render_split(source)] == ["BuyRequestBnessFailureIfThen"]
 
@@ -96,7 +101,7 @@ then
     if (BuyRequest.BizFail == false) then reset seller else reset store endif
 end
 """).rules
-    assert [name for name, _, _ in split(source)] == ["RIfThen", "RIfElse"]
+    assert [piece.name for piece in split(source)] == ["RIfThen", "RIfElse"]
 
 
 def test_rule_without_conditional_lowers_to_itself():
@@ -108,7 +113,8 @@ then
     reset buyer
 end
 """).rules
-    assert split(source) == [("R", source.constraints, source.actions)]
+    assert split(source) == [source]
+    assert split(source)[0] is source
 
 
 def test_event_fields_reordered_into_canonical_slots():
@@ -133,7 +139,7 @@ then
     buyer reset
 end
 """
-    ((_, _, (first, second)),) = split(parse(source).rules[0])
+    ((first, second),) = [piece.actions for piece in split(parse(source).rules[0])]
     assert type(first) is type(second) is ResetAct
     assert first.player.lexeme == second.player.lexeme == "buyer"
     text, _ = translate(source, "P")

@@ -13,7 +13,6 @@ from eropc.lexer import (
     TokenKind,
     positions,
     string_value,
-    token_offsets,
     tokenize,
 )
 from eropc.syntax import parse_contract
@@ -27,14 +26,18 @@ def lexemes(source):
     return tokenize(source).lexemes
 
 
+def offsets_of(source, indexes):
+    return [pos.offset for pos in positions(source, indexes)]
+
+
 def spans(source):
     """The ``(lexeme, offset)`` of every token, EOF included, offsets found on demand."""
     tokens = tokenize(source)
-    return list(zip(tokens.lexemes, token_offsets(source, list(range(len(tokens))))))
+    return list(zip(tokens.lexemes, offsets_of(source, list(range(len(tokens))))))
 
 
-def pos_of(source, offset):
-    (pos,) = positions(source, [offset])
+def pos_of(source, index):
+    (pos,) = positions(source, [index])
     return pos
 
 
@@ -129,15 +132,14 @@ def test_line_and_column_tracking():
     tokens = tokenize(source)
     reset = tokens.kinds.index(TokenKind.RESET)
     seller = len(tokens) - 2
-    found = positions(source, token_offsets(source, [reset, seller]))
+    found = positions(source, [reset, seller])
     assert [(p.line, p.col) for p in found] == [(2, 3), (2, 9)]
 
 
 @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
 def test_any_line_ending_convention(newline):
     source = f"roleplayer buyer;{newline}reset seller"
-    (offset,) = token_offsets(source, [kinds(source).index(TokenKind.RESET)])
-    assert str(pos_of(source, offset)) == "2:1"
+    assert str(pos_of(source, kinds(source).index(TokenKind.RESET))) == "2:1"
 
 
 def test_comments_are_skipped():
@@ -191,24 +193,30 @@ def test_unterminated_string():
 
 
 def test_unterminated_block_comment():
+    source = "reset buyer /* no close"
     with pytest.raises(LexError) as exc:
-        tokenize("reset buyer /* no close")
-    assert exc.value.pos == 12
+        tokenize(source)
+    assert exc.value.pos == 2
+    assert pos_of(source, exc.value.pos) == SourcePos(1, 13, 12)
 
 
 def test_illegal_character():
+    source = "reset @buyer"
     with pytest.raises(LexError) as exc:
-        tokenize("reset @buyer")
+        tokenize(source)
     assert "@" in exc.value.message
-    assert exc.value.pos == 6
+    assert exc.value.pos == 1
+    assert pos_of(source, exc.value.pos) == SourcePos(1, 7, 6)
 
 
 @pytest.mark.parametrize("digit", ["\u00b2", "\u0661"])
 def test_non_ascii_digits_are_illegal(digit):
+    source = f"e.hour in [{digit},3]"
     with pytest.raises(LexError) as exc:
-        tokenize(f"e.hour in [{digit},3]")
+        tokenize(source)
     assert exc.value.message == f"illegal character {digit!r}"
-    assert exc.value.pos == 11
+    assert exc.value.pos == 5
+    assert pos_of(source, exc.value.pos) == SourcePos(1, 12, 11)
 
 
 SUPERSCRIPT_HOUR = """roleplayer buyer;
@@ -234,13 +242,13 @@ def test_trailing_bare_carriage_return_ends_the_line():
     source = "reset buyer\r"
     assert spans(source)[-1] == ("", 12)
     assert kinds(source)[-1] is TokenKind.EOF
-    assert pos_of(source, 12) == SourcePos(2, 1, 12)
+    assert pos_of(source, 2) == SourcePos(2, 1, 12)
 
 
 def test_block_comment_spanning_crlf_lines():
     source = "a /* x\r\ny\r\n */ b"
     assert lexemes(source) == ["a", "b", ""]
-    assert positions(source, token_offsets(source, [0, 1, 2])) == [
+    assert positions(source, [0, 1, 2]) == [
         SourcePos(1, 1, 0), SourcePos(3, 5, 15), SourcePos(3, 6, 16)
     ]
 
@@ -326,14 +334,17 @@ def test_positions_match_a_naive_count(source):
         with pytest.raises(LexError) as exc:
             tokenize(source)
         message, offset = error
-        assert (exc.value.message, exc.value.pos) == (message, offset)
-        assert positions(source, [offset]) == [naive_pos(source, offset)]
+        # the bad token's index is the count of the good tokens before it
+        assert (exc.value.message, exc.value.pos) == (message, len(expected))
+        assert positions(source, [exc.value.pos]) == [naive_pos(source, offset)]
         return
     found = spans(source)
     assert found[:-1] == expected
     assert found[-1] == ("", len(source))
-    offsets = [offset for _, offset in found]
-    assert positions(source, offsets) == [naive_pos(source, offset) for offset in offsets]
+    starts = [offset for _, offset in found]
+    for index, offset in enumerate(starts):
+        assert positions(source, [index]) == [naive_pos(source, offset)]
+    assert positions(source, list(range(len(found)))) == [naive_pos(source, o) for o in starts]
 
 
 LINES = st.lists(st.sampled_from(("a", "bc", " ", "\n", "\r", "\r\n")), max_size=30).map("".join)
@@ -342,13 +353,14 @@ LINES = st.lists(st.sampled_from(("a", "bc", " ", "\n", "\r", "\r\n")), max_size
 @given(LINES, st.data())
 @settings(max_examples=300)
 def test_positions_scanned_up_to_the_largest_offset_match_a_naive_count(source, data):
-    # no token starts between the CR and LF of a CRLF, so no offset is asked for there
-    valid = [o for o in range(len(source) + 1) if o == 0 or not source.startswith("\r\n", o - 1)]
-    # alone, each offset bounds the scan: right after every break, at the last character, ...
-    for offset in valid:
-        assert positions(source, [offset]) == [naive_pos(source, offset)]
-    offsets = data.draw(st.lists(st.sampled_from(valid), max_size=8))
-    assert positions(source, offsets) == [naive_pos(source, offset) for offset in offsets]
+    expected, error = reference_scan(source)
+    assert error is None
+    starts = [offset for _, offset in expected] + [len(source)]  # EOF last
+    # alone, each index bounds the scan: a token right after a break, EOF at the end, ...
+    for index, offset in enumerate(starts):
+        assert positions(source, [index]) == [naive_pos(source, offset)]
+    indexes = data.draw(st.lists(st.sampled_from(range(len(starts))), max_size=8))
+    assert positions(source, indexes) == [naive_pos(source, starts[i]) for i in indexes]
 
 
 # --- trivia-joined lexemes --------------------------------------------------
@@ -406,8 +418,8 @@ def test_trivia_joined_lexemes_lex_back_with_their_offsets(case):
     assert tokens.kinds.count(TokenKind.EOF) == 1 and tokens.kinds[-1] is TokenKind.EOF
     assert len(tokens) == len(pool) + 1
     indexes = list(range(len(tokens)))
-    assert token_offsets(source, indexes) == [*offsets, len(source)]
-    assert token_offsets(source, indexes[::-1]) == [len(source), *offsets[::-1]]
+    assert offsets_of(source, indexes) == [*offsets, len(source)]
+    assert offsets_of(source, indexes[::-1]) == [len(source), *offsets[::-1]]
     assert tokens.kinds == [ascii_kind(lexeme) for lexeme in tokens.lexemes]
     assert all(id(kind) in KIND_CONSTANTS for kind in tokens.kinds)
 

@@ -1,9 +1,11 @@
+import re
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CORPUS
 from eropc.codegen import DEFAULT_LOOKUP, build_ad_file, lower_contract, translate
-from eropc.lexer import TokenKind, token_offsets, tokenize
+from eropc.lexer import TokenKind, positions, tokenize
 from eropc.sema import SymbolTable, check_contract
 from eropc.syntax import ContractAst
 from irgen import assert_split_laws, expected_piece_count, read_rule, source_rules
@@ -53,7 +55,7 @@ def test_lexer_round_trips_any_lexeme_sequence(pairs):
     tokens = tokenize(source)
     assert tokens.kinds[-1] is TokenKind.EOF
     assert tokens.lexemes[:-1] == [lexeme for lexeme, _ in pairs]
-    offsets = token_offsets(source, list(range(len(tokens) - 1)))
+    offsets = [p.offset for p in positions(source, list(range(len(tokens) - 1)))]
     for offset, lexeme in zip(offsets, tokens.lexemes[:-1]):
         assert source[offset : offset + len(lexeme)] == lexeme
 
@@ -68,7 +70,8 @@ def test_every_kind_is_a_token_kind_constant(pairs):
 CASE_STUDY = (CORPUS / "buyer_store.erop").read_text(encoding="utf-8")
 _CASE_LEXEMES = tokenize(CASE_STUDY).lexemes[:-1]
 # the offset and lexeme of every token before EOF
-CASE_TOKENS = list(zip(token_offsets(CASE_STUDY, list(range(len(_CASE_LEXEMES)))), _CASE_LEXEMES))
+_CASE_OFFSETS = [p.offset for p in positions(CASE_STUDY, list(range(len(_CASE_LEXEMES))))]
+CASE_TOKENS = list(zip(_CASE_OFFSETS, _CASE_LEXEMES))
 # every declaration kind's names, undeclared and lower-case names, the boolean
 # and outcome words, the contextual words, keywords, operators and literals
 REPLACEMENTS = (
@@ -87,3 +90,36 @@ def test_any_single_token_replacement_is_diagnosed_or_compiled(index, lexeme):
     source = CASE_STUDY[:offset] + lexeme + CASE_STUDY[offset + len(old) :]
     text, diags = translate(source, "P")
     assert (text is None) == any(d.is_error for d in diags)
+
+
+LINE_BREAK = re.compile(r"\r\n|\r|\n")
+
+
+@st.composite
+def case_study_mutants(draw):
+    """The case study with a span deleted, a line duplicated, or a span copied elsewhere."""
+    size = len(CASE_STUDY)
+    mutation = draw(st.sampled_from(("delete span", "duplicate line", "copy span")))
+    if mutation == "duplicate line":
+        lines = CASE_STUDY.splitlines(keepends=True)
+        i = draw(st.integers(0, len(lines) - 1))
+        return "".join(lines[: i + 1] + lines[i:])
+    start = draw(st.integers(0, size))
+    end = draw(st.integers(start, min(size, start + 300)))
+    if mutation == "delete span":
+        return CASE_STUDY[:start] + CASE_STUDY[end:]
+    at = draw(st.integers(0, size))
+    return CASE_STUDY[:at] + CASE_STUDY[start:end] + CASE_STUDY[at:]
+
+
+@given(case_study_mutants())
+@settings(max_examples=1000)
+def test_span_deletions_and_copies_are_diagnosed_or_compiled(source):
+    text, diags = translate(source, "P")
+    assert (text is None) == any(d.is_error for d in diags)
+    lines = LINE_BREAK.split(source)
+    for d in diags:
+        line, col = map(int, str(d.pos).split(":"))
+        assert 1 <= line <= len(lines) and 1 <= col <= len(lines[line - 1]) + 1
+        before = LINE_BREAK.split(source[: d.pos.offset])  # the offset agrees
+        assert (line, col) == (len(before), len(before[-1]) + 1)

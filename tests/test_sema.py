@@ -1,7 +1,7 @@
 import pytest
 
 from eropc import codegen
-from eropc.lexer import positions, token_offsets, tokenize
+from eropc.lexer import positions, tokenize
 from eropc.sema import build_symbol_table, check_contract
 from eropc.syntax import parse_contract
 
@@ -19,7 +19,7 @@ def analyze(source):
     ast = parse_contract(tokenize(source))
     tab, decl_diags = build_symbol_table(ast)
     diags = decl_diags + check_contract(ast, tab)
-    found = positions(source, token_offsets(source, [d.pos for d in diags]))
+    found = positions(source, [d.pos for d in diags])
     return tab, [d._replace(pos=pos) for d, pos in zip(diags, found)]
 
 

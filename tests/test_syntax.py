@@ -1,7 +1,7 @@
 import pytest
 
 from eropc.codegen import analyze, translate
-from eropc.lexer import token_offsets, tokenize
+from eropc.lexer import positions, tokenize
 from eropc.syntax import (
     BUSINESS_OP,
     COMP_OBLIG,
@@ -273,7 +273,8 @@ def test_every_token_boundary_prefix_is_diagnosed_or_compiled(case_study_source)
     # the cursor never steps past EOF, wherever the input ends
     cuts = {0, len(case_study_source)}
     lexemes = tokenize(case_study_source).lexemes
-    for offset, lexeme in zip(token_offsets(case_study_source, list(range(len(lexemes)))), lexemes):
+    found = positions(case_study_source, list(range(len(lexemes))))
+    for offset, lexeme in zip([p.offset for p in found], lexemes):
         cuts.update((offset, offset + len(lexeme)))
     outcomes = set()
     for cut in sorted(cuts):
