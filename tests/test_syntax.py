@@ -282,3 +282,194 @@ def test_every_token_boundary_prefix_is_diagnosed_or_compiled(case_study_source)
         assert (text is None) == any(d.is_error for d in diags)
         outcomes.add(text is not None or diags[0].code)
     assert outcomes == {True, "E-PARSE"}
+
+
+# --- every place the parser rejects its input: the exact message and line:col ---
+
+TWO_DECLS = "roleplayer buyer;\nbusinessoperation Pay;\n"  # lines 1-2
+RULE_HEAD = 'rule "R" when e matches (botype == X)\n'
+AFTER_HEAD = TWO_DECLS + RULE_HEAD  # constraints start on line 4
+RULE_TAIL = "then reset buyer\nend\n"
+IF_THEN = "if (Pay.BizFail == true) then "
+
+
+def with_actions(actions):
+    return AFTER_HEAD + "then " + actions + "\nend\n"  # actions on line 4, from column 6
+
+
+PARSE_ERRORS = [
+    # contract
+    ("empty_source", "1:1",
+     "expected a declaration (roleplayer, businessoperation or compoblig) but found end of input",
+     ""),
+    ("rule_before_declarations", "1:1",
+     "expected a declaration (roleplayer, businessoperation or compoblig) but found 'rule'",
+     RULE_HEAD + RULE_TAIL),
+    ("no_rule", "3:1", "expected 'rule' but found end of input", TWO_DECLS),
+    ("no_rule_but_identifier", "3:1", "expected 'rule' but found 'buyer'", TWO_DECLS + "buyer"),
+    ("declaration_after_rule", "6:1", "declarations must precede the first rule",
+     AFTER_HEAD + RULE_TAIL + "roleplayer late;\n"),
+    ("identifier_after_rules", "6:1", "expected 'rule' or end of input but found 'buyer'",
+     AFTER_HEAD + RULE_TAIL + "buyer"),
+    # declarations
+    ("role_player_name", "1:12", "expected a role player name but found ';'", "roleplayer ;\n"),
+    ("role_player_name_after_comma", "1:15", "expected a role player name but found ';'",
+     "roleplayer a, ;\n"),
+    ("business_operation_name", "1:19", "expected a business operation name but found '1'",
+     "businessoperation 1;\n"),
+    ("declaration_semicolon", "1:14", "expected ';' but found 'b'", "roleplayer a b;\n"),
+    ("eof_in_declaration_list", "1:14", "expected a role player name but found end of input",
+     "roleplayer a,"),
+    ("composite_obligation_name", "1:11", "expected a composite obligation name but found '('",
+     "compoblig (A)\n"),
+    ("composite_obligation_lparen", "1:13", "expected '(' but found 'A'", "compoblig C A\n"),
+    ("composite_obligation_member", "1:13", "expected a member business operation but found ')'",
+     "compoblig C()\n"),
+    ("composite_obligation_rparen", "1:15", "expected ')' but found 'B'", "compoblig C(A B)\n"),
+    # rule head and event match
+    ("rule_name", "3:6", "expected a rule name string but found 'R'", TWO_DECLS + "rule R when"),
+    ("eof_after_rule", "3:5", "expected a rule name string but found end of input",
+     TWO_DECLS + "rule"),
+    ("when", "3:10", "expected 'when' but found 'e'", TWO_DECLS + 'rule "R" e matches'),
+    ("event_variable", "3:15", "expected an event variable but found 'matches'",
+     TWO_DECLS + 'rule "R" when matches'),
+    ("eof_in_rule_head", "3:14", "expected an event variable but found end of input",
+     TWO_DECLS + 'rule "R" when'),
+    ("matches", "3:17", "expected 'matches' but found '('", TWO_DECLS + 'rule "R" when e ('),
+    ("event_lparen", "3:25", "expected '(' but found 'botype'",
+     TWO_DECLS + 'rule "R" when e matches botype'),
+    ("event_field_name", "3:26", "expected an event field name but found '=='",
+     TWO_DECLS + 'rule "R" when e matches (== X)'),
+    ("event_field_eq", "3:33", "expected '==' but found 'X'",
+     TWO_DECLS + 'rule "R" when e matches (botype X)'),
+    ("event_field_value", "3:36", "expected an event field value but found ')'",
+     TWO_DECLS + 'rule "R" when e matches (botype == )'),
+    ("event_field_after_comma", "3:39", "expected an event field name but found ')'",
+     TWO_DECLS + 'rule "R" when e matches (botype == X, )'),
+    ("event_rparen", "3:38", "expected ')' but found 'originator'",
+     TWO_DECLS + 'rule "R" when e matches (botype == X originator'),
+    ("eof_in_event_list", "3:38", "expected an event field name but found end of input",
+     TWO_DECLS + 'rule "R" when e matches (botype == X,'),
+    # constraints
+    ("constraint_or_then", "4:1", 'expected a constraint or \'then\' but found \'"x"\'',
+     AFTER_HEAD + '"x"\n' + RULE_TAIL),
+    ("then_missing", "4:1", "expected a constraint or 'then' but found 'reset'",
+     AFTER_HEAD + "reset buyer\nend\n"),
+    ("eof_after_event_match", "4:1", "expected a constraint or 'then' but found end of input",
+     AFTER_HEAD),
+    ("membership_player", "4:8", "expected a role player name but found '.'",
+     AFTER_HEAD + "Pay in .rights\n" + RULE_TAIL),
+    ("membership_dot", "4:14", "expected '.' but found 'rights'",
+     AFTER_HEAD + "Pay in buyer rights\n" + RULE_TAIL),
+    ("membership_rop_set", "4:14", "expected 'rights', 'obligs' or 'prohibs' but found 'foo'",
+     AFTER_HEAD + "Pay in buyer.foo\n" + RULE_TAIL),
+    ("membership_rop_set_keyword", "4:14",
+     "expected 'rights', 'obligs' or 'prohibs' but found 'then'",
+     AFTER_HEAD + "Pay in buyer.then\n" + RULE_TAIL),
+    ("constraint_dot", "4:5", "expected 'in' or '.' but found 'BizFail'",
+     AFTER_HEAD + "Pay BizFail == true\n" + RULE_TAIL),
+    ("happened_without_lparen", "4:10", "expected 'in' or '.' but found 'botype'",
+     AFTER_HEAD + "happened botype == X\n" + RULE_TAIL),
+    ("not_without_happened", "4:5", "expected 'in' or '.' but found 'Pay'",
+     AFTER_HEAD + "not Pay in buyer.rights\n" + RULE_TAIL),
+    ("constraint_selector", "4:5", "expected 'BizFail', 'timestamp' or a time unit but found '1'",
+     AFTER_HEAD + "Pay.1\n" + RULE_TAIL),
+    ("constraint_selector_unknown", "4:5",
+     "expected 'BizFail', 'timestamp' or a time unit after '.' but found 'foo'",
+     AFTER_HEAD + "Pay.foo == true\n" + RULE_TAIL),
+    ("outcome_eq", "4:13", "expected '==' but found 'true'",
+     AFTER_HEAD + "Pay.BizFail true\n" + RULE_TAIL),
+    ("outcome_value", "4:16", 'expected \'true\' or \'false\' but found \'"x"\'',
+     AFTER_HEAD + 'Pay.BizFail == "x"\n' + RULE_TAIL),
+    ("timestamp_operator", "4:13", "expected '==', '<' or '>' but found '<='",
+     AFTER_HEAD + 'e.timestamp <= "t"\n' + RULE_TAIL),
+    ("timestamp_string", "4:15", "expected a timestamp string but found '5'",
+     AFTER_HEAD + "e.timestamp < 5\n" + RULE_TAIL),
+    ("window_in", "4:8", "expected 'in' but found '['",
+     AFTER_HEAD + "e.hour [1, 2]\n" + RULE_TAIL),
+    ("window_lbracket", "4:11", "expected '[' but found '('",
+     AFTER_HEAD + "e.hour in (1, 2)\n" + RULE_TAIL),
+    ("window_lo", "4:12", "expected an integer but found 'x'",
+     AFTER_HEAD + "e.hour in [x, 2]\n" + RULE_TAIL),
+    ("window_comma", "4:14", "expected ',' but found '2'",
+     AFTER_HEAD + "e.hour in [1 2]\n" + RULE_TAIL),
+    ("window_hi", "4:15", "expected an integer but found ']'",
+     AFTER_HEAD + "e.hour in [1, ]\n" + RULE_TAIL),
+    ("window_rbracket", "4:16", "expected ']' but found ')'",
+     AFTER_HEAD + "e.hour in [1, 2)\n" + RULE_TAIL),
+    ("window_lo_out_of_range", "4:12", "integer out of range (at most 2147483647)",
+     AFTER_HEAD + "e.hour in [2147483648, 2]\n" + RULE_TAIL),
+    ("eof_in_window", "4:14", "expected an integer but found end of input",
+     AFTER_HEAD + "e.hour in [9,"),
+    ("historical_lparen", "4:14", "expected '(' but found 'botype'",
+     AFTER_HEAD + "not happened botype == X\n" + RULE_TAIL),
+    ("historical_field_eq", "4:18", "expected '==' but found 'X'",
+     AFTER_HEAD + "happened (botype X)\n" + RULE_TAIL),
+    # actions
+    ("action_missing", "4:6", "expected an action but found 'end'", AFTER_HEAD + "then end\n"),
+    ("action_keyword", "4:18", "expected an action but found 'when'",
+     with_actions("reset buyer when")),
+    ("reset_player", "4:12", "expected a role player name but found ';'", with_actions("reset ;")),
+    ("action_dot", "4:12", "expected '.' but found 'rights'",
+     with_actions("buyer rights += Pay()")),
+    ("action_selector", "4:12", "expected a ROP set or 'BizFail' but found '5'",
+     with_actions("buyer.5")),
+    ("action_selector_unknown", "4:12",
+     "expected 'rights', 'obligs', 'prohibs' or 'BizFail' but found 'foo'",
+     with_actions("buyer.foo += Pay()")),
+    ("manipulation_operator", "4:19", "expected '+=' or '-=' but found '=='",
+     with_actions("buyer.rights == Pay()")),
+    ("manipulation_operation", "4:22", "expected a business operation name but found '('",
+     with_actions("buyer.rights += (a)")),
+    ("manipulation_lparen", "4:26", "expected '(' but found 'a'",
+     with_actions("buyer.rights += Pay a")),
+    ("argument", "4:26", "expected an argument (identifier or string) but found ')'",
+     with_actions("buyer.rights += Pay()")),
+    ("argument_after_comma", "4:29", "expected an argument (identifier or string) but found '5'",
+     with_actions("buyer.rights += Pay(a, 5)")),
+    ("argument_rparen", "4:28", "expected ')' but found 'b'",
+     with_actions("buyer.rights += Pay(a b)")),
+    ("eof_in_argument_list", "4:28",
+     "expected an argument (identifier or string) but found end of input",
+     AFTER_HEAD + "then buyer.rights += Pay(a,"),
+    ("action_outcome_eq", "4:18", "expected '==' but found 'true'",
+     with_actions("Pay.BizFail true")),
+    ("action_outcome_value", "4:21", "expected 'true' or 'false' but found '1'",
+     with_actions("Pay.BizFail == 1")),
+    ("end_missing", "5:1", "expected 'end' but found end of input",
+     AFTER_HEAD + "then reset buyer\n"),
+    # if actions
+    ("if_lparen", "4:9", "expected '(' but found 'Pay'",
+     with_actions("if Pay.BizFail == true then reset buyer endif")),
+    ("if_empty_condition", "4:10", "expected a constraint but found ')'",
+     with_actions("if () then reset buyer endif")),
+    ("if_trailing_comma", "4:30", "expected a constraint but found ')'",
+     with_actions("if (Pay.BizFail == true,) then reset buyer endif")),
+    ("eof_in_if_condition", "4:10", "expected a constraint but found end of input",
+     AFTER_HEAD + "then if ("),
+    ("if_then", "4:31", "expected 'then' but found 'reset'",
+     with_actions("if (Pay.BizFail == true) reset buyer endif")),
+    ("if_no_action", "4:36", "expected an action but found 'endif'",
+     with_actions(IF_THEN + "endif")),
+    ("if_nested", "4:36", "nested 'if' actions are not supported",
+     with_actions(IF_THEN + "if (Pay.BizFail == false) then reset buyer endif endif")),
+    ("if_nested_in_else", "4:53", "nested 'if' actions are not supported",
+     with_actions(IF_THEN + "reset buyer else if (Pay.BizFail == false) then reset buyer endif"
+                  " endif")),
+    ("if_second_else", "4:65", "expected an action but found 'else'",
+     with_actions(IF_THEN + "reset buyer else reset buyer else reset buyer endif")),
+    ("if_end_before_endif", "4:48", "expected an action but found 'end'",
+     with_actions(IF_THEN + "reset buyer end")),
+    ("eof_before_endif", "4:47", "expected 'endif' but found end of input",
+     AFTER_HEAD + "then " + IF_THEN + "reset buyer"),
+]
+
+
+@pytest.mark.parametrize(
+    "pos, message, source",
+    [case[1:] for case in PARSE_ERRORS],
+    ids=[case[0] for case in PARSE_ERRORS],
+)
+def test_parse_error_message_and_position(pos, message, source):
+    _, _, (diag,) = analyze(source)
+    assert (diag.code, diag.message, str(diag.pos)) == ("E-PARSE", message, pos)
