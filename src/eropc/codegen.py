@@ -150,14 +150,16 @@ def header_lines(package_name: str, tab: SymbolTable) -> list[str]:
     return lines
 
 
-# the header's own globals and the then-block's composite-obligation arrays
-_TAKEN_IDENTIFIER = re.compile(r"engine|logger|bos[0-9]*")
+# the header's own globals; the then-block's composite-obligation arrays are bos, bos2, ...
+_TAKEN_IDENTIFIERS = frozenset(("engine", "logger", "bos"))
 
 
 def check_globals(tab: SymbolTable) -> list[Diagnostic]:
     """E012 at a declaration whose AD identifier is taken or is no Java identifier.
 
     Of two names that give one identifier, the later declaration is reported.
+    A declared name is ASCII ``[A-Za-z][A-Za-z0-9_]*``, so each of its AD
+    identifiers has a Java identifier's shape and can fail only as a reserved word.
     """
     diags: list[Diagnostic] = []
     owners: dict[str, str] = {}
@@ -166,9 +168,9 @@ def check_globals(tab: SymbolTable) -> list[Diagnostic]:
             owner = owners.setdefault(ident, name)
             if owner != name:
                 message = f"{kind} '{name}' and {tab.kinds[owner]} '{owner}' both become '{ident}'"
-            elif _TAKEN_IDENTIFIER.fullmatch(ident):
+            elif ident in _TAKEN_IDENTIFIERS or ident[:3] == "bos" and ident[3:].isdigit():
                 message = f"{kind} '{name}' becomes '{ident}', a name the AD output already uses"
-            elif not is_java_identifier(ident):
+            elif ident in _JAVA_RESERVED:
                 message = f"{kind} '{name}' becomes '{ident}', which is not a Java identifier"
             else:
                 continue

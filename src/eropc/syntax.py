@@ -32,12 +32,12 @@ are contextual identifiers recognised positionally, not reserved words.
 An identifier in the AST is a Token of its kind, lexeme and token index.  Every
 position, a lexical or syntax error's too, is a token index, which one call of
 ``lexer.positions`` turns into line and column; ``sema.split`` gives RuleAsts.
+The parser tests token kinds by index and builds every record positionally.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
-from typing import NamedTuple, TypeVar
+from typing import NamedTuple
 
 from .lexer import FrontEndError, Token, TokenKind, TokenStream, string_value
 
@@ -45,7 +45,6 @@ INT_MAX = 2**31 - 1  # a window bound is emitted into a Java int comparison
 ROP_SETS = ("rights", "obligs", "prohibs")
 TIME_UNITS = ("hour", "minute", "day", "month", "year")
 EVENT_FIELDS = ("botype", "originator", "responder", "outcome")
-T = TypeVar("T")
 
 
 class EventField(NamedTuple):
@@ -176,7 +175,7 @@ _DECL_KINDS = {
 }
 _MANIP_OPS = {TokenKind.PLUSEQ: "add", TokenKind.MINUSEQ: "remove"}
 
-# Token is a NamedTuple, whose generated __new__ is Python code; this skips it.
+# A NamedTuple's generated __new__ is Python code; this builds one from its fields in order.
 _new = tuple.__new__
 
 
@@ -186,20 +185,17 @@ def parse_contract(tokens: TokenStream) -> ContractAst:
 
 
 class _Parser:
+    """A production tests kinds by token index, from its first token on, and
+    raises at the first that fails, so no test reads past EOF; then it moves
+    the cursor ``i`` past what it read.  A Token is built only for the AST."""
+
     def __init__(self, tokens: TokenStream) -> None:
         self.kinds = tokens.kinds
         self.lexemes = tokens.lexemes
         self.i = 0
 
-    # token bookkeeping by index; a Token is built only for the AST.  Every step
-    # past a token follows a kind test, and only expect(EOF) passes EOF.
-
     def at(self, kind: str) -> bool:
         return self.kinds[self.i] is kind
-
-    def at_ident(self, name: str, ahead: int = 0) -> bool:
-        i = self.i + ahead
-        return self.kinds[i] is TokenKind.IDENT and self.lexemes[i] == name
 
     def expect(self, kind: str, what: str) -> str:
         """Step past a token of ``kind`` and return its lexeme."""
@@ -209,15 +205,10 @@ class _Parser:
         self.i = i + 1
         return self.lexemes[i]
 
-    def ident(self, what: str = "an identifier") -> Token:
-        i = self.i
-        if self.kinds[i] is not TokenKind.IDENT:
-            raise self.fail(f"expected {what}")
-        self.i = i + 1
-        return _new(Token, (TokenKind.IDENT, self.lexemes[i], i))
-
-    def fail(self, message: str) -> ParseError:
-        i = self.i
+    def fail(self, message: str, i: int | None = None) -> ParseError:
+        """The error ``message`` at token ``i``, the cursor's by default."""
+        if i is None:
+            i = self.i
         found = "end of input" if self.kinds[i] is TokenKind.EOF else f"'{self.lexemes[i]}'"
         return ParseError(f"{message} but found {found}", i)
 
@@ -238,185 +229,231 @@ class _Parser:
         if self.kinds[self.i] in _DECL_KINDS:
             raise ParseError("declarations must precede the first rule", self.i)
         self.expect(TokenKind.EOF, "'rule' or end of input")
-        return ContractAst(decls, rules)
+        return _new(ContractAst, (decls, rules))
 
     def decl(self) -> Decl:
         kind = _DECL_KINDS[self.kinds[self.i]]
         self.i += 1
         if kind != COMP_OBLIG:
-            names = self.comma_list(self.ident, f"a {kind} name")
+            names = self.idents(f"a {kind} name")
             self.expect(TokenKind.SEMI, "';'")
-            return Decl(kind, names, [])
-        name = self.ident(f"a {kind} name")
+            return _new(Decl, (kind, names, []))
+        i = self.i
+        name = _new(Token, (TokenKind.IDENT, self.expect(TokenKind.IDENT, f"a {kind} name"), i))
         self.expect(TokenKind.LPAREN, "'('")
-        members = self.comma_list(self.ident, "a member business operation")
+        members = self.idents("a member business operation")
         self.expect(TokenKind.RPAREN, "')'")
         if self.at(TokenKind.SEMI):  # trailing ';' is optional here
             self.i += 1
-        return Decl(kind, [name], members)
+        return _new(Decl, (kind, [name], members))
 
-    def comma_list(self, item: Callable[..., T], *args: str) -> list[T]:
-        """``item ("," item)*``, each item parsed by ``item(*args)``."""
-        items = [item(*args)]
-        while self.at(TokenKind.COMMA):
-            self.i += 1
-            items.append(item(*args))
-        return items
+    def idents(self, what: str) -> list[Token]:
+        """``IDENT ("," IDENT)*``, each IDENT ``what``."""
+        kinds, lexemes = self.kinds, self.lexemes
+        i = self.i
+        names = []
+        while True:
+            if kinds[i] is not TokenKind.IDENT:
+                raise self.fail(f"expected {what}", i)
+            names.append(_new(Token, (TokenKind.IDENT, lexemes[i], i)))
+            if kinds[i + 1] is not TokenKind.COMMA:
+                break
+            i += 2
+        self.i = i + 1
+        return names
 
     def rule(self) -> RuleAst:
-        self.expect(TokenKind.RULE, "'rule'")
-        name_pos = self.i
-        name = string_value(self.expect(TokenKind.STRING, "a rule name string"))
-        self.expect(TokenKind.WHEN, "'when'")
-        event_var = self.ident("an event variable")
-        self.expect(TokenKind.MATCHES, "'matches'")
+        """The rule at its ``rule`` keyword, which the caller tested."""
+        kinds, lexemes = self.kinds, self.lexemes
+        i = self.i + 1
+        if kinds[i] is not TokenKind.STRING:
+            raise self.fail("expected a rule name string", i)
+        if kinds[i + 1] is not TokenKind.WHEN:
+            raise self.fail("expected 'when'", i + 1)
+        if kinds[i + 2] is not TokenKind.IDENT:
+            raise self.fail("expected an event variable", i + 2)
+        if kinds[i + 3] is not TokenKind.MATCHES:
+            raise self.fail("expected 'matches'", i + 3)
+        event_var = _new(Token, (TokenKind.IDENT, lexemes[i + 2], i + 2))
+        self.i = i + 4
         fields = self.event_fields()
 
         constraints: list[ConstraintAst] = []
-        while not self.at(TokenKind.THEN):
-            if not self.at(TokenKind.IDENT):
+        while kinds[self.i] is not TokenKind.THEN:
+            if kinds[self.i] is not TokenKind.IDENT:
                 raise self.fail("expected a constraint or 'then'")
             constraints.append(self.constraint())
-        self.expect(TokenKind.THEN, "'then'")
+        self.i += 1
 
         actions = self.action_block((TokenKind.END,), inside_if=False)
-        self.expect(TokenKind.END, "'end'")
-        return RuleAst(
-            name=name,
-            name_pos=name_pos,
-            event_var=event_var,
-            event_fields=fields,
-            constraints=constraints,
-            actions=actions,
-        )
+        if kinds[self.i] is not TokenKind.END:
+            raise self.fail("expected 'end'")
+        self.i += 1
+        return _new(RuleAst, (string_value(lexemes[i]), i, event_var, fields, constraints, actions))
 
     def event_fields(self) -> list[EventField]:
-        self.expect(TokenKind.LPAREN, "'('")
-        fields = self.comma_list(self.event_field)
-        self.expect(TokenKind.RPAREN, "')'")
+        """``"(" IDENT "==" IDENT ("," IDENT "==" IDENT)* ")"``"""
+        kinds, lexemes = self.kinds, self.lexemes
+        i = self.i
+        if kinds[i] is not TokenKind.LPAREN:
+            raise self.fail("expected '('", i)
+        fields = []
+        while True:
+            i += 1
+            if kinds[i] is not TokenKind.IDENT:
+                raise self.fail("expected an event field name", i)
+            if kinds[i + 1] is not TokenKind.EQ:
+                raise self.fail("expected '=='", i + 1)
+            if kinds[i + 2] is not TokenKind.IDENT:
+                raise self.fail("expected an event field value", i + 2)
+            name = _new(Token, (TokenKind.IDENT, lexemes[i], i))
+            value = _new(Token, (TokenKind.IDENT, lexemes[i + 2], i + 2))
+            fields.append(_new(EventField, (name, value)))
+            i += 3
+            if kinds[i] is not TokenKind.COMMA:
+                break
+        if kinds[i] is not TokenKind.RPAREN:
+            raise self.fail("expected ')'", i)
+        self.i = i + 1
         return fields
 
-    def event_field(self) -> EventField:
-        name = self.ident("an event field name")
-        self.expect(TokenKind.EQ, "'=='")
-        value = self.ident("an event field value")
-        return EventField(name, value)
-
     def constraint(self) -> ConstraintAst:
-        if not self.at(TokenKind.IDENT):
-            raise self.fail("expected a constraint")
+        kinds, lexemes = self.kinds, self.lexemes
+        i = self.i
+        if kinds[i] is not TokenKind.IDENT:
+            raise self.fail("expected a constraint", i)
+        first = lexemes[i]
+        if first == "not" and kinds[i + 1] is TokenKind.IDENT and lexemes[i + 1] == "happened":
+            self.i = i + 2
+            return _new(Historical, (False, self.event_fields()))
+        if first == "happened" and kinds[i + 1] is TokenKind.LPAREN:
+            self.i = i + 1
+            return _new(Historical, (True, self.event_fields()))
 
-        if self.at_ident("not") and self.at_ident("happened", 1):
-            self.i += 2
-            return Historical(happened=False, fields=self.event_fields())
-        if self.at_ident("happened") and self.kinds[self.i + 1] is TokenKind.LPAREN:
-            self.i += 1
-            return Historical(happened=True, fields=self.event_fields())
+        subject = _new(Token, (TokenKind.IDENT, first, i))
+        if kinds[i + 1] is TokenKind.IN:
+            if kinds[i + 2] is not TokenKind.IDENT:
+                raise self.fail("expected a role player name", i + 2)
+            if kinds[i + 3] is not TokenKind.DOT:
+                raise self.fail("expected '.'", i + 3)
+            rop_set = lexemes[i + 4]
+            if kinds[i + 4] is not TokenKind.IDENT or rop_set not in ROP_SETS:
+                raise self.fail("expected 'rights', 'obligs' or 'prohibs'", i + 4)
+            self.i = i + 5
+            player = _new(Token, (TokenKind.IDENT, lexemes[i + 2], i + 2))
+            return _new(RopMembership, (subject, player, rop_set))
 
-        subject = self.ident()
-        if self.at(TokenKind.IN):
-            self.i += 1
-            player = self.ident("a role player name")
-            self.expect(TokenKind.DOT, "'.'")
-            rop_set = self.ropset()
-            return RopMembership(bo=subject, player=player, rop_set=rop_set)
-
-        self.expect(TokenKind.DOT, "'in' or '.'")
-        selector = self.expect(TokenKind.IDENT, "'BizFail', 'timestamp' or a time unit")
+        if kinds[i + 1] is not TokenKind.DOT:
+            raise self.fail("expected 'in' or '.'", i + 1)
+        if kinds[i + 2] is not TokenKind.IDENT:
+            raise self.fail("expected 'BizFail', 'timestamp' or a time unit", i + 2)
+        selector = lexemes[i + 2]
         if selector == "BizFail":
             return self.outcome(subject)
         if selector == "timestamp":
-            op = self.kinds[self.i]  # an operator's kind is its lexeme
-            if op not in (TokenKind.EQ, TokenKind.LT, TokenKind.GT):
-                raise self.fail("expected '==', '<' or '>'")
-            self.i += 1
-            ts = self.expect(TokenKind.STRING, "a timestamp string")
-            return TimeDirect(subject, op, string_value(ts))
+            op = kinds[i + 3]  # an operator's kind is its lexeme
+            if op is not TokenKind.EQ and op is not TokenKind.LT and op is not TokenKind.GT:
+                raise self.fail("expected '==', '<' or '>'", i + 3)
+            if kinds[i + 4] is not TokenKind.STRING:
+                raise self.fail("expected a timestamp string", i + 4)
+            self.i = i + 5
+            return _new(TimeDirect, (subject, op, string_value(lexemes[i + 4])))
         if selector in TIME_UNITS:
-            self.expect(TokenKind.IN, "'in'")
-            self.expect(TokenKind.LBRACKET, "'['")
-            lo = self.int_bound()
-            self.expect(TokenKind.COMMA, "','")
-            hi = self.int_bound()
-            self.expect(TokenKind.RBRACKET, "']'")
-            return TimePartial(subject, selector, lo, hi)
-        raise ParseError(
-            f"expected 'BizFail', 'timestamp' or a time unit after '.' but found '{selector}'",
-            self.i - 1,
-        )
+            if kinds[i + 3] is not TokenKind.IN:
+                raise self.fail("expected 'in'", i + 3)
+            if kinds[i + 4] is not TokenKind.LBRACKET:
+                raise self.fail("expected '['", i + 4)
+            lo = self.int_bound(i + 5)
+            if kinds[i + 6] is not TokenKind.COMMA:
+                raise self.fail("expected ','", i + 6)
+            hi = self.int_bound(i + 7)
+            if kinds[i + 8] is not TokenKind.RBRACKET:
+                raise self.fail("expected ']'", i + 8)
+            self.i = i + 9
+            return _new(TimePartial, (subject, selector, lo, hi))
+        raise self.fail("expected 'BizFail', 'timestamp' or a time unit after '.'", i + 2)
 
-    def int_bound(self) -> int:
-        lexeme = self.expect(TokenKind.INT, "an integer")
+    def int_bound(self, i: int) -> int:
+        """The window bound at token ``i``."""
+        if self.kinds[i] is not TokenKind.INT:
+            raise self.fail("expected an integer", i)
+        lexeme = self.lexemes[i]
         # measured before int(), which refuses a string of more than a few thousand digits
         if len(lexeme.lstrip("0")) > len(str(INT_MAX)) or int(lexeme) > INT_MAX:
-            raise ParseError(f"integer out of range (at most {INT_MAX})", self.i - 1)
+            raise ParseError(f"integer out of range (at most {INT_MAX})", i)
         return int(lexeme)
-
-    def ropset(self) -> str:
-        lexeme = self.lexemes[self.i]
-        if self.at(TokenKind.IDENT) and lexeme in ROP_SETS:
-            self.i += 1
-            return lexeme
-        raise self.fail("expected 'rights', 'obligs' or 'prohibs'")
 
     def action_block(self, stop: tuple[str, ...], inside_if: bool) -> list[ActionAst]:
         actions = [self.action(inside_if)]
-        while self.kinds[self.i] not in stop and not self.at(TokenKind.EOF):
+        while self.kinds[self.i] not in stop and self.kinds[self.i] is not TokenKind.EOF:
             actions.append(self.action(inside_if))
         return actions
 
     def action(self, inside_if: bool) -> ActionAst:
-        kind = self.kinds[self.i]
+        kinds, lexemes = self.kinds, self.lexemes
+        i = self.i
+        kind = kinds[i]
         if kind is TokenKind.RESET:
-            self.i += 1
-            return ResetAct(self.ident("a role player name"))
+            if kinds[i + 1] is not TokenKind.IDENT:
+                raise self.fail("expected a role player name", i + 1)
+            self.i = i + 2
+            return _new(ResetAct, (_new(Token, (TokenKind.IDENT, lexemes[i + 1], i + 1)),))
         if kind is TokenKind.IF:
             if inside_if:
-                raise ParseError("nested 'if' actions are not supported", self.i)
+                raise ParseError("nested 'if' actions are not supported", i)
             return self.if_action()
         if kind is not TokenKind.IDENT:
-            raise self.fail("expected an action")
+            raise self.fail("expected an action", i)
 
-        subject = self.ident()
-        if self.at(TokenKind.RESET):
-            self.i += 1
-            return ResetAct(subject)
-
-        self.expect(TokenKind.DOT, "'.'")
-        selector = self.expect(TokenKind.IDENT, "a ROP set or 'BizFail'")
+        subject = _new(Token, (TokenKind.IDENT, lexemes[i], i))
+        if kinds[i + 1] is TokenKind.RESET:
+            self.i = i + 2
+            return _new(ResetAct, (subject,))
+        if kinds[i + 1] is not TokenKind.DOT:
+            raise self.fail("expected '.'", i + 1)
+        if kinds[i + 2] is not TokenKind.IDENT:
+            raise self.fail("expected a ROP set or 'BizFail'", i + 2)
+        selector = lexemes[i + 2]
         if selector == "BizFail":
             return self.outcome(subject)
         if selector not in ROP_SETS:
-            raise ParseError(
-                f"expected 'rights', 'obligs', 'prohibs' or 'BizFail' but found '{selector}'",
-                self.i - 1,
-            )
-        op = _MANIP_OPS.get(self.kinds[self.i])
+            raise self.fail("expected 'rights', 'obligs', 'prohibs' or 'BizFail'", i + 2)
+        op = _MANIP_OPS.get(kinds[i + 3])
         if op is None:
-            raise self.fail("expected '+=' or '-='")
-        self.i += 1
-        bo = self.ident("a business operation name")
-        self.expect(TokenKind.LPAREN, "'('")
-        actuals = self.comma_list(self.actual)
-        self.expect(TokenKind.RPAREN, "')'")
-        args = [tok for tok in actuals if tok.kind is TokenKind.IDENT]
-        deadlines = [string_value(tok.lexeme) for tok in actuals if tok.kind is TokenKind.STRING]
-        return RopManip(
-            player=subject, rop_set=selector, op=op, bo=bo, args=args, deadlines=deadlines
-        )
-
-    def actual(self) -> Token:
-        i = self.i
-        kind = self.kinds[i]
-        if kind is not TokenKind.IDENT and kind is not TokenKind.STRING:
-            raise self.fail("expected an argument (identifier or string)")
-        self.i = i + 1
-        return _new(Token, (kind, self.lexemes[i], i))
+            raise self.fail("expected '+=' or '-='", i + 3)
+        if kinds[i + 4] is not TokenKind.IDENT:
+            raise self.fail("expected a business operation name", i + 4)
+        if kinds[i + 5] is not TokenKind.LPAREN:
+            raise self.fail("expected '('", i + 5)
+        bo = _new(Token, (TokenKind.IDENT, lexemes[i + 4], i + 4))
+        args: list[Token] = []  # the identifiers and the deadline strings of actualList
+        deadlines: list[str] = []
+        i += 6
+        while True:
+            kind = kinds[i]
+            if kind is TokenKind.IDENT:
+                args.append(_new(Token, (TokenKind.IDENT, lexemes[i], i)))
+            elif kind is TokenKind.STRING:
+                deadlines.append(string_value(lexemes[i]))
+            else:
+                raise self.fail("expected an argument (identifier or string)", i)
+            if kinds[i + 1] is not TokenKind.COMMA:
+                break
+            i += 2
+        if kinds[i + 1] is not TokenKind.RPAREN:
+            raise self.fail("expected ')'", i + 1)
+        self.i = i + 2
+        return _new(RopManip, (subject, selector, op, bo, args, deadlines))
 
     def outcome(self, bo: Token) -> Outcome:
-        """The rest of ``BO.BizFail == value``, once ``BO . BizFail`` is read."""
-        self.expect(TokenKind.EQ, "'=='")
-        return Outcome(bo, self.ident("'true' or 'false'"))
+        """The rest of ``BO.BizFail == value``, with ``BO`` the token ``bo``."""
+        i = bo.index + 3
+        if self.kinds[i] is not TokenKind.EQ:
+            raise self.fail("expected '=='", i)
+        if self.kinds[i + 1] is not TokenKind.IDENT:
+            raise self.fail("expected 'true' or 'false'", i + 1)
+        self.i = i + 2
+        return _new(Outcome, (bo, _new(Token, (TokenKind.IDENT, self.lexemes[i + 1], i + 1))))
 
     def if_action(self) -> IfAct:
         pos = self.i
@@ -435,4 +472,4 @@ class _Parser:
             self.i += 1
             else_actions = self.action_block((TokenKind.ENDIF,), inside_if=True)
         self.expect(TokenKind.ENDIF, "'endif'")
-        return IfAct(cond, then_actions, else_actions, pos)
+        return _new(IfAct, (cond, then_actions, else_actions, pos))

@@ -1,11 +1,14 @@
 import pytest
 
 from eropc.codegen import analyze, translate
-from eropc.lexer import positions, tokenize
+from eropc.lexer import Token, TokenKind, positions, tokenize
 from eropc.syntax import (
     BUSINESS_OP,
     COMP_OBLIG,
     ROLE_PLAYER,
+    ContractAst,
+    Decl,
+    EventField,
     Historical,
     IfAct,
     Outcome,
@@ -267,6 +270,90 @@ def test_premature_eof():
 def test_parsing_is_deterministic():
     source = DECLS + FIRST_RULE
     assert parse(source) == parse(source)
+
+
+EVERY_SHAPE = """\
+roleplayer buyer, seller;
+businessoperation Pay, Ship;
+compoblig React(Pay, Ship);
+rule "R"
+when e matches (botype == X, outcome == ok)
+    Pay in buyer.rights
+    Pay.BizFail == false
+    e.timestamp < "01-01-2016 00:00:00"
+    e.hour in [9, 17]
+    happened (botype == Y)
+    not happened (originator == buyer)
+then
+    buyer.obligs += React(seller, "02-01-2016 00:00:00")
+    seller.rights -= Pay(buyer)
+    Ship.BizFail == true
+    reset buyer
+    seller reset
+    if (Pay.BizFail == true, e.minute in [0, 30]) then reset buyer else Pay.BizFail == false endif
+end
+"""
+
+
+def test_records_keep_their_field_order():
+    # the parser builds records positionally, which no NamedTuple argument check sees
+    lexemes = tokenize(EVERY_SHAPE).lexemes
+    last = -1
+
+    def at(lexeme):
+        """The index of the next token ``lexeme`` after the last one asked for."""
+        nonlocal last
+        last = lexemes.index(lexeme, last + 1)
+        return last
+
+    def tok(lexeme):
+        return Token(kind=TokenKind.IDENT, lexeme=lexeme, index=at(lexeme))
+
+    def field(name, value):
+        return EventField(name=tok(name), value=tok(value))
+
+    expected = ContractAst(
+        decls=[
+            Decl(kind=ROLE_PLAYER, names=[tok("buyer"), tok("seller")], members=[]),
+            Decl(kind=BUSINESS_OP, names=[tok("Pay"), tok("Ship")], members=[]),
+            Decl(kind=COMP_OBLIG, names=[tok("React")], members=[tok("Pay"), tok("Ship")]),
+        ],
+        rules=[RuleAst(
+            name="R",
+            name_pos=at('"R"'),
+            event_var=tok("e"),
+            event_fields=[field("botype", "X"), field("outcome", "ok")],
+            constraints=[
+                RopMembership(bo=tok("Pay"), player=tok("buyer"), rop_set="rights"),
+                Outcome(bo=tok("Pay"), value=tok("false")),
+                TimeDirect(event_var=tok("e"), op="<", timestamp="01-01-2016 00:00:00"),
+                TimePartial(event_var=tok("e"), unit="hour", lo=9, hi=17),
+                Historical(happened=True, fields=[field("botype", "Y")]),
+                Historical(happened=False, fields=[field("originator", "buyer")]),
+            ],
+            actions=[
+                RopManip(player=tok("buyer"), rop_set="obligs", op="add", bo=tok("React"),
+                         args=[tok("seller")], deadlines=["02-01-2016 00:00:00"]),
+                RopManip(player=tok("seller"), rop_set="rights", op="remove", bo=tok("Pay"),
+                         args=[tok("buyer")], deadlines=[]),
+                Outcome(bo=tok("Ship"), value=tok("true")),
+                ResetAct(player=tok("buyer")),
+                ResetAct(player=tok("seller")),
+                IfAct(
+                    pos=at("if"),
+                    cond=[
+                        Outcome(bo=tok("Pay"), value=tok("true")),
+                        TimePartial(event_var=tok("e"), unit="minute", lo=0, hi=30),
+                    ],
+                    then_actions=[ResetAct(player=tok("buyer"))],
+                    else_actions=[Outcome(bo=tok("Pay"), value=tok("false"))],
+                ),
+            ],
+        )],
+    )
+    ast = parse(EVERY_SHAPE)
+    assert ast == expected
+    assert repr(ast) == repr(expected)  # each record's class and field names too
 
 
 def test_every_token_boundary_prefix_is_diagnosed_or_compiled(case_study_source):
