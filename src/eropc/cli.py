@@ -20,7 +20,7 @@ from .codegen import (
     load_lookup,
     translate,
 )
-from .sema import Diagnostic, split
+from .sema import Diagnostic
 
 
 def render_diagnostic(d: Diagnostic, file: str) -> str:
@@ -47,7 +47,6 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--check", action="store_true", help="report diagnostics, write nothing")
     mode.add_argument("--emit-ast", action="store_true", help="dump the parse tree (debug)")
-    mode.add_argument("--emit-ir", action="store_true", help="dump the AD rules as split (debug)")
     p.add_argument("--version", action="version", version=f"eropc {__version__}")
     return p
 
@@ -76,7 +75,7 @@ def run(argv: list[str]) -> int:
             print(f"eropc: {args.lookup}: {err}", file=sys.stderr)
             return 2
 
-    if args.emit_ast or args.emit_ir:
+    if args.emit_ast:
         return _run_debug_dump(args, source)
 
     stem = os.path.splitext(args.input)[0]
@@ -115,16 +114,10 @@ def _read_text(path: str) -> str | None:
 
 def _run_debug_dump(args, source: str) -> int:
     ast, _, diags = analyze(source)
-    if args.emit_ast and ast is not None:  # the parse tree is printed even when checks fail
-        print(*ast.decls, *ast.rules, sep="\n")
-        return 0
-
-    _print_diagnostics(diags, args.input)
-    if any(d.is_error for d in diags):
+    if ast is None:  # a lexical or syntax error
+        _print_diagnostics(diags, args.input)
         return 1
-    for rule in ast.rules:  # one line per AD rule; the format is not stable
-        for piece in split(rule):
-            print(f"rule {piece.name!r} guard={piece.constraints!r} actions={piece.actions!r}")
+    print(*ast.decls, *ast.rules, sep="\n")  # the parse tree is printed even when checks fail
     return 0
 
 

@@ -1,6 +1,6 @@
 """Code generation: a checked contract to Augmented Drools text.
 
-Covers the front end shared by translate() and the CLI's debug modes, the
+Covers the front end shared by translate() and the CLI's --emit-ast, the
 declaration block and its name checks (E012), the configurable
 keyword-to-method lookup, and deterministic rendering (LF newlines, 4-space
 indent inside rules).  Each AD rule is one RuleAst that ``sema.split`` gives,
@@ -150,7 +150,7 @@ def header_lines(package_name: str, tab: SymbolTable) -> list[str]:
     return lines
 
 
-# the header's own globals; the then-block's composite-obligation arrays are bos, bos2, ...
+# the header's own globals; the then-block's composite-obligation arrays are bos, bos2, bos3, ...
 _TAKEN_IDENTIFIERS = frozenset(("engine", "logger", "bos"))
 
 
@@ -168,7 +168,9 @@ def check_globals(tab: SymbolTable) -> list[Diagnostic]:
             owner = owners.setdefault(ident, name)
             if owner != name:
                 message = f"{kind} '{name}' and {tab.kinds[owner]} '{owner}' both become '{ident}'"
-            elif ident in _TAKEN_IDENTIFIERS or ident[:3] == "bos" and ident[3:].isdigit():
+            elif ident in _TAKEN_IDENTIFIERS or (  # digits above "1": 2 up, no leading zero
+                ident[:3] == "bos" and ident[3:].isdigit() and ident[3:] > "1"
+            ):
                 message = f"{kind} '{name}' becomes '{ident}', a name the AD output already uses"
             elif ident in _JAVA_RESERVED:
                 message = f"{kind} '{name}' becomes '{ident}', which is not a Java identifier"
@@ -204,8 +206,7 @@ def emit_rule(rule: RuleAst, event: str, lookup: Mapping[str, str], tab: SymbolT
                 members = ", ".join(bo_global_name(m) for m in tab.comp_obligs[bo])
                 then.append(f"BusinessOperation[] {args[1]} = {{{members}}};")
             args.append(action.args[0].lexeme)
-            if action.deadline is not None:
-                args.append(f'"{action.deadline}"')
+            args += [f'"{deadline}"' for deadline in action.deadlines]  # E009 leaves at most one
             then.append(f"{rop_var_name(action.player.lexeme)}.{method}({', '.join(args)});")
         elif isinstance(action, Outcome):
             setter = lookup["bizfail.set"]  # sema (E008) leaves the value 'true' or 'false'

@@ -48,12 +48,12 @@ class TokenKind:
     EOF = "EOF"
 
 
-_KIND_NAMES = {kind: name for name, kind in vars(TokenKind).items() if name.isupper()}
+_KINDS = [kind for name, kind in vars(TokenKind).items() if name.isupper()]
 # the keywords: the kinds that are a lower-case word
-KEYWORDS = {kind: kind for kind in _KIND_NAMES if kind.islower()}
+KEYWORDS = {kind: kind for kind in _KINDS if kind.islower()}
 
 # operators and punctuation: the kinds that are not a word
-_PUNCT = {kind: kind for kind in _KIND_NAMES if not kind.isalpha()}
+_PUNCT = {kind: kind for kind in _KINDS if not kind.isalpha()}
 _FIXED_KINDS = {**KEYWORDS, **_PUNCT, "": TokenKind.EOF}
 
 # Each match is any trivia (blanks, comments), then one lexeme: the only group.
@@ -90,13 +90,9 @@ class SourcePos(NamedTuple):
 
 
 class Token(NamedTuple):
-    """One token the parser keeps in the syntax tree."""
-    kind: str  # a TokenKind constant
+    """An identifier the parser keeps in the syntax tree; its kind stays in the stream."""
     lexeme: str
     index: int  # the token's index in its TokenStream; see positions()
-
-    def __repr__(self) -> str:
-        return f"Token({_KIND_NAMES[self.kind]}, {self.lexeme!r}, {self.index})"
 
 
 class TokenStream:

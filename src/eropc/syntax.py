@@ -29,7 +29,7 @@ Grammar for ``.erop`` files (normative for this compiler):
 Field names such as ``botype`` or ``BizFail``, ROP-set names, and time units
 are contextual identifiers recognised positionally, not reserved words.
 
-An identifier in the AST is a Token of its kind, lexeme and token index.  Every
+An identifier in the AST is a Token of its lexeme and token index.  Every
 position, a lexical or syntax error's too, is a token index, which one call of
 ``lexer.positions`` turns into line and column; ``sema.split`` gives RuleAsts.
 The parser tests token kinds by index and builds every record positionally.
@@ -128,10 +128,6 @@ class RopManip(NamedTuple):
     bo: Token
     args: list[Token]
     deadlines: list[str]
-
-    @property
-    def deadline(self) -> str | None:
-        return self.deadlines[0] if self.deadlines else None
 
 
 class ResetAct(NamedTuple):
@@ -239,7 +235,7 @@ class _Parser:
             self.expect(TokenKind.SEMI, "';'")
             return _new(Decl, (kind, names, []))
         i = self.i
-        name = _new(Token, (TokenKind.IDENT, self.expect(TokenKind.IDENT, f"a {kind} name"), i))
+        name = _new(Token, (self.expect(TokenKind.IDENT, f"a {kind} name"), i))
         self.expect(TokenKind.LPAREN, "'('")
         members = self.idents("a member business operation")
         self.expect(TokenKind.RPAREN, "')'")
@@ -255,7 +251,7 @@ class _Parser:
         while True:
             if kinds[i] is not TokenKind.IDENT:
                 raise self.fail(f"expected {what}", i)
-            names.append(_new(Token, (TokenKind.IDENT, lexemes[i], i)))
+            names.append(_new(Token, (lexemes[i], i)))
             if kinds[i + 1] is not TokenKind.COMMA:
                 break
             i += 2
@@ -274,7 +270,7 @@ class _Parser:
             raise self.fail("expected an event variable", i + 2)
         if kinds[i + 3] is not TokenKind.MATCHES:
             raise self.fail("expected 'matches'", i + 3)
-        event_var = _new(Token, (TokenKind.IDENT, lexemes[i + 2], i + 2))
+        event_var = _new(Token, (lexemes[i + 2], i + 2))
         self.i = i + 4
         fields = self.event_fields()
 
@@ -306,8 +302,8 @@ class _Parser:
                 raise self.fail("expected '=='", i + 1)
             if kinds[i + 2] is not TokenKind.IDENT:
                 raise self.fail("expected an event field value", i + 2)
-            name = _new(Token, (TokenKind.IDENT, lexemes[i], i))
-            value = _new(Token, (TokenKind.IDENT, lexemes[i + 2], i + 2))
+            name = _new(Token, (lexemes[i], i))
+            value = _new(Token, (lexemes[i + 2], i + 2))
             fields.append(_new(EventField, (name, value)))
             i += 3
             if kinds[i] is not TokenKind.COMMA:
@@ -330,7 +326,7 @@ class _Parser:
             self.i = i + 1
             return _new(Historical, (True, self.event_fields()))
 
-        subject = _new(Token, (TokenKind.IDENT, first, i))
+        subject = _new(Token, (first, i))
         if kinds[i + 1] is TokenKind.IN:
             if kinds[i + 2] is not TokenKind.IDENT:
                 raise self.fail("expected a role player name", i + 2)
@@ -340,7 +336,7 @@ class _Parser:
             if kinds[i + 4] is not TokenKind.IDENT or rop_set not in ROP_SETS:
                 raise self.fail("expected 'rights', 'obligs' or 'prohibs'", i + 4)
             self.i = i + 5
-            player = _new(Token, (TokenKind.IDENT, lexemes[i + 2], i + 2))
+            player = _new(Token, (lexemes[i + 2], i + 2))
             return _new(RopMembership, (subject, player, rop_set))
 
         if kinds[i + 1] is not TokenKind.DOT:
@@ -397,7 +393,7 @@ class _Parser:
             if kinds[i + 1] is not TokenKind.IDENT:
                 raise self.fail("expected a role player name", i + 1)
             self.i = i + 2
-            return _new(ResetAct, (_new(Token, (TokenKind.IDENT, lexemes[i + 1], i + 1)),))
+            return _new(ResetAct, (_new(Token, (lexemes[i + 1], i + 1)),))
         if kind is TokenKind.IF:
             if inside_if:
                 raise ParseError("nested 'if' actions are not supported", i)
@@ -405,7 +401,7 @@ class _Parser:
         if kind is not TokenKind.IDENT:
             raise self.fail("expected an action", i)
 
-        subject = _new(Token, (TokenKind.IDENT, lexemes[i], i))
+        subject = _new(Token, (lexemes[i], i))
         if kinds[i + 1] is TokenKind.RESET:
             self.i = i + 2
             return _new(ResetAct, (subject,))
@@ -425,14 +421,14 @@ class _Parser:
             raise self.fail("expected a business operation name", i + 4)
         if kinds[i + 5] is not TokenKind.LPAREN:
             raise self.fail("expected '('", i + 5)
-        bo = _new(Token, (TokenKind.IDENT, lexemes[i + 4], i + 4))
+        bo = _new(Token, (lexemes[i + 4], i + 4))
         args: list[Token] = []  # the identifiers and the deadline strings of actualList
         deadlines: list[str] = []
         i += 6
         while True:
             kind = kinds[i]
             if kind is TokenKind.IDENT:
-                args.append(_new(Token, (TokenKind.IDENT, lexemes[i], i)))
+                args.append(_new(Token, (lexemes[i], i)))
             elif kind is TokenKind.STRING:
                 deadlines.append(string_value(lexemes[i]))
             else:
@@ -453,7 +449,7 @@ class _Parser:
         if self.kinds[i + 1] is not TokenKind.IDENT:
             raise self.fail("expected 'true' or 'false'", i + 1)
         self.i = i + 2
-        return _new(Outcome, (bo, _new(Token, (TokenKind.IDENT, self.lexemes[i + 1], i + 1))))
+        return _new(Outcome, (bo, _new(Token, (self.lexemes[i + 1], i + 1))))
 
     def if_action(self) -> IfAct:
         pos = self.i

@@ -10,7 +10,7 @@ from typing import NamedTuple
 from hypothesis import strategies as st
 
 from eropc.codegen import DEFAULT_LOOKUP, constraint_expr, emit_rule, event_line
-from eropc.lexer import Token, TokenKind
+from eropc.lexer import Token
 from eropc.sema import SymbolTable, split
 from eropc.syntax import (
     EventField,
@@ -33,7 +33,7 @@ rop_sets = st.sampled_from(("rights", "obligs", "prohibs"))
 
 
 def ident(name: str) -> Token:
-    return Token(TokenKind.IDENT, name, POS)
+    return Token(name, POS)
 
 
 def _fields(pairs) -> list[EventField]:

@@ -19,7 +19,7 @@ from eropc.codegen import (
     rop_var_name,
     translate,
 )
-from eropc.lexer import Token, TokenKind, tokenize
+from eropc.lexer import Token, tokenize
 from eropc.sema import NegatedConjunction, build_symbol_table, split
 from eropc.syntax import ROLE_PLAYER, ContractAst, Decl, parse_contract
 from irgen import read_rule
@@ -38,7 +38,7 @@ EVENT_LINE = (
 
 
 def player_table(*names):
-    decl = Decl(ROLE_PLAYER, [Token(TokenKind.IDENT, name, 0) for name in names], [])
+    decl = Decl(ROLE_PLAYER, [Token(name, 0) for name in names], [])
     tab, _ = build_symbol_table(ContractAst([decl], []))
     return tab
 

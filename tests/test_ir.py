@@ -37,7 +37,7 @@ end
     (piece,) = split(source)
     # splitting copies nothing: the AD rule is the source rule itself
     assert piece is source and piece.name == "BuyRequestReceived"
-    assert piece.actions[1].deadline == "01-01-2016 12:00:00"
+    assert piece.actions[1].deadlines == ["01-01-2016 12:00:00"]
     (ad_rule,) = render_split(source)
     assert ad_rule.when_lines == [
         '$e: Event(type=="BUYREQ", originator=="buyer", responder=="store", status=="success")',

@@ -439,5 +439,5 @@ def test_parser_identifiers_are_the_very_tokens(case_study_source):
     held = held_tokens(parse_contract(tokens))
     assert len(held) > 100
     for tok in held:
-        assert tok.kind is tokens.kinds[tok.index] is TokenKind.IDENT
+        assert tokens.kinds[tok.index] is TokenKind.IDENT
         assert tok.lexeme is tokens.lexemes[tok.index]

@@ -543,12 +543,17 @@ then
          "business operation 'Bos' becomes 'bos', a name the AD output already uses", (2, 24)),
         (("roleplayer buyer;", "businessoperation Pay, Bos2;"),
          "business operation 'Bos2' becomes 'bos2', a name the AD output already uses", (2, 24)),
+        (("roleplayer buyer, bos10;", "businessoperation Pay;"),
+         "role player 'bos10' becomes 'bos10', a name the AD output already uses", (1, 19)),
         (("roleplayer buyer, class;", "businessoperation Pay;"),
          "role player 'class' becomes 'class', which is not a Java identifier", (1, 19)),
         (("roleplayer buyer;", "businessoperation Pay, Int;"),
          "business operation 'Int' becomes 'int', which is not a Java identifier", (2, 24)),
     ],
-    ids=["op-after-player", "player-after-op", "rop-set", "engine", "bos", "bos2", "class", "int"],
+    ids=[
+        "op-after-player", "player-after-op", "rop-set", "engine", "bos", "bos2", "bos10", "class",
+        "int",
+    ],
 )
 def test_clashing_or_unusable_ad_name_is_e012(decls, message, pos):
     # each of these compiled once, to a header that declares one global twice,
@@ -573,6 +578,10 @@ def test_operation_named_like_the_compoblig_array_is_e012():
 
 
 def test_distinct_ad_names_get_no_e012():
-    source = uses("roleplayer buyer, engines, logger2, bosun;", "businessoperation Pay, Bos_;")
+    # the compoblig arrays are bos, bos2, bos3, ...: never bos0, bos1 or a leading zero
+    source = uses(
+        "roleplayer buyer, engines, logger2, bosun, bos0, bos1;",
+        "businessoperation Pay, Bos_, Bos02;",
+    )
     _, _, diags = codegen.analyze(source)
     assert [d.code for d in diags if d.is_error] == []

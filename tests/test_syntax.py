@@ -1,7 +1,7 @@
 import pytest
 
 from eropc.codegen import analyze, translate
-from eropc.lexer import Token, TokenKind, positions, tokenize
+from eropc.lexer import Token, positions, tokenize
 from eropc.syntax import (
     BUSINESS_OP,
     COMP_OBLIG,
@@ -84,9 +84,10 @@ def test_rule_shape():
     assert isinstance(remove, RopManip)
     assert (remove.op, remove.rop_set, remove.bo.lexeme) == ("remove", "rights", "BuyRequest")
     assert [a.lexeme for a in remove.args] == ["seller"]
-    assert remove.deadline is None
+    assert remove.deadlines == []
     assert isinstance(add, RopManip)
-    assert (add.op, add.bo.lexeme, add.deadline) == ("add", "ReactToBuyRequest", "01-01-2016 12:00:00")
+    assert (add.op, add.bo.lexeme) == ("add", "ReactToBuyRequest")
+    assert add.deadlines == ["01-01-2016 12:00:00"]
 
 
 def test_event_fields_kept_in_source_order():
@@ -307,7 +308,7 @@ def test_records_keep_their_field_order():
         return last
 
     def tok(lexeme):
-        return Token(kind=TokenKind.IDENT, lexeme=lexeme, index=at(lexeme))
+        return Token(lexeme=lexeme, index=at(lexeme))
 
     def field(name, value):
         return EventField(name=tok(name), value=tok(value))
