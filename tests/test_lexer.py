@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eropc.codegen import translate
+from eropc.codegen import analyze, translate
 from eropc.lexer import (
     KEYWORDS,
     LexError,
@@ -259,6 +259,49 @@ def test_string_cut_off_by_carriage_return():
         tokenize(source)
     assert exc.value.message == "unterminated string literal"
     assert pos_of(source, exc.value.pos) == SourcePos(2, 7, 12)
+
+
+# (id, line:col, the E-LEX message, source); each row's source has exactly one
+# lexical error, the first bad token, and analyze reports only it
+LEX_ERRORS = [
+    ("quote_at_end_of_input", "1:7", "unterminated string literal", 'reset "'),
+    ("quote_then_newline", "1:7", "unterminated string literal", 'reset "\nbuyer'),
+    ("string_cut_by_crlf", "1:6", "unterminated string literal", 'rule "abc\r\nend'),
+    ("string_cut_by_bare_cr", "1:6", "unterminated string literal", 'rule "abc\rend'),
+    ("string_cut_before_a_later_string", "1:6", "unterminated string literal",
+     'rule "abc\n"R" end'),
+    ("backslash_at_end_of_line", "1:6", "backslash in string literal", 'rule "a\\\nend'),
+    ("backslash_at_end_of_input", "1:6", "backslash in string literal", 'rule "a\\'),
+    ("escaped_quote", "1:6", "backslash in string literal", 'rule "a\\"'),
+    ("backslash_after_a_string", "1:10", "backslash in string literal", 'rule "R" "a\\b"'),
+    ("backslash_in_deadline", "1:28", "backslash in string literal",
+     'buyer.rights -= Pay(buyer, "01-01\\2016")'),
+    ("unterminated_block_comment", "1:13", "unterminated block comment",
+     "reset buyer /* no close"),
+    ("block_comment_open_after_a_closed_one", "1:10", "unterminated block comment",
+     "/* ok */ /* open\nreset"),
+    ("lone_slash", "1:7", "illegal character '/'", "reset / buyer"),
+    ("comment_close", "1:7", "illegal character '*'", "reset */ buyer"),
+    ("e_acute", "1:12", "illegal character 'é'", "roleplayer é;"),
+    ("e_acute_inside_a_name", "1:15", "illegal character 'é'", "roleplayer buyé;"),
+    ("superscript_two", "1:12", "illegal character '²'", "e.hour in [²,3]"),
+    ("at_sign", "1:7", "illegal character '@'", "reset @buyer"),
+    ("form_feed", "1:6", "illegal character '\\x0c'", "reset\fbuyer"),
+    ("after_line_comment", "2:1", "illegal character '@'", "reset // note\n@"),
+    ("after_block_comment", "1:10", "illegal character '@'", "/* ok */ @ reset"),
+    ("quote_after_block_comment", "2:6", "unterminated string literal", '/* a\nb */ "x'),
+    ("backslash_after_line_comment", "2:1", "backslash in string literal", '// "\n"\\"'),
+]
+
+
+@pytest.mark.parametrize(
+    "pos, message, source",
+    [case[1:] for case in LEX_ERRORS],
+    ids=[case[0] for case in LEX_ERRORS],
+)
+def test_lex_error_message_and_position(pos, message, source):
+    _, _, (diag,) = analyze(source)
+    assert (diag.code, diag.message, str(diag.pos)) == ("E-LEX", message, pos)
 
 
 # --- position oracle ---------------------------------------------------------
