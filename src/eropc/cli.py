@@ -24,7 +24,7 @@ from .sema import Diagnostic
 
 
 def render_diagnostic(d: Diagnostic, file: str) -> str:
-    return f"{file}:{d.pos.line}:{d.pos.col}: {d.severity}[{d.code}]: {d.message}"
+    return f"{file}:{d.pos}: {d.severity}[{d.code}]: {d.message}"
 
 
 def sanitize_package_name(stem: str) -> str:
@@ -41,10 +41,10 @@ def _build_arg_parser() -> argparse.ArgumentParser:
         description="Compile an EROP contract into an Augmented Drools rule file.",
     )
     p.add_argument("input", help="EROP source file")
-    p.add_argument("-o", "--output", help="output file ('-' for standard output)")
     p.add_argument("--package", help="dotted Java package name (default: input file stem)")
     p.add_argument("--lookup", help="method-mapping overrides file")
-    mode = p.add_mutually_exclusive_group()
+    mode = p.add_mutually_exclusive_group()  # -o names a file --check and --emit-ast never write
+    mode.add_argument("-o", "--output", help="output file ('-' for standard output)")
     mode.add_argument("--check", action="store_true", help="report diagnostics, write nothing")
     mode.add_argument("--emit-ast", action="store_true", help="dump the parse tree (debug)")
     p.add_argument("--version", action="version", version=f"eropc {__version__}")
@@ -87,7 +87,7 @@ def run(argv: list[str]) -> int:
     if args.check:
         return 0
 
-    output = args.output or stem + ".drl"
+    output = stem + ".drl" if args.output is None else args.output
     if output == "-":
         sys.stdout.write(text)
         return 0

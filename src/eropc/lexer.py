@@ -58,24 +58,22 @@ _FIXED_KINDS = {**KEYWORDS, **_PUNCT, "": TokenKind.EOF}
 
 # Each match is any trivia (blanks, comments), then one lexeme: the only group.
 # Longer operators come before their one-character prefixes.  ``\Z`` gives the
-# EOF lexeme "" and keeps ``.`` from backtracking into trailing trivia; ``.``
-# takes one character that nothing else accepts: an unterminated string or block
-# comment, a string holding a backslash (EROP defines no escapes, and the string
-# would pass verbatim into an AD string literal), or an illegal character.
-# Letters and digits are ASCII only.
+# EOF lexeme "" and keeps the fallbacks from backtracking into trailing trivia.
+# The fallbacks take what nothing else accepts as a lexeme that names its fault:
+# a string that lacks its closing quote on its line or holds a backslash (EROP has
+# no escapes), an unterminated block comment, or one illegal character.  Letters
+# and digits are ASCII only.
 _TOKEN_RE = re.compile(
     r"(?:[ \t\r\n]+|//[^\r\n]*|/\*.*?\*/)*("
     r"[A-Za-z][A-Za-z0-9_]*"
     f"|{'|'.join(map(re.escape, sorted(_PUNCT, key=len, reverse=True)))}"
     r'|"[^"\\\r\n]*"'
     r"|[0-9]+"
-    r"|\Z|.)",
+    r'|\Z|"[^"\r\n]*|/\*|.)',
     re.DOTALL,
 )
 # Any of \n, \r\n, or \r counts as a single line break.
 _LINE_BREAK = re.compile(r"\r\n?|\n")
-# A string start whose first backslash comes before its closing quote.
-_BACKSLASH_STRING = re.compile(r'"[^"\\\r\n]*\\')
 
 
 class SourcePos(NamedTuple):
@@ -128,7 +126,7 @@ def tokenize(source: str) -> TokenStream:
     Whitespace, ``//`` line comments and ``/* */`` block comments are
     skipped.  Raises LexError for an unterminated string literal, a string
     literal holding a backslash, an unterminated block comment, or an
-    illegal character.  No offset is computed unless there is an error.
+    illegal character, named from the bad lexeme alone: no offset is computed.
     """
     lexemes = _TOKEN_RE.findall(source)
     if len(lexemes) > 1 and not lexemes[-2]:  # trailing trivia, then ``\Z`` matched twice
@@ -137,14 +135,14 @@ def tokenize(source: str) -> TokenStream:
     kinds = list(map(kind_of.__getitem__, lexemes))
     if None in kind_of.values():
         bad = kinds.index(None)
-        raise LexError(_bad_token_message(source, positions(source, [bad])[0].offset), bad)
+        raise LexError(_bad_token_message(lexemes[bad]), bad)
     return TokenStream(kinds, lexemes)
 
 
 def _kind(lexeme: str) -> str | None:
     """The kind of a lexeme that is no keyword, operator or EOF; None for a bad one."""
-    if lexeme[0] == '"':  # a lone '"' starts an unterminated string
-        return TokenKind.STRING if len(lexeme) > 1 else None
+    if lexeme[0] == '"':  # a lone '"' or a fallback string lacks the closing quote
+        return TokenKind.STRING if len(lexeme) > 1 and lexeme[-1] == '"' else None
     if lexeme.isascii() and lexeme[0].isalpha():  # 'é'.isalpha() and '²'.isdigit() are true
         return TokenKind.IDENT
     return TokenKind.INT if lexeme.isascii() and lexeme.isdigit() else None
@@ -170,14 +168,13 @@ def positions(source: str, indexes: list[int]) -> list[SourcePos]:
     return result
 
 
-def _bad_token_message(source: str, start: int) -> str:
-    if _BACKSLASH_STRING.match(source, start):
-        return "backslash in string literal"
-    if source[start] == '"':
-        return "unterminated string literal"
-    if source.startswith("/*", start):
+def _bad_token_message(lexeme: str) -> str:
+    """What is wrong with a lexeme that one of the token pattern's fallbacks took."""
+    if lexeme[0] == '"':
+        return "backslash in string literal" if "\\" in lexeme else "unterminated string literal"
+    if lexeme == "/*":
         return "unterminated block comment"
-    return f"illegal character {source[start]!r}"
+    return f"illegal character {lexeme!r}"
 
 
 def string_value(lexeme: str) -> str:

@@ -72,7 +72,7 @@ class SymbolTable:
 
 
 def build_symbol_table(ast: ContractAst) -> tuple[SymbolTable, list[Diagnostic]]:
-    """Collect declarations; duplicates keep the first occurrence (E001)."""
+    """Collect declarations; of duplicates the first is kept (E001) and its case checked (E003)."""
     tab = SymbolTable()
     diags: list[Diagnostic] = []
 
@@ -86,6 +86,11 @@ def build_symbol_table(ast: ContractAst) -> tuple[SymbolTable, list[Diagnostic]]
                 continue
             tab.kinds[name] = decl.kind
             tab.declared[name] = ident
+            lower = decl.kind == ROLE_PLAYER
+            if name[0].islower() != lower:  # names start with an ASCII letter
+                case = "a lower-case" if lower else "an upper-case"
+                message = f"{decl.kind} '{name}' must begin with {case} letter"
+                diags.append(Diagnostic("error", "E003", message, ident.index))
             if decl.kind == ROLE_PLAYER:
                 tab.role_players.append(name)
             elif decl.kind == BUSINESS_OP:
@@ -107,7 +112,7 @@ def build_symbol_table(ast: ContractAst) -> tuple[SymbolTable, list[Diagnostic]]
 
 
 def check_contract(ast: ContractAst, tab: SymbolTable) -> list[Diagnostic]:
-    """Validate every declaration and rule; diagnostics come in discovery order."""
+    """Check every rule, then report the declared names never used (W001); in discovery order."""
     checker = _Checker(tab)
     checker.check(ast)
     return checker.diags
@@ -140,12 +145,6 @@ class _Checker:
         self.used: set[str] = set()
 
     def check(self, ast: ContractAst) -> None:
-        for name, ident in self.tab.declared.items():
-            kind = self.tab.kinds[name]
-            lower = kind == ROLE_PLAYER
-            if name[0].islower() != lower:  # names start with an ASCII letter
-                case = "a lower-case" if lower else "an upper-case"
-                self.error("E003", f"{kind} '{name}' must begin with {case} letter", ident.index)
         for decl in ast.decls:  # only an accepted declaration's members count as uses
             if self.tab.declared[decl.names[0].lexeme] is decl.names[0]:
                 self.used.update(member.lexeme for member in decl.members)
@@ -233,7 +232,7 @@ class _Checker:
             if len(action.args) != 1 or len(action.deadlines) > 1:
                 self.error(
                     "E009",
-                    "ROP manipulation takes one beneficiary role player and an optional "
+                    f"ROP manipulation takes one beneficiary {ROLE_PLAYER} and an optional "
                     "deadline string",
                     action.bo.index,
                 )
@@ -259,7 +258,7 @@ class _Checker:
         if kind is None:
             self.error("E004", f"'{ident.lexeme}' is not declared", ident.index)
         elif kind != ROLE_PLAYER:
-            self.error("E005", f"'{ident.lexeme}' is not a role player", ident.index)
+            self.error("E005", f"'{ident.lexeme}' is not a {ROLE_PLAYER}", ident.index)
 
     def expect_operation(self, ident: Token, rop_set: str | None) -> None:
         """A business operation, or a composite obligation in an obligs set; ``rop_set``
@@ -269,10 +268,8 @@ class _Checker:
         if kind is None:
             self.error("E004", f"'{ident.lexeme}' is not declared", ident.index)
         elif kind == ROLE_PLAYER:
-            self.error(
-                "E005", f"'{ident.lexeme}' is not a business operation or composite obligation",
-                ident.index,
-            )
+            message = f"'{ident.lexeme}' is not a {BUSINESS_OP} or {COMP_OBLIG}"
+            self.error("E005", message, ident.index)
         elif kind == COMP_OBLIG and rop_set is None:
             message = f"{COMP_OBLIG} '{ident.lexeme}' has no BizFail flag; a {BUSINESS_OP} has one"
             self.error("E005", message, ident.index)

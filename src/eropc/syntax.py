@@ -237,7 +237,7 @@ class _Parser:
         i = self.i
         name = _new(Token, (self.expect(TokenKind.IDENT, f"a {kind} name"), i))
         self.expect(TokenKind.LPAREN, "'('")
-        members = self.idents("a member business operation")
+        members = self.idents(f"a member {BUSINESS_OP}")
         self.expect(TokenKind.RPAREN, "')'")
         if self.at(TokenKind.SEMI):  # trailing ';' is optional here
             self.i += 1
@@ -329,7 +329,7 @@ class _Parser:
         subject = _new(Token, (first, i))
         if kinds[i + 1] is TokenKind.IN:
             if kinds[i + 2] is not TokenKind.IDENT:
-                raise self.fail("expected a role player name", i + 2)
+                raise self.fail(f"expected a {ROLE_PLAYER} name", i + 2)
             if kinds[i + 3] is not TokenKind.DOT:
                 raise self.fail("expected '.'", i + 3)
             rop_set = lexemes[i + 4]
@@ -391,7 +391,7 @@ class _Parser:
         kind = kinds[i]
         if kind is TokenKind.RESET:
             if kinds[i + 1] is not TokenKind.IDENT:
-                raise self.fail("expected a role player name", i + 1)
+                raise self.fail(f"expected a {ROLE_PLAYER} name", i + 1)
             self.i = i + 2
             return _new(ResetAct, (_new(Token, (lexemes[i + 1], i + 1)),))
         if kind is TokenKind.IF:
@@ -418,7 +418,7 @@ class _Parser:
         if op is None:
             raise self.fail("expected '+=' or '-='", i + 3)
         if kinds[i + 4] is not TokenKind.IDENT:
-            raise self.fail("expected a business operation name", i + 4)
+            raise self.fail(f"expected a {BUSINESS_OP} name", i + 4)
         if kinds[i + 5] is not TokenKind.LPAREN:
             raise self.fail("expected '('", i + 5)
         bo = _new(Token, (lexemes[i + 4], i + 4))
@@ -452,8 +452,9 @@ class _Parser:
         return _new(Outcome, (bo, _new(Token, (self.lexemes[i + 1], i + 1))))
 
     def if_action(self) -> IfAct:
+        """The action at its ``if`` keyword, which the caller tested."""
         pos = self.i
-        self.expect(TokenKind.IF, "'if'")
+        self.i += 1
         self.expect(TokenKind.LPAREN, "'('")
         cond = [self.constraint()]
         while not self.at(TokenKind.RPAREN):

@@ -178,6 +178,42 @@ def test_criterion_7_determinism(tmp_path):
         assert b"\r" not in outputs[0]  # LF-only bytes make the output OS-independent
 
 
+# Unused names (W001), duplicate and colliding rule names (E007), and names whose
+# AD globals clash or are Java keywords (E012): sets and dicts feed each of them.
+MANY_DIAGNOSTICS = "".join([
+    "roleplayer buyer, class, ", ", ".join(f"p{i}" for i in range(30)), ";\n",
+    "businessoperation Pay, Buyer, Goto, ", ", ".join(f"Op{i}" for i in range(30)), ";\n",
+    *(
+        f'rule "{name}"\nwhen e matches (botype == X, originator == buyer, responder == buyer, '
+        f"outcome == success)\nthen\n    {action}\nend\n"
+        for name, action in [
+            ("R", "reset buyer"), ("S", "reset buyer"), ("R", "reset buyer"),
+            ("T", "if (Pay in buyer.rights) then reset buyer endif"),
+            ("TIfThen", "reset buyer"), ("S", "reset buyer"),
+        ]
+    ),
+])
+
+
+def test_criterion_7_diagnostics_are_deterministic(tmp_path):
+    with criterion("7 byte-identical diagnostics across hash seeds"):
+        many = tmp_path / "many.erop"
+        many.write_text(MANY_DIAGNOSTICS)
+        for source in (CORPUS / "bad" / "same_position.erop", many):
+            results = []
+            for seed in ("0", "1"):  # fresh interpreters with different hash seeds
+                proc = subprocess.run(
+                    [sys.executable, "-m", "eropc", str(source), "--check"],
+                    env={**os.environ, "PYTHONHASHSEED": seed}, capture_output=True, text=True,
+                )
+                results.append((proc.returncode, proc.stdout, proc.stderr))
+            assert results[0] == results[1]
+            assert results[0][0] == 1
+        err = results[0][2]  # the contract made above
+        counts = [err.count(f"[{code}]") for code in ("W001", "E007", "E012")]
+        assert counts == [63, 3, 3]
+
+
 def test_criterion_8_lookup_override_is_surgical(tmp_path):
     with criterion("8 lookup override changes only its call sites"):
         base = tmp_path / "base.drl"

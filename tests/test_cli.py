@@ -131,9 +131,31 @@ def test_check_mode_reports_errors_and_exit_1(capsys):
 
 
 def test_check_writes_nothing(tmp_path):
+    src = tmp_path / "contract.erop"
+    shutil.copy(CASE_STUDY, src)
+    assert run([str(src), "--check"]) == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["contract.erop"]
+
+
+@pytest.mark.parametrize("mode", ["--check", "--emit-ast"])
+def test_output_with_a_mode_that_writes_nothing_exits_2(tmp_path, capsys, mode):
     out = tmp_path / "x.drl"
-    assert run([str(CASE_STUDY), "--check", "-o", str(out)]) == 0
-    assert not out.exists()
+    assert run([str(CASE_STUDY), "-o", str(out), mode]) == 2
+    assert f"argument {mode}: not allowed with argument -o/--output" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_empty_output_name_is_no_default(tmp_path, capsys, monkeypatch):
+    # an unset shell variable in `-o "$OUT"` must not overwrite <stem>.drl; the
+    # empty path resolves to the working directory, which no file can replace
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    shutil.copy(CASE_STUDY, work / "bs.erop")
+    assert run(["bs.erop", "-o", ""]) == 2
+    assert capsys.readouterr().err == "eropc: cannot write \n"
+    assert list(tmp_path.iterdir()) == [work]
+    assert [p.name for p in work.iterdir()] == ["bs.erop"]
 
 
 def test_failed_compile_leaves_output_untouched(tmp_path):
@@ -186,8 +208,8 @@ CHECK_OUTPUT = {
         "{}:2:24: error[E012]: business operation 'Buyer' and role player 'buyer' both become "
         "'buyer'"
     ]),
-    # three diagnostics at one token keep their discovery order: check_contract's
-    # E003 and W001, then check_globals' E012
+    # three diagnostics at one token keep their discovery order: build_symbol_table's
+    # E003, check_contract's W001, then check_globals' E012
     "bad/same_position.erop": (1, [
         "{}:2:24: error[E003]: business operation 'class' must begin with an upper-case letter",
         "{}:2:24: warning[W001]: business operation 'class' declared but never used",
@@ -296,7 +318,8 @@ def test_superscript_digit_exits_1_with_a_diagnostic(tmp_path, capsys, mode):
         "then\n    reset buyer\nend\n",
         encoding="utf-8",
     )
-    assert run([str(src), "-o", str(tmp_path / "hour.drl")] + mode) == 1
+    # --check and --emit-ast take no -o; hour.drl is their input's default output path
+    assert run([str(src), *(mode or ["-o", str(tmp_path / "hour.drl")])]) == 1
     assert capsys.readouterr().err == f"{src}:5:16: error[E-LEX]: illegal character '\u00b2'\n"
     assert not (tmp_path / "hour.drl").exists()
 
@@ -395,8 +418,8 @@ def test_dotted_package_is_accepted(capsys):
 def test_non_utf8_source_exits_2(tmp_path, capsys, mode):
     src = tmp_path / "bad.erop"
     src.write_bytes(b"roleplayer \xff;\n")
-    out = tmp_path / "bad.drl"
-    assert run([str(src), "-o", str(out)] + mode) == 2
+    out = tmp_path / "bad.drl"  # also the default output path
+    assert run([str(src), *(mode or ["-o", str(out)])]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"eropc: cannot read {src}: not valid UTF-8\n"
     assert captured.out == ""

@@ -485,7 +485,8 @@ end
 
 
 def test_diagnostics_sorted_by_position():
-    # the symbol table finds E002 (line 3) before the checker finds E003 (line 2)
+    # the symbol table finds E003 (line 2), then E002 (line 3); the checker's W001
+    # for the unused 'pay' (line 2) comes last, so discovery order is not sorted
     source = "roleplayer buyer;\nbusinessoperation pay;\ncompoblig React(Ship)\n" + """\
 rule "R"
 when e matches (botype == X, originator == buyer, responder == buyer, outcome == success)
