@@ -141,7 +141,7 @@ def tokenize(source: str) -> TokenStream:
 
 def _kind(lexeme: str) -> str | None:
     """The kind of a lexeme that is no keyword, operator or EOF; None for a bad one."""
-    if lexeme[0] == '"':  # a lone '"' or a fallback string lacks the closing quote
+    if lexeme[0] == '"':  # a fallback string, a lone '"' included, lacks its closing quote
         return TokenKind.STRING if len(lexeme) > 1 and lexeme[-1] == '"' else None
     if lexeme.isascii() and lexeme[0].isalpha():  # 'é'.isalpha() and '²'.isdigit() are true
         return TokenKind.IDENT
