@@ -52,8 +52,11 @@ def _build_arg_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str]) -> int:
+    parser = _build_arg_parser()
     try:
-        args = _build_arg_parser().parse_args(argv)
+        args = parser.parse_args(argv)
+        if args.emit_ast and args.package is not None:  # the tree has no package
+            parser.error("argument --package: not allowed with argument --emit-ast")
     except SystemExit as exc:
         return int(exc.code or 0)
     if args.package is not None and not all(map(is_java_identifier, args.package.split("."))):
@@ -131,6 +134,8 @@ def _write_atomic(path: str, text: str) -> None:
     # truncated output; like open(), os.open applies the umask to mode 0o666.
     # A symbolic link is resolved first, so the link stays and its target changes.
     path = os.path.realpath(path)
+    if os.path.isdir(path):  # refused before a temp file is made beside it, in its parent
+        raise IsADirectoryError(path)
     tmp = f"{path}.{os.urandom(4).hex()}"
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:

@@ -321,6 +321,7 @@ def translate(
             return None, diags
 
         ad_file = build_ad_file(lower_contract(ast), tab, package_name, lookup)
+        del ast, tab  # the tree is freed before the rule strings are joined
         return render_file(ad_file), diags
     finally:
         if gc_was_enabled:

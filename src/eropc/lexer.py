@@ -57,6 +57,7 @@ _PUNCT = {kind: kind for kind in _KINDS if not kind.isalpha()}
 _FIXED_KINDS = {**KEYWORDS, **_PUNCT, "": TokenKind.EOF}
 
 # Each match is any trivia (blanks, comments), then one lexeme: the only group.
+# Trivia is blanks, then comments each followed by blanks: a blank run is one set's repeat.
 # Longer operators come before their one-character prefixes.  ``\Z`` gives the
 # EOF lexeme "" and keeps the fallbacks from backtracking into trailing trivia.
 # The fallbacks take what nothing else accepts as a lexeme that names its fault:
@@ -64,7 +65,7 @@ _FIXED_KINDS = {**KEYWORDS, **_PUNCT, "": TokenKind.EOF}
 # no escapes), an unterminated block comment, or one illegal character.  Letters
 # and digits are ASCII only.
 _TOKEN_RE = re.compile(
-    r"(?:[ \t\r\n]+|//[^\r\n]*|/\*.*?\*/)*("
+    r"[ \t\r\n]*(?:(?://[^\r\n]*|/\*.*?\*/)[ \t\r\n]*)*("
     r"[A-Za-z][A-Za-z0-9_]*"
     f"|{'|'.join(map(re.escape, sorted(_PUNCT, key=len, reverse=True)))}"
     r'|"[^"\\\r\n]*"'
@@ -132,6 +133,9 @@ def tokenize(source: str) -> TokenStream:
     if len(lexemes) > 1 and not lexemes[-2]:  # trailing trivia, then ``\Z`` matched twice
         lexemes.pop()
     kind_of = {lexeme: _FIXED_KINDS.get(lexeme) or _kind(lexeme) for lexeme in set(lexemes)}
+    # one string object per distinct lexeme, which every Token of the tree then shares
+    one = dict(zip(kind_of, kind_of))
+    lexemes = list(map(one.__getitem__, lexemes))
     kinds = list(map(kind_of.__getitem__, lexemes))
     if None in kind_of.values():
         bad = kinds.index(None)

@@ -87,12 +87,15 @@ def test_output_mode_follows_the_umask(tmp_path, umask):
     assert out.stat().st_mode & 0o777 == 0o666 & ~umask
 
 
-def test_failed_write_leaves_no_temp_file(tmp_path, capsys):
+def test_failed_write_leaves_no_temp_file(tmp_path, capsys, monkeypatch):
+    def fail(src, dst):
+        raise OSError("no rename")
+
     out = tmp_path / "contract.drl"
-    out.mkdir()  # the final rename onto a directory fails
+    monkeypatch.setattr(os, "replace", fail)  # the final rename fails
     assert run([str(CASE_STUDY), "-o", str(out)]) == 2
     assert "cannot write" in capsys.readouterr().err
-    assert [p.name for p in tmp_path.iterdir()] == ["contract.drl"]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_symlinked_output_writes_through_the_link(tmp_path, golden_drl):
@@ -145,15 +148,54 @@ def test_output_with_a_mode_that_writes_nothing_exits_2(tmp_path, capsys, mode):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_empty_output_name_is_no_default(tmp_path, capsys, monkeypatch):
-    # an unset shell variable in `-o "$OUT"` must not overwrite <stem>.drl; the
-    # empty path resolves to the working directory, which no file can replace
+def test_package_with_emit_ast_exits_2(capsys):
+    # the tree has no package, so a --package would be ignored without a word
+    assert run([str(CASE_STUDY), "--emit-ast", "--package", "org.x"]) == 2
+    captured = capsys.readouterr()
+    assert "argument --package: not allowed with argument --emit-ast" in captured.err
+    assert captured.out == ""
+
+
+@pytest.fixture
+def work(tmp_path, monkeypatch):
+    """The working directory ``tmp_path/work``, holding bs.erop."""
     work = tmp_path / "work"
     work.mkdir()
     monkeypatch.chdir(work)
     shutil.copy(CASE_STUDY, work / "bs.erop")
+    return work
+
+
+@pytest.fixture
+def opened_outside(work, monkeypatch):
+    """A function giving each path os.open was given that lies outside ``work``."""
+    opened = []
+    real_open = os.open
+
+    def spy(path, *args, **kwargs):
+        opened.append(os.path.realpath(path))
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", spy)
+    return lambda: [path for path in opened if not path.startswith(f"{work}{os.sep}")]
+
+
+def test_empty_output_name_is_no_default(tmp_path, capsys, work, opened_outside):
+    # an unset shell variable in `-o "$OUT"` must not overwrite <stem>.drl; the
+    # empty path resolves to the working directory, which no file can replace
     assert run(["bs.erop", "-o", ""]) == 2
     assert capsys.readouterr().err == "eropc: cannot write \n"
+    assert opened_outside() == []
+    assert list(tmp_path.iterdir()) == [work]
+    assert [p.name for p in work.iterdir()] == ["bs.erop"]
+
+
+def test_directory_output_is_refused_before_any_file_is_made(tmp_path, capsys, work,
+                                                             opened_outside):
+    # a temp file beside the directory would be made in its parent, outside it
+    assert run(["bs.erop", "-o", "."]) == 2
+    assert capsys.readouterr().err == "eropc: cannot write .\n"
+    assert opened_outside() == []
     assert list(tmp_path.iterdir()) == [work]
     assert [p.name for p in work.iterdir()] == ["bs.erop"]
 

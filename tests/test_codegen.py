@@ -5,6 +5,7 @@ import traceback
 import pytest
 
 from conftest import CORPUS
+from eropc import codegen
 from eropc.codegen import (
     ADFile,
     ConfigError,
@@ -494,6 +495,24 @@ def test_no_collection_runs_during_a_compile(case_study_source):
     assert text is not None and diags == []
     assert collections == []
     assert gc.isenabled()
+
+
+def test_the_syntax_tree_is_freed_before_the_output_is_joined(
+    case_study_source, golden_drl, monkeypatch
+):
+    # the collector is paused under translate, but it still tracks each new tree
+    def trees():
+        return sum(type(o) is ContractAst for o in gc.get_objects())
+
+    def render_file(ad_file):
+        trees_at_render.append(trees())
+        return real_render_file(ad_file)
+
+    real_render_file, trees_at_render = codegen.render_file, []
+    monkeypatch.setattr(codegen, "render_file", render_file)
+    before = trees()
+    assert translate(case_study_source, "BuyerStoreContractEx") == (golden_drl, [])
+    assert trees_at_render == [before]
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])

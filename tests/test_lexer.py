@@ -484,3 +484,21 @@ def test_parser_identifiers_are_the_very_tokens(case_study_source):
     for tok in held:
         assert tokens.kinds[tok.index] is TokenKind.IDENT
         assert tok.lexeme is tokens.lexemes[tok.index]
+
+
+def repeated_names_contract(rules):
+    """A contract whose ``rules`` rules name the same players and operation."""
+    rule = ('rule "R{}"\nwhen e matches (botype == Pay, originator == buyer, '
+            'responder == seller, outcome == success)\nthen\n    buyer.rights += Pay(seller)\nend\n')
+    return "roleplayer buyer, seller;\nbusinessoperation Pay;\n" + "".join(map(rule.format, range(rules)))
+
+
+@pytest.mark.parametrize("source", [
+    pytest.param(None, id="case-study"),
+    pytest.param(repeated_names_contract(50), id="repeated-names"),
+])
+def test_each_distinct_lexeme_is_one_object(case_study_source, source):
+    # the syntax tree's tokens share these strings, so a name repeated n times costs one
+    tokens = tokenize(source or case_study_source)
+    assert len(tokens.lexemes) > 3 * len(set(tokens.lexemes))
+    assert len({id(lexeme) for lexeme in tokens.lexemes}) == len(set(tokens.lexemes))
