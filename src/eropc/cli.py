@@ -55,8 +55,9 @@ def run(argv: list[str]) -> int:
     parser = _build_arg_parser()
     try:
         args = parser.parse_args(argv)
-        if args.emit_ast and args.package is not None:  # the tree has no package
-            parser.error("argument --package: not allowed with argument --emit-ast")
+        for name in ("package", "lookup"):  # the tree has neither
+            if args.emit_ast and getattr(args, name) is not None:
+                parser.error(f"argument --{name}: not allowed with argument --emit-ast")
     except SystemExit as exc:
         return int(exc.code or 0)
     if args.package is not None and not all(map(is_java_identifier, args.package.split("."))):
@@ -78,8 +79,8 @@ def run(argv: list[str]) -> int:
             print(f"eropc: {args.lookup}: {err}", file=sys.stderr)
             return 2
 
-    if args.emit_ast:
-        return _run_debug_dump(args, source)
+    if args.check or args.emit_ast:
+        return _run_analysis(args, source)
 
     stem = os.path.splitext(args.input)[0]
     package_name = args.package or sanitize_package_name(os.path.basename(stem))
@@ -87,8 +88,6 @@ def run(argv: list[str]) -> int:
     _print_diagnostics(diags, args.input)
     if text is None:
         return 1
-    if args.check:
-        return 0
 
     output = stem + ".drl" if args.output is None else args.output
     if output == "-":
@@ -115,13 +114,13 @@ def _read_text(path: str) -> str | None:
     return None
 
 
-def _run_debug_dump(args, source: str) -> int:
-    ast, _, diags = analyze(source)
-    if ast is None:  # a lexical or syntax error
-        _print_diagnostics(diags, args.input)
-        return 1
-    print(*ast.decls, *ast.rules, sep="\n")  # the parse tree is printed even when checks fail
-    return 0
+def _run_analysis(args, source: str) -> int:
+    ast, _, _, diags = analyze(source)
+    if args.emit_ast and ast is not None:  # the parse tree is printed even when checks fail
+        print(*ast.decls, *ast.rules, sep="\n")
+        return 0
+    _print_diagnostics(diags, args.input)  # --check, or a lexical or syntax error
+    return int(any(d.is_error for d in diags))
 
 
 def _print_diagnostics(diags: list[Diagnostic], file: str) -> None:

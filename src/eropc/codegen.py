@@ -1,7 +1,7 @@
 """Code generation: a checked contract to Augmented Drools text.
 
-Covers the front end shared by translate() and the CLI's --emit-ast, the
-declaration block and its name checks (E012), the configurable
+Covers the front end (analyze) of translate() and the CLI's --check and
+--emit-ast, the declaration block and its name checks (E012), the configurable
 keyword-to-method lookup, and deterministic rendering (LF newlines, 4-space
 indent inside rules).  Each AD rule is one RuleAst that ``sema.split`` gives,
 rendered straight to its text.
@@ -256,7 +256,7 @@ class IrContract(NamedTuple):
 
 
 def lower_contract(ast: ContractAst) -> IrContract:
-    """Pair each source rule of a checked contract with its split."""
+    """Pair each source rule of a contract, checked or not, with its split."""
     return IrContract([(rule, split(rule)) for rule in ast.rules])
 
 
@@ -281,33 +281,35 @@ def render_file(ad_file: ADFile) -> str:
     return "\n".join(["\n".join(ad_file.header) + "\n", *ad_file.rules])
 
 
-def analyze(source: str) -> tuple[ContractAst | None, SymbolTable | None, list[Diagnostic]]:
-    """Tokenize, parse, build the symbol table and check; diagnostics in (line, col) order.
+def analyze(source: str) -> tuple[
+    ContractAst | None, SymbolTable | None, IrContract | None, list[Diagnostic]
+]:
+    """Tokenize, parse, build the symbol table, split and check; diagnostics in (line, col) order.
 
-    A lexical or syntax error gives ``(None, None, [its E-LEX or E-PARSE])``.
+    A lexical or syntax error gives ``(None, None, None, [its E-LEX or E-PARSE])``.
     Every stage records token indexes; this is the one place that turns them
     into SourcePos, all in one ``positions`` call.
     """
-    ast = tab = None
+    ast = tab = ir = None
     try:
         ast = parse_contract(tokenize(source))
     except FrontEndError as err:
         diags = [Diagnostic("error", err.code, err.message, err.pos)]
     else:
         tab, diags = build_symbol_table(ast)
-        # index order is (line, col) order; the sort is stable, so ties keep discovery order
-        diags = sorted(diags + check_contract(ast, tab) + check_globals(tab), key=lambda d: d.pos)
+        ir = lower_contract(ast)
+        diags += check_contract(ast.decls, ir.rules, tab) + check_globals(tab)
+        diags.sort(key=lambda d: d.pos)  # (line, col) order; stable, so ties keep discovery order
     found = positions(source, [d.pos for d in diags])
-    return ast, tab, [d._replace(pos=pos) for d, pos in zip(diags, found)]
+    return ast, tab, ir, [d._replace(pos=pos) for d, pos in zip(diags, found)]
 
 
 def translate(
     source: str, package_name: str, lookup: Mapping[str, str] = DEFAULT_LOOKUP
 ) -> tuple[str | None, list[Diagnostic]]:
-    """Full pipeline: analyze, then lower (splitting conditionals) and emit.
+    """Full pipeline: analyze, then emit the split rules.
 
-    Returns ``(text, diagnostics)``; ``text`` is None when any error
-    diagnostic was produced, in which case nothing was rendered.
+    Returns ``(text, diagnostics)``; ``text`` is None, and nothing is rendered, on any error.
 
     The cyclic garbage collector is paused for the whole compile, then left as
     the caller had it: a compile builds only acyclic trees, which reference
@@ -316,12 +318,12 @@ def translate(
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        ast, tab, diags = analyze(source)
+        ast, tab, ir, diags = analyze(source)
         if any(d.is_error for d in diags):
             return None, diags
 
-        ad_file = build_ad_file(lower_contract(ast), tab, package_name, lookup)
-        del ast, tab  # the tree is freed before the rule strings are joined
+        ad_file = build_ad_file(ir, tab, package_name, lookup)
+        del ast, tab, ir  # the tree and its split are freed before the rule strings are joined
         return render_file(ad_file), diags
     finally:
         if gc_was_enabled:

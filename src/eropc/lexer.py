@@ -62,15 +62,15 @@ _FIXED_KINDS = {**KEYWORDS, **_PUNCT, "": TokenKind.EOF}
 # EOF lexeme "" and keeps the fallbacks from backtracking into trailing trivia.
 # The fallbacks take what nothing else accepts as a lexeme that names its fault:
 # a string that lacks its closing quote on its line or holds a backslash (EROP has
-# no escapes), an unterminated block comment, or one illegal character.  Letters
-# and digits are ASCII only.
+# no escapes), an unterminated block comment with the rest of the source (which no
+# later ``/*`` then rescans), or one illegal character.  Letters and digits are ASCII only.
 _TOKEN_RE = re.compile(
     r"[ \t\r\n]*(?:(?://[^\r\n]*|/\*.*?\*/)[ \t\r\n]*)*("
     r"[A-Za-z][A-Za-z0-9_]*"
     f"|{'|'.join(map(re.escape, sorted(_PUNCT, key=len, reverse=True)))}"
     r'|"[^"\\\r\n]*"'
     r"|[0-9]+"
-    r'|\Z|"[^"\r\n]*|/\*|.)',
+    r'|\Z|"[^"\r\n]*|/\*.*|.)',
     re.DOTALL,
 )
 # Any of \n, \r\n, or \r counts as a single line break.
@@ -176,7 +176,7 @@ def _bad_token_message(lexeme: str) -> str:
     """What is wrong with a lexeme that one of the token pattern's fallbacks took."""
     if lexeme[0] == '"':
         return "backslash in string literal" if "\\" in lexeme else "unterminated string literal"
-    if lexeme == "/*":
+    if lexeme[:2] == "/*":
         return "unterminated block comment"
     return f"illegal character {lexeme!r}"
 

@@ -42,6 +42,7 @@ from .syntax import (
 
 OUTCOME_VALUES = ("success", "tecfail", "bizfail")  # compared case-insensitively
 UNIT_MAX = {"hour": 23, "minute": 59}  # the other units' renderings are unconfirmed
+SplitRules = list[tuple[RuleAst, list[RuleAst]]]  # each source rule with its ``split``
 
 
 class Diagnostic(NamedTuple):
@@ -111,10 +112,10 @@ def build_symbol_table(ast: ContractAst) -> tuple[SymbolTable, list[Diagnostic]]
     return tab, diags
 
 
-def check_contract(ast: ContractAst, tab: SymbolTable) -> list[Diagnostic]:
+def check_contract(decls: list[Decl], rules: SplitRules, tab: SymbolTable) -> list[Diagnostic]:
     """Check every rule, then report the declared names never used (W001); in discovery order."""
     checker = _Checker(tab)
-    checker.check(ast)
+    checker.check(decls, rules)
     return checker.diags
 
 
@@ -124,7 +125,7 @@ def split(rule: RuleAst) -> list[RuleAst]:
     A rule without an ``if`` is its own only AD rule.  An ``if`` gives ``<name>IfThen``,
     guarded by its condition, and an ``else`` gives ``<name>IfElse``, guarded by the
     negation; the rule's own constraints follow, and each piece keeps the rule's name
-    position and event match.  Only the actions decide, so E007 can split an unchecked rule.
+    position and event match.  Only the actions decide, so a rule is split before it is checked.
     """
     conditional = next((a for a in rule.actions if isinstance(a, IfAct)), None)
     if conditional is None:
@@ -144,22 +145,21 @@ class _Checker:
         self.diags: list[Diagnostic] = []
         self.used: set[str] = set()
 
-    def check(self, ast: ContractAst) -> None:
-        for decl in ast.decls:  # only an accepted declaration's members count as uses
+    def check(self, decls: list[Decl], rules: SplitRules) -> None:
+        for decl in decls:  # only an accepted declaration's members count as uses
             if self.tab.declared[decl.names[0].lexeme] is decl.names[0]:
                 self.used.update(member.lexeme for member in decl.members)
         seen_source: set[str] = set()
         seen_emitted: set[str] = set()
-        for rule in ast.rules:
-            names = [piece.name for piece in split(rule)]
-            clash = next((n for n in names if n in seen_emitted), None)
+        for rule, pieces in rules:
+            clash = next((p.name for p in pieces if p.name in seen_emitted), None)
             if rule.name in seen_source:
                 self.error("E007", f'duplicate rule name "{rule.name}"', rule.name_pos)
             elif clash is not None:
                 why = "collides with a rule produced by conditional splitting"
                 self.error("E007", f'rule name "{clash}" {why}', rule.name_pos)
             seen_source.add(rule.name)
-            seen_emitted.update(names)
+            seen_emitted.update(p.name for p in pieces)
             self.check_rule(rule)
         self.report_unused()
 

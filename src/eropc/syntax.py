@@ -7,7 +7,7 @@ Grammar for ``.erop`` files (normative for this compiler):
                      | "businessoperation" identList ";"
                      | "compoblig" IDENT "(" identList ")" [";"]
     identList       := IDENT ("," IDENT)*
-    rule            := "rule" STRING "when" eventMatch constraint* "then" action+ "end"
+    rule            := "rule" STRING "when" eventMatch constraint* "then" (action | ifStmt)+ "end"
     eventMatch      := IDENT "matches" "(" field ("," field)* ")"
     field           := IDENT "==" IDENT
     constraint      := ropMembership | outcome | timeDirect | timePartial | historical
@@ -18,7 +18,7 @@ Grammar for ``.erop`` files (normative for this compiler):
     timePartial     := IDENT "." timeUnit "in" "[" INT "," INT "]"
     timeUnit        := "hour" | "minute" | "day" | "month" | "year"
     historical      := ["not"] "happened" "(" field ("," field)* ")"
-    action          := ropManip | outcome | resetStmt | ifStmt
+    action          := ropManip | outcome | resetStmt
     ropManip        := IDENT "." ropset ("+=" | "-=") IDENT "(" actualList ")"
     actualList      := actual ("," actual)*
     actual          := IDENT | STRING
@@ -457,9 +457,8 @@ class _Parser:
         self.i += 1
         self.expect(TokenKind.LPAREN, "'('")
         cond = [self.constraint()]
-        while not self.at(TokenKind.RPAREN):
-            if self.at(TokenKind.COMMA):  # separators are optional between conditions
-                self.i += 1
+        while self.at(TokenKind.COMMA):
+            self.i += 1
             cond.append(self.constraint())
         self.expect(TokenKind.RPAREN, "')'")
         self.expect(TokenKind.THEN, "'then'")

@@ -148,12 +148,26 @@ def test_output_with_a_mode_that_writes_nothing_exits_2(tmp_path, capsys, mode):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_package_with_emit_ast_exits_2(capsys):
-    # the tree has no package, so a --package would be ignored without a word
-    assert run([str(CASE_STUDY), "--emit-ast", "--package", "org.x"]) == 2
+@pytest.mark.parametrize(
+    "option,value",
+    [("--package", "org.x"), ("--lookup", str(CORPUS / "revoke.lookup"))],
+    ids=["package", "lookup"],
+)
+def test_option_the_tree_ignores_with_emit_ast_exits_2(capsys, option, value):
+    # the tree has no package and calls no method, so either would be ignored without a word
+    assert run([str(CASE_STUDY), "--emit-ast", option, value]) == 2
     captured = capsys.readouterr()
-    assert "argument --package: not allowed with argument --emit-ast" in captured.err
+    assert f"argument {option}: not allowed with argument --emit-ast" in captured.err
     assert captured.out == ""
+
+
+def test_check_loads_and_validates_the_lookup(tmp_path, capsys):
+    assert run([str(CASE_STUDY), "--check", "--lookup", str(CORPUS / "revoke.lookup")]) == 0
+    bad = tmp_path / "bad.lookup"
+    bad.write_text("no.such.key = x\n")
+    assert run([str(CASE_STUDY), "--check", "--lookup", str(bad)]) == 2
+    assert "unknown key 'no.such.key'" in capsys.readouterr().err
+    assert run([str(CASE_STUDY), "--check", "--lookup", str(tmp_path / "missing")]) == 2
 
 
 @pytest.fixture
@@ -208,13 +222,29 @@ def test_failed_compile_leaves_output_untouched(tmp_path):
     assert out.read_text() == "sentinel"
 
 
-def test_check_and_compile_agree_on_diagnostics(tmp_path, capsys):
-    bad = str(CORPUS / "bad" / "e008.erop")
-    run([bad, "--check"])
+@pytest.mark.parametrize(
+    "name", ["buyer_store.erop", *sorted(f"bad/{p.name}" for p in (CORPUS / "bad").glob("*.erop"))]
+)
+def test_check_and_compile_agree_on_diagnostics(tmp_path, capsys, name):
+    path = str(CORPUS / name)
+    check_code = run([path, "--check"])
     check_err = capsys.readouterr().err
-    run([bad, "-o", str(tmp_path / "x.drl")])
+    compile_code = run([path, "-o", str(tmp_path / "x.drl")])
     compile_err = capsys.readouterr().err
-    assert check_err == compile_err
+    assert (check_code, check_err) == (compile_code, compile_err)
+
+
+def test_check_builds_and_renders_no_ad_text(monkeypatch, capsys):
+    from eropc import cli, codegen
+
+    def refuse(*args):
+        raise AssertionError("--check built or rendered AD text")
+
+    for module, name in ((codegen, "build_ad_file"), (codegen, "render_file"), (cli, "translate")):
+        monkeypatch.setattr(module, name, refuse)
+    assert run([str(CASE_STUDY), "--check"]) == 0
+    assert run([str(CORPUS / "bad" / "e007.erop"), "--check"]) == 1
+    assert "error[E007]" in capsys.readouterr().err
 
 
 # The complete ``--check`` stderr (``{}`` is the file) and exit code of each contract.

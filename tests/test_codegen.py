@@ -515,6 +515,22 @@ def test_the_syntax_tree_is_freed_before_the_output_is_joined(
     assert trees_at_render == [before]
 
 
+def test_each_source_rule_is_split_once_per_compile(case_study_source, golden_drl, monkeypatch):
+    # E007 and code generation read the pieces of one split; a call from sema would count too
+    from eropc import sema
+
+    def counted_split(rule):
+        calls.append(rule.name)
+        return sema_split(rule)
+
+    sema_split, calls = sema.split, []
+    monkeypatch.setattr(sema, "split", counted_split)
+    monkeypatch.setattr(codegen, "split", counted_split)
+    assert translate(case_study_source, "BuyerStoreContractEx") == (golden_drl, [])
+    source_rules = [rule.name for rule in parse_contract(tokenize(case_study_source)).rules]
+    assert len(calls) == 10 and calls == source_rules
+
+
 @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
 def test_translate_leaves_the_collector_as_the_caller_had_it(case_study_source, enabled):
     (gc.enable if enabled else gc.disable)()

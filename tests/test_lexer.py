@@ -300,7 +300,7 @@ LEX_ERRORS = [
     ids=[case[0] for case in LEX_ERRORS],
 )
 def test_lex_error_message_and_position(pos, message, source):
-    _, _, (diag,) = analyze(source)
+    _, _, _, (diag,) = analyze(source)
     assert (diag.code, diag.message, str(diag.pos)) == ("E-LEX", message, pos)
 
 

@@ -18,7 +18,7 @@ def analyze(source):
     """The symbol table and the diagnostics in discovery order, positions resolved."""
     ast = parse_contract(tokenize(source))
     tab, decl_diags = build_symbol_table(ast)
-    diags = decl_diags + check_contract(ast, tab)
+    diags = decl_diags + check_contract(ast.decls, codegen.lower_contract(ast).rules, tab)
     found = positions(source, [d.pos for d in diags])
     return tab, [d._replace(pos=pos) for d, pos in zip(diags, found)]
 
@@ -100,7 +100,7 @@ def test_rejected_duplicate_gets_neither_e003_nor_w001():
         "roleplayer buyer;\nbusinessoperation Pay;\n"
         "compoblig React(Pay)\ncompoblig React(Ghost, Ship)\nroleplayer React;\n" + RULE_TAIL
     )
-    _, _, diags = codegen.analyze(source)
+    _, _, _, diags = codegen.analyze(source)
     assert [(d.code, str(d.pos), d.message) for d in diags] == [
         ("W001", "3:11", "composite obligation 'React' declared but never used"),
         ("E001", "4:11", "duplicate declaration of 'React'"),
@@ -120,7 +120,7 @@ then
     buyer.obligs += React(buyer)
 end
 """
-    _, _, diags = codegen.analyze(source)
+    _, _, _, diags = codegen.analyze(source)
     assert [(d.code, str(d.pos), d.message) for d in diags] == [
         ("W001", "2:24", "business operation 'Ship' declared but never used"),
         ("E001", "4:11", "duplicate declaration of 'React'"),
@@ -498,7 +498,7 @@ end
     found = [(d.pos.line, d.pos.col) for d in discovered]
     assert found != sorted(found)
 
-    _, _, diags = codegen.analyze(source)
+    _, _, _, diags = codegen.analyze(source)
     resolved = [(d.pos.line, d.pos.col) for d in diags]
     assert resolved == sorted(found)
 
@@ -559,7 +559,7 @@ then
 def test_clashing_or_unusable_ad_name_is_e012(decls, message, pos):
     # each of these compiled once, to a header that declares one global twice,
     # redeclares a fixed global, shadows an operation or holds a Java keyword
-    _, _, diags = codegen.analyze(uses(*decls))
+    _, _, _, diags = codegen.analyze(uses(*decls))
     (e012,) = [d for d in diags if d.code == "E012"]
     assert e012.message == message
     assert (e012.pos.line, e012.pos.col) == pos
@@ -584,5 +584,5 @@ def test_distinct_ad_names_get_no_e012():
         "roleplayer buyer, engines, logger2, bosun, bos0, bos1;",
         "businessoperation Pay, Bos_, Bos02;",
     )
-    _, _, diags = codegen.analyze(source)
+    _, _, _, diags = codegen.analyze(source)
     assert [d.code for d in diags if d.is_error] == []

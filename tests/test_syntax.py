@@ -224,7 +224,7 @@ end
     with pytest.raises(ParseError) as exc:
         parse(source)
     assert "'then'" in exc.value.message
-    _, _, (diag,) = analyze(source)
+    _, _, _, (diag,) = analyze(source)
     assert (diag.code, diag.message, str(diag.pos)) == ("E-PARSE", exc.value.message, "6:5")
 
 
@@ -533,6 +533,8 @@ PARSE_ERRORS = [
      with_actions("if () then reset buyer endif")),
     ("if_trailing_comma", "4:30", "expected a constraint but found ')'",
      with_actions("if (Pay.BizFail == true,) then reset buyer endif")),
+    ("if_missing_comma", "4:30", "expected ')' but found 'Pay'",
+     with_actions("if (Pay.BizFail == true Pay.BizFail == false) then reset buyer endif")),
     ("eof_in_if_condition", "4:10", "expected a constraint but found end of input",
      AFTER_HEAD + "then if ("),
     ("if_then", "4:31", "expected 'then' but found 'reset'",
@@ -559,5 +561,5 @@ PARSE_ERRORS = [
     ids=[case[0] for case in PARSE_ERRORS],
 )
 def test_parse_error_message_and_position(pos, message, source):
-    _, _, (diag,) = analyze(source)
+    _, _, _, (diag,) = analyze(source)
     assert (diag.code, diag.message, str(diag.pos)) == ("E-PARSE", message, pos)
