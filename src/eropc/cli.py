@@ -93,6 +93,9 @@ def run(argv: list[str]) -> int:
     if output == "-":
         sys.stdout.write(text)
         return 0
+    if os.path.exists(output) and os.path.samefile(output, args.input):  # a link to it too
+        print(f"eropc: output {output} is the input file", file=sys.stderr)
+        return 2
     try:
         _write_atomic(output, text)
     except OSError:

@@ -1,10 +1,11 @@
 """Code generation: a checked contract to Augmented Drools text.
 
 Covers the front end (analyze) of translate() and the CLI's --check and
---emit-ast, the declaration block and its name checks (E012), the configurable
-keyword-to-method lookup, and deterministic rendering (LF newlines, 4-space
-indent inside rules).  Each AD rule is one RuleAst that ``sema.split`` gives,
-rendered straight to its text.
+--emit-ast, lowering, the declaration block and its name checks (E012), the
+configurable keyword-to-method lookup, and deterministic rendering (LF newlines,
+4-space indent inside rules).  Lowering lists the AD globals once, and both
+E012 and the header read that list.  Each AD rule is one RuleAst that
+``sema.split`` gives, rendered straight to its text.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import types
 from collections.abc import Mapping
 from typing import NamedTuple
 
-from .lexer import FrontEndError, positions, tokenize
+from .lexer import FrontEndError, _new, positions, tokenize
 from .sema import (
     Diagnostic,
     SymbolTable,
@@ -24,9 +25,7 @@ from .sema import (
     split,
 )
 from .syntax import (
-    BUSINESS_OP,
     EVENT_FIELDS,
-    ROLE_PLAYER,
     ConstraintAst,
     ContractAst,
     Historical,
@@ -131,22 +130,11 @@ def rop_var_name(player: str) -> str:
     return "rop" + player[0].upper() + player[1:]
 
 
-def ad_globals(name: str, kind: str) -> list[tuple[str, str]]:
-    """The (type, identifier) AD globals of one declared name; a composite obligation has none."""
-    if kind == ROLE_PLAYER:
-        return [("RolePlayer", name), ("ROPSet", rop_var_name(name))]
-    if kind == BUSINESS_OP:
-        return [("BusinessOperation", bo_global_name(name))]
-    return []
-
-
-def header_lines(package_name: str, tab: SymbolTable) -> list[str]:
-    """The package, the two imports, the two fixed globals, then each declared name's."""
+def header_lines(package_name: str, ad_globals: list[tuple[str, str, str]]) -> list[str]:
+    """The package, the two imports, the two fixed globals, then the lowered AD globals."""
     lines = [f"package {package_name}", "", *IMPORT_LINES, ""]
     lines += ["global RelevanceEngine engine;", "global EventLogger logger;"]
-    for name in tab.role_players + tab.business_ops:
-        for type_, ident in ad_globals(name, tab.kinds[name]):
-            lines.append(f"global {type_} {ident};")
+    lines += [f"global {type_} {ident};" for _, type_, ident in ad_globals]
     return lines
 
 
@@ -154,29 +142,30 @@ def header_lines(package_name: str, tab: SymbolTable) -> list[str]:
 _TAKEN_IDENTIFIERS = frozenset(("engine", "logger", "bos"))
 
 
-def check_globals(tab: SymbolTable) -> list[Diagnostic]:
+def check_globals(ad_globals: list[tuple[str, str, str]], tab: SymbolTable) -> list[Diagnostic]:
     """E012 at a declaration whose AD identifier is taken or is no Java identifier.
 
-    Of two names that give one identifier, the later declaration is reported.
-    A declared name is ASCII ``[A-Za-z][A-Za-z0-9_]*``, so each of its AD
-    identifiers has a Java identifier's shape and can fail only as a reserved word.
+    The lowered globals are walked in declaration order, and of two names that
+    give one identifier, the later declaration is reported.  A declared name is
+    ASCII ``[A-Za-z][A-Za-z0-9_]*``, so each of its AD identifiers has a Java
+    identifier's shape and can fail only as a reserved word.
     """
     diags: list[Diagnostic] = []
     owners: dict[str, str] = {}
-    for name, kind in tab.kinds.items():  # declaration order
-        for _, ident in ad_globals(name, kind):
-            owner = owners.setdefault(ident, name)
-            if owner != name:
-                message = f"{kind} '{name}' and {tab.kinds[owner]} '{owner}' both become '{ident}'"
-            elif ident in _TAKEN_IDENTIFIERS or (  # digits above "1": 2 up, no leading zero
-                ident[:3] == "bos" and ident[3:].isdigit() and ident[3:] > "1"
-            ):
-                message = f"{kind} '{name}' becomes '{ident}', a name the AD output already uses"
-            elif ident in _JAVA_RESERVED:
-                message = f"{kind} '{name}' becomes '{ident}', which is not a Java identifier"
-            else:
-                continue
-            diags.append(Diagnostic("error", "E012", message, tab.declared[name].index))
+    for name, _, ident in sorted(ad_globals, key=lambda g: tab.declared[g[0]].index):
+        kind = tab.kinds[name]
+        owner = owners.setdefault(ident, name)
+        if owner != name:
+            message = f"{kind} '{name}' and {tab.kinds[owner]} '{owner}' both become '{ident}'"
+        elif ident in _TAKEN_IDENTIFIERS or (  # digits above "1": 2 up, no leading zero
+            ident[:3] == "bos" and ident[3:].isdigit() and ident[3:] > "1"
+        ):
+            message = f"{kind} '{name}' becomes '{ident}', a name the AD output already uses"
+        elif ident in _JAVA_RESERVED:
+            message = f"{kind} '{name}' becomes '{ident}', which is not a Java identifier"
+        else:
+            continue
+        diags.append(Diagnostic("error", "E012", message, tab.declared[name].index))
     return diags
 
 
@@ -253,11 +242,17 @@ def constraint_expr(
 
 class IrContract(NamedTuple):
     rules: list[tuple[RuleAst, list[RuleAst]]]  # each source rule with its split
+    ad_globals: list[tuple[str, str, str]]  # (declared name, AD type, identifier), header order
 
 
-def lower_contract(ast: ContractAst) -> IrContract:
-    """Pair each source rule of a contract, checked or not, with its split."""
-    return IrContract([(rule, split(rule)) for rule in ast.rules])
+def lower_contract(ast: ContractAst, tab: SymbolTable) -> IrContract:
+    """Pair each source rule, checked or not, with its split, and list the declared
+    names' AD globals: each role player's two, then each operation's one."""
+    ad_globals = []
+    for player in tab.role_players:
+        ad_globals += [(player, "RolePlayer", player), (player, "ROPSet", rop_var_name(player))]
+    ad_globals += [(bo, "BusinessOperation", bo_global_name(bo)) for bo in tab.business_ops]
+    return IrContract([(rule, split(rule)) for rule in ast.rules], ad_globals)
 
 
 class ADFile(NamedTuple):
@@ -273,7 +268,7 @@ def build_ad_file(
     for rule, pieces in contract.rules:
         event = event_line(rule)
         rules.extend(emit_rule(piece, event, lookup, tab) for piece in pieces)
-    return ADFile(header_lines(package_name, tab), rules)
+    return ADFile(header_lines(package_name, contract.ad_globals), rules)
 
 
 def render_file(ad_file: ADFile) -> str:
@@ -297,11 +292,11 @@ def analyze(source: str) -> tuple[
         diags = [Diagnostic("error", err.code, err.message, err.pos)]
     else:
         tab, diags = build_symbol_table(ast)
-        ir = lower_contract(ast)
-        diags += check_contract(ast.decls, ir.rules, tab) + check_globals(tab)
+        ir = lower_contract(ast, tab)
+        diags += check_contract(ast.decls, ir.rules, tab) + check_globals(ir.ad_globals, tab)
         diags.sort(key=lambda d: d.pos)  # (line, col) order; stable, so ties keep discovery order
     found = positions(source, [d.pos for d in diags])
-    return ast, tab, ir, [d._replace(pos=pos) for d, pos in zip(diags, found)]
+    return ast, tab, ir, [_new(Diagnostic, (*d[:3], pos)) for d, pos in zip(diags, found)]
 
 
 def translate(

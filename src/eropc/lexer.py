@@ -75,6 +75,8 @@ _TOKEN_RE = re.compile(
 )
 # Any of \n, \r\n, or \r counts as a single line break.
 _LINE_BREAK = re.compile(r"\r\n?|\n")
+# A NamedTuple's generated __new__ is Python code; this builds one from its fields in order.
+_new = tuple.__new__
 
 
 class SourcePos(NamedTuple):
@@ -168,7 +170,7 @@ def positions(source: str, indexes: list[int]) -> list[SourcePos]:
     for index in indexes:
         offset = starts[index]
         line = bisect_right(line_starts, offset)
-        result.append(SourcePos(line, offset - line_starts[line - 1] + 1, offset))
+        result.append(_new(SourcePos, (line, offset - line_starts[line - 1] + 1, offset)))
     return result
 
 

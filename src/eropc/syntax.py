@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .lexer import FrontEndError, Token, TokenKind, TokenStream, string_value
+from .lexer import FrontEndError, Token, TokenKind, TokenStream, _new, string_value
 
 INT_MAX = 2**31 - 1  # a window bound is emitted into a Java int comparison
 ROP_SETS = ("rights", "obligs", "prohibs")
@@ -170,9 +170,6 @@ _DECL_KINDS = {
     TokenKind.COMPOBLIG: COMP_OBLIG,
 }
 _MANIP_OPS = {TokenKind.PLUSEQ: "add", TokenKind.MINUSEQ: "remove"}
-
-# A NamedTuple's generated __new__ is Python code; this builds one from its fields in order.
-_new = tuple.__new__
 
 
 def parse_contract(tokens: TokenStream) -> ContractAst:

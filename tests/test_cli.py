@@ -110,6 +110,22 @@ def test_symlinked_output_writes_through_the_link(tmp_path, golden_drl):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.drl", "real.drl"]
 
 
+@pytest.mark.parametrize("case", ["-o the input", "-o a link to it", "input named .drl"])
+def test_output_that_is_the_input_exits_2_and_keeps_the_source(tmp_path, capsys, case):
+    src = tmp_path / ("contract.drl" if case == "input named .drl" else "contract.erop")
+    shutil.copy(CASE_STUDY, src)
+    args = [str(src), "--package", "BuyerStoreContractEx"]
+    if case == "-o a link to it":
+        (tmp_path / "link.drl").symlink_to(src.name)
+        args += ["-o", str(tmp_path / "link.drl")]
+    elif case == "-o the input":
+        args += ["-o", str(src)]
+    assert run(args) == 2
+    assert "is the input file" in capsys.readouterr().err
+    assert src.read_bytes() == CASE_STUDY.read_bytes()
+    assert len(list(tmp_path.iterdir())) == (2 if case == "-o a link to it" else 1)
+
+
 def test_unwritable_output_exits_2(tmp_path, capsys):
     out = tmp_path / "no" / "such" / "dir" / "x.drl"
     assert run([str(CASE_STUDY), "-o", str(out)]) == 2

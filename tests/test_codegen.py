@@ -16,6 +16,7 @@ from eropc.codegen import (
     event_line,
     header_lines,
     load_lookup,
+    lower_contract,
     render_file,
     rop_var_name,
     translate,
@@ -42,6 +43,11 @@ def player_table(*names):
     decl = Decl(ROLE_PLAYER, [Token(name, 0) for name in names], [])
     tab, _ = build_symbol_table(ContractAst([decl], []))
     return tab
+
+
+def header(package_name, tab):
+    """The header of a contract with the table's declarations and no rules."""
+    return header_lines(package_name, lower_contract(ContractAst([], []), tab).ad_globals)
 
 
 def target_rules(when="", then="    reset buyer\n"):
@@ -157,7 +163,7 @@ def test_load_lookup_value_must_be_a_java_identifier(value):
 
 
 def test_case_study_declarations():
-    assert render_file(ADFile(header_lines("BuyerStoreContractEx", CASE_TABLE), [])) == """\
+    assert render_file(ADFile(header("BuyerStoreContractEx", CASE_TABLE), [])) == """\
 package BuyerStoreContractEx
 
 import uk.ac.ncl.erop.*;
@@ -180,7 +186,7 @@ global BusinessOperation cancellation;
 
 
 def test_declarations_one_player_no_ops():
-    text = render_file(ADFile(header_lines("P", player_table("alice")), []))
+    text = render_file(ADFile(header("P", player_table("alice")), []))
     lines = [line for line in text.splitlines() if line.startswith("global")]
     assert lines == [
         "global RelevanceEngine engine;",
@@ -191,9 +197,48 @@ def test_declarations_one_player_no_ops():
 
 
 def test_declarations_interleave_players_and_rop_sets():
-    text = render_file(ADFile(header_lines("P", player_table("a", "b", "c")), []))
+    text = render_file(ADFile(header("P", player_table("a", "b", "c")), []))
     names = [line.split()[-1].rstrip(";") for line in text.splitlines() if "RolePlayer" in line or "ROPSet" in line]
     assert names == ["a", "ropA", "b", "ropB", "c", "ropC"]
+
+
+def test_header_lists_role_players_then_operations_each_in_declaration_order():
+    source = """\
+roleplayer buyer;
+businessoperation Pay;
+roleplayer seller;
+rule "R"
+when e matches (botype == X, originator == buyer, responder == seller, outcome == success)
+then
+    buyer.rights -= Pay(seller)
+end
+"""
+    text, diags = translate(source, "P")
+    assert diags == []
+    assert [line for line in text.splitlines() if line.startswith("global")][2:] == [
+        "global RolePlayer buyer;",
+        "global ROPSet ropBuyer;",
+        "global RolePlayer seller;",
+        "global ROPSet ropSeller;",
+        "global BusinessOperation pay;",
+    ]
+
+
+def test_ad_globals_are_listed_once_and_read_by_e012_and_the_header(monkeypatch, case_study_source):
+    calls = {"lower_contract": [], "check_globals": [], "header_lines": []}
+    for name, seen in calls.items():
+        def spy(*args, original=getattr(codegen, name), seen=seen):
+            seen.append((args, original(*args)))
+            return seen[-1][1]
+        monkeypatch.setattr(codegen, name, spy)
+    text, _ = translate(case_study_source, "BuyerStoreContractEx")
+    ((_, ir),) = calls["lower_contract"]  # the one derivation of the compile
+    (((listed, _), _),) = calls["check_globals"]
+    (((_, printed), header),) = calls["header_lines"]
+    assert listed is printed is ir.ad_globals
+    # after the package, the imports and the two fixed globals
+    assert [f"global {t} {ident};" for _, t, ident in listed] == header[7:]
+    assert text.startswith("\n".join(header))
 
 
 # --- rule emission ---

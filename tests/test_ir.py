@@ -147,8 +147,8 @@ end
 
 
 def test_lowering_empty_contract_is_vacuous():
-    contract = lower_contract(ContractAst(decls=[], rules=[]))
-    assert contract.rules == []
+    contract = lower_contract(ContractAst(decls=[], rules=[]), SymbolTable())
+    assert contract.rules == contract.ad_globals == []
     ad_file = build_ad_file(contract, SymbolTable(), "Empty", DEFAULT_LOOKUP)
     assert ad_file.rules == []
     assert render_file(ad_file).endswith("global EventLogger logger;\n")

@@ -4,7 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CORPUS
-from eropc.codegen import DEFAULT_LOOKUP, build_ad_file, lower_contract, translate
+from eropc.codegen import (
+    DEFAULT_LOOKUP,
+    build_ad_file,
+    is_java_identifier,
+    lower_contract,
+    translate,
+)
 from eropc.lexer import TokenKind, positions, tokenize
 from eropc.sema import SymbolTable, check_contract
 from eropc.syntax import ContractAst
@@ -17,14 +23,14 @@ def test_split_laws_hold(rule):
 
 
 def rendered_names(rules):
-    contract = lower_contract(ContractAst([], rules))
+    contract = lower_contract(ContractAst([], rules), SymbolTable())
     ad_file = build_ad_file(contract, SymbolTable(), "P", DEFAULT_LOOKUP)
     return [read_rule(text).name for text in ad_file.rules]
 
 
 @given(st.lists(source_rules(), max_size=20))
 def test_rule_count_law_over_a_batch(rules):
-    contract = lower_contract(ContractAst([], rules))
+    contract = lower_contract(ContractAst([], rules), SymbolTable())
     assert [rule for rule, _ in contract.rules] == rules  # one entry per source rule
     assert len(rendered_names(rules)) == sum(map(expected_piece_count, rules))
 
@@ -33,11 +39,43 @@ def test_rule_count_law_over_a_batch(rules):
 def test_e007_exactly_when_a_name_repeats(rules):
     # a repeated source name is E007 even where the split names differ (an
     # if/else "R" next to a plain "R"); otherwise E007 means the AD names repeat
-    pairs = lower_contract(ContractAst([], rules)).rules
+    pairs = lower_contract(ContractAst([], rules), SymbolTable()).rules
     e007 = [d for d in check_contract([], pairs, SymbolTable()) if d.code == "E007"]
     sources, targets = [rule.name for rule in rules], rendered_names(rules)
     repeats = len(set(sources)) < len(sources) or len(set(targets)) < len(targets)
     assert bool(e007) == repeats
+
+
+# names whose AD identifiers clash with each other, with a fixed global or a
+# then-block array (bos, bos2, bos3, ...), or are Java keywords; the case
+# decides the kind, so no declaration is E003, and each is declared once
+AD_NAME_TRAPS = (
+    "buyer", "Buyer", "RopBuyer", "ropBuyer", "engine", "Engine", "logger",
+    "bos", "Bos", "bos2", "Bos2", "bos10", "bos01", "Bos1", "class", "Class", "Int", "x", "RopX",
+)
+_ARRAY = re.compile(r"bos(?:[2-9]|[1-9][0-9]+)?")  # bos, bos2, bos3, ...; never bos1 or bos01
+
+
+@given(st.lists(st.sampled_from(AD_NAME_TRAPS), unique=True, max_size=6))
+@settings(max_examples=500)  # a clash needs two of the names and no other trap
+def test_e012_or_every_ad_global_is_a_free_java_identifier(names):
+    decls = "".join(
+        f"{'roleplayer' if name[0].islower() else 'businessoperation'} {name};\n"
+        for name in ["alice", *names]
+    )
+    text, diags = translate(decls + """\
+rule "R"
+when e matches (botype == X, originator == alice, responder == alice, outcome == success)
+then
+    reset alice
+end
+""", "P")
+    assert {d.code for d in diags if d.is_error} <= {"E012"}
+    if text is None:
+        return
+    idents = [line.split()[2].rstrip(";") for line in text.splitlines() if line[:7] == "global "]
+    assert idents[:2] == ["engine", "logger"] and len(set(idents)) == len(idents)
+    assert all(is_java_identifier(i) and not _ARRAY.fullmatch(i) for i in idents[2:])
 
 
 LEXEMES = st.sampled_from((

@@ -18,7 +18,7 @@ def analyze(source):
     """The symbol table and the diagnostics in discovery order, positions resolved."""
     ast = parse_contract(tokenize(source))
     tab, decl_diags = build_symbol_table(ast)
-    diags = decl_diags + check_contract(ast.decls, codegen.lower_contract(ast).rules, tab)
+    diags = decl_diags + check_contract(ast.decls, codegen.lower_contract(ast, tab).rules, tab)
     found = positions(source, [d.pos for d in diags])
     return tab, [d._replace(pos=pos) for d, pos in zip(diags, found)]
 
@@ -530,39 +530,43 @@ then
 
 
 @pytest.mark.parametrize(
-    "decls, message, pos",
+    "decls, expected",
     [
         (("roleplayer buyer;", "businessoperation Pay, Buyer;"),
-         "business operation 'Buyer' and role player 'buyer' both become 'buyer'", (2, 24)),
+         [("business operation 'Buyer' and role player 'buyer' both become 'buyer'", (2, 24))]),
         (("businessoperation Buyer, Pay;", "roleplayer buyer;"),
-         "role player 'buyer' and business operation 'Buyer' both become 'buyer'", (2, 12)),
+         [("role player 'buyer' and business operation 'Buyer' both become 'buyer'", (2, 12))]),
         (("roleplayer buyer;", "businessoperation Pay, RopBuyer;"),
-         "business operation 'RopBuyer' and role player 'buyer' both become 'ropBuyer'", (2, 24)),
+         [("business operation 'RopBuyer' and role player 'buyer' both become 'ropBuyer'", (2, 24))]),
         (("roleplayer buyer, engine;", "businessoperation Pay;"),
-         "role player 'engine' becomes 'engine', a name the AD output already uses", (1, 19)),
+         [("role player 'engine' becomes 'engine', a name the AD output already uses", (1, 19))]),
         (("roleplayer buyer;", "businessoperation Pay, Bos;"),
-         "business operation 'Bos' becomes 'bos', a name the AD output already uses", (2, 24)),
+         [("business operation 'Bos' becomes 'bos', a name the AD output already uses", (2, 24))]),
         (("roleplayer buyer;", "businessoperation Pay, Bos2;"),
-         "business operation 'Bos2' becomes 'bos2', a name the AD output already uses", (2, 24)),
+         [("business operation 'Bos2' becomes 'bos2', a name the AD output already uses", (2, 24))]),
         (("roleplayer buyer, bos10;", "businessoperation Pay;"),
-         "role player 'bos10' becomes 'bos10', a name the AD output already uses", (1, 19)),
+         [("role player 'bos10' becomes 'bos10', a name the AD output already uses", (1, 19))]),
         (("roleplayer buyer, class;", "businessoperation Pay;"),
-         "role player 'class' becomes 'class', which is not a Java identifier", (1, 19)),
+         [("role player 'class' becomes 'class', which is not a Java identifier", (1, 19))]),
         (("roleplayer buyer;", "businessoperation Pay, Int;"),
-         "business operation 'Int' becomes 'int', which is not a Java identifier", (2, 24)),
+         [("business operation 'Int' becomes 'int', which is not a Java identifier", (2, 24))]),
+        # two role players give the operation's identifier; each is reported against it
+        (("businessoperation RopBuyer, Pay;", "roleplayer buyer, ropBuyer;"),
+         [("role player 'buyer' and business operation 'RopBuyer' both become 'ropBuyer'", (2, 12)),
+          ("role player 'ropBuyer' and business operation 'RopBuyer' both become 'ropBuyer'",
+           (2, 19))]),
     ],
     ids=[
         "op-after-player", "player-after-op", "rop-set", "engine", "bos", "bos2", "bos10", "class",
-        "int",
+        "int", "three-way",
     ],
 )
-def test_clashing_or_unusable_ad_name_is_e012(decls, message, pos):
+def test_clashing_or_unusable_ad_name_is_e012(decls, expected):
     # each of these compiled once, to a header that declares one global twice,
     # redeclares a fixed global, shadows an operation or holds a Java keyword
     _, _, _, diags = codegen.analyze(uses(*decls))
-    (e012,) = [d for d in diags if d.code == "E012"]
-    assert e012.message == message
-    assert (e012.pos.line, e012.pos.col) == pos
+    e012 = [(d.message, (d.pos.line, d.pos.col)) for d in diags if d.code == "E012"]
+    assert e012 == expected
 
 
 def test_operation_named_like_the_compoblig_array_is_e012():
