@@ -3,9 +3,10 @@
 Covers the front end (analyze) of translate() and the CLI's --check and
 --emit-ast, lowering, the declaration block and its name checks (E012), the
 configurable keyword-to-method lookup, and deterministic rendering (LF newlines,
-4-space indent inside rules).  Lowering lists the AD globals once, and both
-E012 and the header read that list.  Each AD rule is one RuleAst that
-``sema.split`` gives, rendered straight to its text.
+4-space indent inside rules).  One generator, ``ad_globals``, derives the
+header's globals, and both E012 and the header read it.  Each AD rule is one RuleAst that
+``sema.split`` gives, rendered straight to its text, and each source rule is
+dropped once its AD rules are.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from __future__ import annotations
 import gc
 import re
 import types
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
+from itertools import chain
 from typing import NamedTuple
 
 from .lexer import FrontEndError, _new, positions, tokenize
@@ -130,11 +132,21 @@ def rop_var_name(player: str) -> str:
     return "rop" + player[0].upper() + player[1:]
 
 
-def header_lines(package_name: str, ad_globals: list[tuple[str, str, str]]) -> list[str]:
-    """The package, the two imports, the two fixed globals, then the lowered AD globals."""
+def ad_globals(tab: SymbolTable) -> Iterator[tuple[str, str, str]]:
+    """The AD globals of the declared names, in header order, as (declared name, AD
+    type, identifier): each role player's two, then each operation's one."""
+    for player in tab.role_players:
+        yield player, "RolePlayer", player
+        yield player, "ROPSet", rop_var_name(player)
+    for bo in tab.business_ops:
+        yield bo, "BusinessOperation", bo_global_name(bo)
+
+
+def header_lines(package_name: str, tab: SymbolTable) -> list[str]:
+    """The package, the two imports, the two fixed globals, then the declared names' AD globals."""
     lines = [f"package {package_name}", "", *IMPORT_LINES, ""]
     lines += ["global RelevanceEngine engine;", "global EventLogger logger;"]
-    lines += [f"global {type_} {ident};" for _, type_, ident in ad_globals]
+    lines += [f"global {type_} {ident};" for _, type_, ident in ad_globals(tab)]
     return lines
 
 
@@ -142,30 +154,40 @@ def header_lines(package_name: str, ad_globals: list[tuple[str, str, str]]) -> l
 _TAKEN_IDENTIFIERS = frozenset(("engine", "logger", "bos"))
 
 
-def check_globals(ad_globals: list[tuple[str, str, str]], tab: SymbolTable) -> list[Diagnostic]:
+def check_globals(tab: SymbolTable) -> list[Diagnostic]:
     """E012 at a declaration whose AD identifier is taken or is no Java identifier.
 
-    The lowered globals are walked in declaration order, and of two names that
-    give one identifier, the later declaration is reported.  A declared name is
+    The identifiers are the header's AD globals and the name a membership
+    constraint renders for each composite obligation.  Of two names that give
+    one identifier, the later declaration is reported.  A declared name is
     ASCII ``[A-Za-z][A-Za-z0-9_]*``, so each of its AD identifiers has a Java
     identifier's shape and can fail only as a reserved word.
     """
-    diags: list[Diagnostic] = []
-    owners: dict[str, str] = {}
-    for name, _, ident in sorted(ad_globals, key=lambda g: tab.declared[g[0]].index):
-        kind = tab.kinds[name]
+    def identifiers() -> Iterator[tuple[str, str | None, str]]:
+        compobligs = ((name, None, bo_global_name(name)) for name in tab.comp_obligs)
+        return chain(ad_globals(tab), compobligs)
+
+    declared = tab.declared
+    owners: dict[str, str] = {}  # each identifier's earliest-declared name
+    for name, _, ident in identifiers():
         owner = owners.setdefault(ident, name)
+        if owner != name and declared[name].index < declared[owner].index:
+            owners[ident] = name
+    diags: list[Diagnostic] = []
+    for name, _, ident in identifiers():
+        owner = owners[ident]
         if owner != name:
-            message = f"{kind} '{name}' and {tab.kinds[owner]} '{owner}' both become '{ident}'"
+            why = f"and {tab.kinds[owner]} '{owner}' both become '{ident}'"
         elif ident in _TAKEN_IDENTIFIERS or (  # digits above "1": 2 up, no leading zero
             ident[:3] == "bos" and ident[3:].isdigit() and ident[3:] > "1"
         ):
-            message = f"{kind} '{name}' becomes '{ident}', a name the AD output already uses"
+            why = f"becomes '{ident}', a name the AD output already uses"
         elif ident in _JAVA_RESERVED:
-            message = f"{kind} '{name}' becomes '{ident}', which is not a Java identifier"
+            why = f"becomes '{ident}', which is not a Java identifier"
         else:
             continue
-        diags.append(Diagnostic("error", "E012", message, tab.declared[name].index))
+        message = f"{tab.kinds[name]} '{name}' {why}"
+        diags.append(Diagnostic("error", "E012", message, declared[name].index))
     return diags
 
 
@@ -242,17 +264,11 @@ def constraint_expr(
 
 class IrContract(NamedTuple):
     rules: list[tuple[RuleAst, list[RuleAst]]]  # each source rule with its split
-    ad_globals: list[tuple[str, str, str]]  # (declared name, AD type, identifier), header order
 
 
-def lower_contract(ast: ContractAst, tab: SymbolTable) -> IrContract:
-    """Pair each source rule, checked or not, with its split, and list the declared
-    names' AD globals: each role player's two, then each operation's one."""
-    ad_globals = []
-    for player in tab.role_players:
-        ad_globals += [(player, "RolePlayer", player), (player, "ROPSet", rop_var_name(player))]
-    ad_globals += [(bo, "BusinessOperation", bo_global_name(bo)) for bo in tab.business_ops]
-    return IrContract([(rule, split(rule)) for rule in ast.rules], ad_globals)
+def lower_contract(ast: ContractAst) -> IrContract:
+    """Pair each source rule, checked or not, with its split."""
+    return IrContract([(rule, split(rule)) for rule in ast.rules])
 
 
 class ADFile(NamedTuple):
@@ -263,12 +279,18 @@ class ADFile(NamedTuple):
 def build_ad_file(
     contract: IrContract, tab: SymbolTable, package_name: str, lookup: Mapping[str, str]
 ) -> ADFile:
-    """The header and the text of every AD rule of the contract."""
-    rules = []
-    for rule, pieces in contract.rules:
+    """The header and the text of every AD rule of the contract.
+
+    Drains ``contract.rules``: each source rule and its split are dropped once
+    rendered, so a caller that holds no other reference to them frees each rule here.
+    """
+    pairs, rules = contract.rules, []
+    pairs.reverse()  # popped from the end, in source order
+    while pairs:
+        rule, pieces = pairs.pop()
         event = event_line(rule)
         rules.extend(emit_rule(piece, event, lookup, tab) for piece in pieces)
-    return ADFile(header_lines(package_name, contract.ad_globals), rules)
+    return ADFile(header_lines(package_name, tab), rules)
 
 
 def render_file(ad_file: ADFile) -> str:
@@ -292,8 +314,8 @@ def analyze(source: str) -> tuple[
         diags = [Diagnostic("error", err.code, err.message, err.pos)]
     else:
         tab, diags = build_symbol_table(ast)
-        ir = lower_contract(ast, tab)
-        diags += check_contract(ast.decls, ir.rules, tab) + check_globals(ir.ad_globals, tab)
+        ir = lower_contract(ast)
+        diags += check_contract(ast.decls, ir.rules, tab) + check_globals(tab)
         diags.sort(key=lambda d: d.pos)  # (line, col) order; stable, so ties keep discovery order
     found = positions(source, [d.pos for d in diags])
     return ast, tab, ir, [_new(Diagnostic, (*d[:3], pos)) for d, pos in zip(diags, found)]
@@ -314,11 +336,12 @@ def translate(
     gc.disable()
     try:
         ast, tab, ir, diags = analyze(source)
+        del ast  # each rule then lives only in ir.rules, which build_ad_file drains
         if any(d.is_error for d in diags):
             return None, diags
 
         ad_file = build_ad_file(ir, tab, package_name, lookup)
-        del ast, tab, ir  # the tree and its split are freed before the rule strings are joined
+        del tab, ir  # freed before the rule strings are joined
         return render_file(ad_file), diags
     finally:
         if gc_was_enabled:

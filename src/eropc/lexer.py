@@ -157,15 +157,17 @@ def _kind(lexeme: str) -> str | None:
 def positions(source: str, indexes: list[int]) -> list[SourcePos]:
     """The line, column and offset of each token index of ``source``.
 
-    One pass of the tokenizing pattern finds the token starts up to the largest
-    index asked for, line breaks are scanned up to the last of those starts, and
-    each line is then found by bisection.
+    One pass of the tokenizing pattern runs up to the largest index asked for and
+    keeps the starts of the indexes asked for, line breaks are scanned up to the
+    last of those starts, and each line is then found by bisection.
     """
     if not indexes:
         return []
-    starts = [m.start(1) for _, m in zip(range(max(indexes) + 1), _TOKEN_RE.finditer(source))]
+    wanted, last = set(indexes), max(indexes)
+    matches = zip(range(last + 1), _TOKEN_RE.finditer(source))
+    starts = {index: m.start(1) for index, m in matches if index in wanted}
     line_starts = [0]
-    line_starts.extend(m.end() for m in _LINE_BREAK.finditer(source, 0, starts[-1] + 1))
+    line_starts.extend(m.end() for m in _LINE_BREAK.finditer(source, 0, starts[last] + 1))
     result = []
     for index in indexes:
         offset = starts[index]

@@ -1,6 +1,7 @@
 import gc
 import re
 import traceback
+import tracemalloc
 
 import pytest
 
@@ -23,7 +24,7 @@ from eropc.codegen import (
 )
 from eropc.lexer import Token, tokenize
 from eropc.sema import NegatedConjunction, build_symbol_table, split
-from eropc.syntax import ROLE_PLAYER, ContractAst, Decl, parse_contract
+from eropc.syntax import ROLE_PLAYER, ContractAst, Decl, RuleAst, parse_contract
 from irgen import read_rule
 
 CASE_DECLS = """\
@@ -43,11 +44,6 @@ def player_table(*names):
     decl = Decl(ROLE_PLAYER, [Token(name, 0) for name in names], [])
     tab, _ = build_symbol_table(ContractAst([decl], []))
     return tab
-
-
-def header(package_name, tab):
-    """The header of a contract with the table's declarations and no rules."""
-    return header_lines(package_name, lower_contract(ContractAst([], []), tab).ad_globals)
 
 
 def target_rules(when="", then="    reset buyer\n"):
@@ -163,7 +159,7 @@ def test_load_lookup_value_must_be_a_java_identifier(value):
 
 
 def test_case_study_declarations():
-    assert render_file(ADFile(header("BuyerStoreContractEx", CASE_TABLE), [])) == """\
+    assert render_file(ADFile(header_lines("BuyerStoreContractEx", CASE_TABLE), [])) == """\
 package BuyerStoreContractEx
 
 import uk.ac.ncl.erop.*;
@@ -186,7 +182,7 @@ global BusinessOperation cancellation;
 
 
 def test_declarations_one_player_no_ops():
-    text = render_file(ADFile(header("P", player_table("alice")), []))
+    text = render_file(ADFile(header_lines("P", player_table("alice")), []))
     lines = [line for line in text.splitlines() if line.startswith("global")]
     assert lines == [
         "global RelevanceEngine engine;",
@@ -197,7 +193,7 @@ def test_declarations_one_player_no_ops():
 
 
 def test_declarations_interleave_players_and_rop_sets():
-    text = render_file(ADFile(header("P", player_table("a", "b", "c")), []))
+    text = render_file(ADFile(header_lines("P", player_table("a", "b", "c")), []))
     names = [line.split()[-1].rstrip(";") for line in text.splitlines() if "RolePlayer" in line or "ROPSet" in line]
     assert names == ["a", "ropA", "b", "ropB", "c", "ropC"]
 
@@ -225,19 +221,28 @@ end
 
 
 def test_ad_globals_are_listed_once_and_read_by_e012_and_the_header(monkeypatch, case_study_source):
-    calls = {"lower_contract": [], "check_globals": [], "header_lines": []}
-    for name, seen in calls.items():
-        def spy(*args, original=getattr(codegen, name), seen=seen):
-            seen.append((args, original(*args)))
-            return seen[-1][1]
-        monkeypatch.setattr(codegen, name, spy)
+    # one derivation, which E012 walks twice (owners, then reports) and the header prints
+    def spy_ad_globals(tab):
+        stack = (frame.f_code for frame, _ in traceback.walk_stack(None))
+        readers.append(next(code.co_name for code in stack if code in reader_codes))
+        derived.append(list(real_ad_globals(tab)))
+        return derived[-1]
+
+    def spy_header_lines(*args):
+        headers.append(real_header_lines(*args))
+        return headers[-1]
+
+    real_ad_globals, real_header_lines = codegen.ad_globals, codegen.header_lines
+    reader_codes = (codegen.check_globals.__code__, real_header_lines.__code__)
+    readers, derived, headers = [], [], []
+    monkeypatch.setattr(codegen, "ad_globals", spy_ad_globals)
+    monkeypatch.setattr(codegen, "header_lines", spy_header_lines)
     text, _ = translate(case_study_source, "BuyerStoreContractEx")
-    ((_, ir),) = calls["lower_contract"]  # the one derivation of the compile
-    (((listed, _), _),) = calls["check_globals"]
-    (((_, printed), header),) = calls["header_lines"]
-    assert listed is printed is ir.ad_globals
+    assert readers == ["check_globals", "check_globals", "header_lines"]
+    assert derived[0] == derived[1] == derived[2]
+    (header,) = headers
     # after the package, the imports and the two fixed globals
-    assert [f"global {t} {ident};" for _, t, ident in listed] == header[7:]
+    assert [f"global {t} {ident};" for _, t, ident in derived[2]] == header[7:]
     assert text.startswith("\n".join(header))
 
 
@@ -558,6 +563,65 @@ def test_the_syntax_tree_is_freed_before_the_output_is_joined(
     before = trees()
     assert translate(case_study_source, "BuyerStoreContractEx") == (golden_drl, [])
     assert trees_at_render == [before]
+
+
+def test_each_source_rule_is_freed_once_rendered(case_study_source, golden_drl, monkeypatch):
+    names = {rule.name for rule in parse_contract(tokenize(case_study_source)).rules}
+
+    def source_rules():
+        return sum(type(o) is RuleAst and o.name in names for o in gc.get_objects())
+
+    def emit_rule(*args):
+        alive_at_emit.append(source_rules())
+        return real_emit_rule(*args)
+
+    real_emit_rule, alive_at_emit = codegen.emit_rule, []
+    monkeypatch.setattr(codegen, "emit_rule", emit_rule)
+    before = source_rules()
+    assert translate(case_study_source, "BuyerStoreContractEx") == (golden_drl, [])
+    assert len(names) == 10 and alive_at_emit[-1] - before <= 1  # the rule being rendered
+
+
+def wide_contract(players=300, ops=800):
+    """Hundreds of declarations, a quarter of the operations unused, one rule per player."""
+    source = [
+        "roleplayer " + ", ".join(f"p{i:03d}" for i in range(players)) + ";\n",
+        "businessoperation " + ", ".join(f"Op{i:03d}" for i in range(ops)) + ";\n",
+    ]
+    for i in range(players):
+        source.append(f"""\
+rule "R{i:03d}"
+when e matches (botype == T, originator == p{i:03d}, responder == p{i:03d}, outcome == success)
+    Op{2 * i % 600:03d} in p{i:03d}.rights
+    e.hour in [9, 17]
+then
+    p{i:03d}.rights -= Op{(2 * i + 1) % 600:03d}(p{i:03d})
+end
+""")
+    return "".join(source)
+
+
+def test_nothing_after_the_parse_peaks_above_it(monkeypatch):
+    # the tree is freed rule by rule, the AD globals are never listed, and positions
+    # keeps only the starts it is asked for, so the peak stays the parse's own
+    def parse_contract(tokens):
+        tree = real_parse_contract(tokens)
+        parse_peak.append(tracemalloc.get_traced_memory()[1])
+        return tree
+
+    real_parse_contract, parse_peak = codegen.parse_contract, []
+    monkeypatch.setattr(codegen, "parse_contract", parse_contract)
+    source = wide_contract()
+    translate(source, "P")  # lazy set-up outside the traced compile
+    parse_peak.clear()
+    tracemalloc.start()
+    try:
+        text, diags = translate(source, "P")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text is not None and [d.code for d in diags] == ["W001"] * 200
+    assert peak <= parse_peak[0] + 1024  # what recording the parse's peak allocates
 
 
 def test_each_source_rule_is_split_once_per_compile(case_study_source, golden_drl, monkeypatch):

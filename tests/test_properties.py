@@ -23,14 +23,14 @@ def test_split_laws_hold(rule):
 
 
 def rendered_names(rules):
-    contract = lower_contract(ContractAst([], rules), SymbolTable())
+    contract = lower_contract(ContractAst([], rules))
     ad_file = build_ad_file(contract, SymbolTable(), "P", DEFAULT_LOOKUP)
     return [read_rule(text).name for text in ad_file.rules]
 
 
 @given(st.lists(source_rules(), max_size=20))
 def test_rule_count_law_over_a_batch(rules):
-    contract = lower_contract(ContractAst([], rules), SymbolTable())
+    contract = lower_contract(ContractAst([], rules))
     assert [rule for rule, _ in contract.rules] == rules  # one entry per source rule
     assert len(rendered_names(rules)) == sum(map(expected_piece_count, rules))
 
@@ -39,7 +39,7 @@ def test_rule_count_law_over_a_batch(rules):
 def test_e007_exactly_when_a_name_repeats(rules):
     # a repeated source name is E007 even where the split names differ (an
     # if/else "R" next to a plain "R"); otherwise E007 means the AD names repeat
-    pairs = lower_contract(ContractAst([], rules), SymbolTable()).rules
+    pairs = lower_contract(ContractAst([], rules)).rules
     e007 = [d for d in check_contract([], pairs, SymbolTable()) if d.code == "E007"]
     sources, targets = [rule.name for rule in rules], rendered_names(rules)
     repeats = len(set(sources)) < len(sources) or len(set(targets)) < len(targets)
@@ -54,18 +54,29 @@ AD_NAME_TRAPS = (
     "bos", "Bos", "bos2", "Bos2", "bos10", "bos01", "Bos1", "class", "Class", "Int", "x", "RopX",
 )
 _ARRAY = re.compile(r"bos(?:[2-9]|[1-9][0-9]+)?")  # bos, bos2, bos3, ...; never bos1 or bos01
+_MATCHES_OBLIGATIONS = re.compile(r"matchesObligations\((\w+)\)")
 
 
-@given(st.lists(st.sampled_from(AD_NAME_TRAPS), unique=True, max_size=6))
+@given(
+    st.lists(st.sampled_from(AD_NAME_TRAPS), unique=True, max_size=6),
+    st.lists(st.booleans(), min_size=6, max_size=6),
+)
 @settings(max_examples=500)  # a clash needs two of the names and no other trap
-def test_e012_or_every_ad_global_is_a_free_java_identifier(names):
+def test_e012_or_every_ad_global_is_a_free_java_identifier(names, compoblig):
+    # an upper-case name drawn with True becomes a composite obligation, which a
+    # membership constraint renders as the name of an operation's global
+    compobligs = [n for n, c in zip(names, compoblig) if c and not n[0].islower()]
     decls = "".join(
         f"{'roleplayer' if name[0].islower() else 'businessoperation'} {name};\n"
-        for name in ["alice", *names]
+        for name in ["alice", *names] if name not in compobligs
     )
+    decls += "".join(f"compoblig {name}(Pay)\n" for name in compobligs)
+    if compobligs:
+        decls += "businessoperation Pay;\n"
     text, diags = translate(decls + """\
 rule "R"
 when e matches (botype == X, originator == alice, responder == alice, outcome == success)
+""" + "".join(f"    {name} in alice.obligs\n" for name in compobligs) + """\
 then
     reset alice
 end
@@ -76,6 +87,10 @@ end
     idents = [line.split()[2].rstrip(";") for line in text.splitlines() if line[:7] == "global "]
     assert idents[:2] == ["engine", "logger"] and len(set(idents)) == len(idents)
     assert all(is_java_identifier(i) and not _ARRAY.fullmatch(i) for i in idents[2:])
+    rendered = _MATCHES_OBLIGATIONS.findall(text)
+    assert len(rendered) == len(compobligs)
+    assert all(is_java_identifier(i) and not _ARRAY.fullmatch(i) for i in rendered)
+    assert not set(rendered) & set(idents)
 
 
 LEXEMES = st.sampled_from((

@@ -18,7 +18,7 @@ def analyze(source):
     """The symbol table and the diagnostics in discovery order, positions resolved."""
     ast = parse_contract(tokenize(source))
     tab, decl_diags = build_symbol_table(ast)
-    diags = decl_diags + check_contract(ast.decls, codegen.lower_contract(ast, tab).rules, tab)
+    diags = decl_diags + check_contract(ast.decls, codegen.lower_contract(ast).rules, tab)
     found = positions(source, [d.pos for d in diags])
     return tab, [d._replace(pos=pos) for d, pos in zip(diags, found)]
 
@@ -555,10 +555,28 @@ then
          [("role player 'buyer' and business operation 'RopBuyer' both become 'ropBuyer'", (2, 12)),
           ("role player 'ropBuyer' and business operation 'RopBuyer' both become 'ropBuyer'",
            (2, 19))]),
+        # a membership constraint renders a composite obligation's name as an operation's
+        (("roleplayer buyer;", "businessoperation Pay;", "compoblig Engine(Pay)"),
+         [("composite obligation 'Engine' becomes 'engine', a name the AD output already uses",
+           (3, 11))]),
+        (("roleplayer buyer;", "businessoperation Pay;", "compoblig Class(Pay)"),
+         [("composite obligation 'Class' becomes 'class', which is not a Java identifier",
+           (3, 11))]),
+        (("roleplayer buyer;", "businessoperation Pay;", "compoblig Bos2(Pay)"),
+         [("composite obligation 'Bos2' becomes 'bos2', a name the AD output already uses",
+           (3, 11))]),
+        (("roleplayer buyer, reactToBuyRequest;", "businessoperation Pay;",
+          "compoblig ReactToBuyRequest(Pay)"),
+         [("composite obligation 'ReactToBuyRequest' and role player 'reactToBuyRequest' both "
+           "become 'reactToBuyRequest'", (3, 11))]),
+        (("compoblig RopBuyer(Pay)", "roleplayer buyer;", "businessoperation Pay;"),
+         [("role player 'buyer' and composite obligation 'RopBuyer' both become 'ropBuyer'",
+           (2, 12))]),
     ],
     ids=[
         "op-after-player", "player-after-op", "rop-set", "engine", "bos", "bos2", "bos10", "class",
-        "int", "three-way",
+        "int", "three-way", "compoblig-engine", "compoblig-class", "compoblig-bos2",
+        "compoblig-after-player", "player-after-compoblig",
     ],
 )
 def test_clashing_or_unusable_ad_name_is_e012(decls, expected):
