@@ -3,10 +3,10 @@
 Covers the front end (analyze) of translate() and the CLI's --check and
 --emit-ast, lowering, the declaration block and its name checks (E012), the
 configurable keyword-to-method lookup, and deterministic rendering (LF newlines,
-4-space indent inside rules).  One generator, ``ad_globals``, derives the
-header's globals, and both E012 and the header read it.  Each AD rule is one RuleAst that
-``sema.split`` gives, rendered straight to its text, and each source rule is
-dropped once its AD rules are.
+4-space indent inside rules).  One function, ``ad_globals``, names a declared
+name's AD identifiers; the header prints them and E012 checks them in one walk
+over the declarations.  Each AD rule is one RuleAst that ``sema.split`` gives,
+rendered straight to its text, and each source rule is dropped once its AD rules are.
 """
 
 from __future__ import annotations
@@ -14,8 +14,7 @@ from __future__ import annotations
 import gc
 import re
 import types
-from collections.abc import Iterator, Mapping
-from itertools import chain
+from collections.abc import Mapping
 from typing import NamedTuple
 
 from .lexer import FrontEndError, _new, positions, tokenize
@@ -27,7 +26,9 @@ from .sema import (
     split,
 )
 from .syntax import (
+    BUSINESS_OP,
     EVENT_FIELDS,
+    ROLE_PLAYER,
     ConstraintAst,
     ContractAst,
     Historical,
@@ -132,21 +133,23 @@ def rop_var_name(player: str) -> str:
     return "rop" + player[0].upper() + player[1:]
 
 
-def ad_globals(tab: SymbolTable) -> Iterator[tuple[str, str, str]]:
-    """The AD globals of the declared names, in header order, as (declared name, AD
-    type, identifier): each role player's two, then each operation's one."""
-    for player in tab.role_players:
-        yield player, "RolePlayer", player
-        yield player, "ROPSet", rop_var_name(player)
-    for bo in tab.business_ops:
-        yield bo, "BusinessOperation", bo_global_name(bo)
+def ad_globals(name: str, kind: str) -> list[tuple[str | None, str]]:
+    """A declared name's AD identifiers, as (AD type, identifier) pairs: a role
+    player's RolePlayer and ROPSet globals, an operation's BusinessOperation
+    global, and the name a membership constraint renders for a composite
+    obligation, which the header does not declare (type None)."""
+    if kind == ROLE_PLAYER:
+        return [("RolePlayer", name), ("ROPSet", rop_var_name(name))]
+    return [("BusinessOperation" if kind == BUSINESS_OP else None, bo_global_name(name))]
 
 
 def header_lines(package_name: str, tab: SymbolTable) -> list[str]:
-    """The package, the two imports, the two fixed globals, then the declared names' AD globals."""
+    """The package, the two imports, the two fixed globals, then the declared names' AD globals:
+    each role player's two, then each operation's one, in declaration order."""
     lines = [f"package {package_name}", "", *IMPORT_LINES, ""]
     lines += ["global RelevanceEngine engine;", "global EventLogger logger;"]
-    lines += [f"global {type_} {ident};" for _, type_, ident in ad_globals(tab)]
+    for kind, names in ((ROLE_PLAYER, tab.role_players), (BUSINESS_OP, tab.business_ops)):
+        lines += [f"global {t} {ident};" for name in names for t, ident in ad_globals(name, kind)]
     return lines
 
 
@@ -157,37 +160,29 @@ _TAKEN_IDENTIFIERS = frozenset(("engine", "logger", "bos"))
 def check_globals(tab: SymbolTable) -> list[Diagnostic]:
     """E012 at a declaration whose AD identifier is taken or is no Java identifier.
 
-    The identifiers are the header's AD globals and the name a membership
-    constraint renders for each composite obligation.  Of two names that give
-    one identifier, the later declaration is reported.  A declared name is
-    ASCII ``[A-Za-z][A-Za-z0-9_]*``, so each of its AD identifiers has a Java
+    The identifiers are those ``ad_globals`` gives each declared name.  The
+    names are walked in declaration order, so the first to give an identifier
+    owns it and each later one is reported.  A declared name is ASCII
+    ``[A-Za-z][A-Za-z0-9_]*``, so each of its AD identifiers has a Java
     identifier's shape and can fail only as a reserved word.
     """
-    def identifiers() -> Iterator[tuple[str, str | None, str]]:
-        compobligs = ((name, None, bo_global_name(name)) for name in tab.comp_obligs)
-        return chain(ad_globals(tab), compobligs)
-
-    declared = tab.declared
-    owners: dict[str, str] = {}  # each identifier's earliest-declared name
-    for name, _, ident in identifiers():
-        owner = owners.setdefault(ident, name)
-        if owner != name and declared[name].index < declared[owner].index:
-            owners[ident] = name
+    owners: dict[str, str] = {}  # each identifier's first-declared name
     diags: list[Diagnostic] = []
-    for name, _, ident in identifiers():
-        owner = owners[ident]
-        if owner != name:
-            why = f"and {tab.kinds[owner]} '{owner}' both become '{ident}'"
-        elif ident in _TAKEN_IDENTIFIERS or (  # digits above "1": 2 up, no leading zero
-            ident[:3] == "bos" and ident[3:].isdigit() and ident[3:] > "1"
-        ):
-            why = f"becomes '{ident}', a name the AD output already uses"
-        elif ident in _JAVA_RESERVED:
-            why = f"becomes '{ident}', which is not a Java identifier"
-        else:
-            continue
-        message = f"{tab.kinds[name]} '{name}' {why}"
-        diags.append(Diagnostic("error", "E012", message, declared[name].index))
+    for name, token in tab.declared.items():
+        kind = tab.kinds[name]
+        for _, ident in ad_globals(name, kind):
+            owner = owners.setdefault(ident, name)
+            if owner != name:
+                why = f"and {tab.kinds[owner]} '{owner}' both become '{ident}'"
+            elif ident in _TAKEN_IDENTIFIERS or (  # digits above "1": 2 up, no leading zero
+                ident[:3] == "bos" and ident[3:].isdigit() and ident[3:] > "1"
+            ):
+                why = f"becomes '{ident}', a name the AD output already uses"
+            elif ident in _JAVA_RESERVED:
+                why = f"becomes '{ident}', which is not a Java identifier"
+            else:
+                continue
+            diags.append(Diagnostic("error", "E012", f"{kind} '{name}' {why}", token.index))
     return diags
 
 

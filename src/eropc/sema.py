@@ -8,7 +8,7 @@ Error codes:
     E005 identifier of the wrong kind     E010 'if' with sibling actions
          (a compoblig outside obligs      E011 empty or out-of-range time window
          or with BizFail too)
-    E012 declared name clashes in AD (codegen.analyze reports it)
+    E012 declared name clashes in AD (codegen.check_globals reports it)
 Warnings:
     W001 declared but unused              W002 unexpected outcome value
 """

@@ -1,6 +1,5 @@
 import gc
 import re
-import traceback
 import tracemalloc
 
 import pytest
@@ -218,32 +217,6 @@ end
         "global ROPSet ropSeller;",
         "global BusinessOperation pay;",
     ]
-
-
-def test_ad_globals_are_listed_once_and_read_by_e012_and_the_header(monkeypatch, case_study_source):
-    # one derivation, which E012 walks twice (owners, then reports) and the header prints
-    def spy_ad_globals(tab):
-        stack = (frame.f_code for frame, _ in traceback.walk_stack(None))
-        readers.append(next(code.co_name for code in stack if code in reader_codes))
-        derived.append(list(real_ad_globals(tab)))
-        return derived[-1]
-
-    def spy_header_lines(*args):
-        headers.append(real_header_lines(*args))
-        return headers[-1]
-
-    real_ad_globals, real_header_lines = codegen.ad_globals, codegen.header_lines
-    reader_codes = (codegen.check_globals.__code__, real_header_lines.__code__)
-    readers, derived, headers = [], [], []
-    monkeypatch.setattr(codegen, "ad_globals", spy_ad_globals)
-    monkeypatch.setattr(codegen, "header_lines", spy_header_lines)
-    text, _ = translate(case_study_source, "BuyerStoreContractEx")
-    assert readers == ["check_globals", "check_globals", "header_lines"]
-    assert derived[0] == derived[1] == derived[2]
-    (header,) = headers
-    # after the package, the imports and the two fixed globals
-    assert [f"global {t} {ident};" for _, t, ident in derived[2]] == header[7:]
-    assert text.startswith("\n".join(header))
 
 
 # --- rule emission ---

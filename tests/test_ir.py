@@ -1,6 +1,5 @@
 from eropc.codegen import (
     DEFAULT_LOOKUP,
-    ad_globals,
     build_ad_file,
     event_line,
     lower_contract,
@@ -149,7 +148,7 @@ end
 
 def test_lowering_empty_contract_is_vacuous():
     contract = lower_contract(ContractAst(decls=[], rules=[]))
-    assert contract.rules == list(ad_globals(SymbolTable())) == []
+    assert contract.rules == []
     ad_file = build_ad_file(contract, SymbolTable(), "Empty", DEFAULT_LOOKUP)
     assert ad_file.rules == []
     assert render_file(ad_file).endswith("global EventLogger logger;\n")

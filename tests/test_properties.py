@@ -55,25 +55,29 @@ AD_NAME_TRAPS = (
 )
 _ARRAY = re.compile(r"bos(?:[2-9]|[1-9][0-9]+)?")  # bos, bos2, bos3, ...; never bos1 or bos01
 _MATCHES_OBLIGATIONS = re.compile(r"matchesObligations\((\w+)\)")
+_BOTH_BECOME = re.compile(r"'(\w+)' and [a-z ]+ '(\w+)' both become")
 
 
 @given(
     st.lists(st.sampled_from(AD_NAME_TRAPS), unique=True, max_size=6),
     st.lists(st.booleans(), min_size=6, max_size=6),
+    st.data(),
 )
 @settings(max_examples=500)  # a clash needs two of the names and no other trap
-def test_e012_or_every_ad_global_is_a_free_java_identifier(names, compoblig):
+def test_e012_or_every_ad_global_is_a_free_java_identifier(names, compoblig, data):
     # an upper-case name drawn with True becomes a composite obligation, which a
-    # membership constraint renders as the name of an operation's global
+    # membership constraint renders as the name of an operation's global; the
+    # declarations, one name a line, come in a drawn order
     compobligs = [n for n, c in zip(names, compoblig) if c and not n[0].islower()]
-    decls = "".join(
-        f"{'roleplayer' if name[0].islower() else 'businessoperation'} {name};\n"
+    decls = [
+        f"{'roleplayer' if name[0].islower() else 'businessoperation'} {name};"
         for name in ["alice", *names] if name not in compobligs
-    )
-    decls += "".join(f"compoblig {name}(Pay)\n" for name in compobligs)
+    ]
+    decls += [f"compoblig {name}(Pay)" for name in compobligs]
     if compobligs:
-        decls += "businessoperation Pay;\n"
-    text, diags = translate(decls + """\
+        decls.append("businessoperation Pay;")
+    decls = data.draw(st.permutations(decls))
+    text, diags = translate("".join(f"{line}\n" for line in decls) + """\
 rule "R"
 when e matches (botype == X, originator == alice, responder == alice, outcome == success)
 """ + "".join(f"    {name} in alice.obligs\n" for name in compobligs) + """\
@@ -81,6 +85,11 @@ then
     reset alice
 end
 """, "P")
+    # of two names that give one identifier, the later-declared is reported
+    line_of = {re.match(r"\w+ (\w+)", line)[1]: n for n, line in enumerate(decls, start=1)}
+    for d in diags:
+        if clash := _BOTH_BECOME.search(d.message):
+            assert d.pos.line == max(line_of[clash[1]], line_of[clash[2]])
     assert {d.code for d in diags if d.is_error} <= {"E012"}
     if text is None:
         return

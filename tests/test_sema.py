@@ -555,6 +555,10 @@ then
          [("role player 'buyer' and business operation 'RopBuyer' both become 'ropBuyer'", (2, 12)),
           ("role player 'ropBuyer' and business operation 'RopBuyer' both become 'ropBuyer'",
            (2, 19))]),
+        # both of a role player's globals are taken, reported in header order
+        (("businessoperation X, RopX, Pay;", "roleplayer buyer, x;"),
+         [("role player 'x' and business operation 'X' both become 'x'", (2, 19)),
+          ("role player 'x' and business operation 'RopX' both become 'ropX'", (2, 19))]),
         # a membership constraint renders a composite obligation's name as an operation's
         (("roleplayer buyer;", "businessoperation Pay;", "compoblig Engine(Pay)"),
          [("composite obligation 'Engine' becomes 'engine', a name the AD output already uses",
@@ -575,8 +579,8 @@ then
     ],
     ids=[
         "op-after-player", "player-after-op", "rop-set", "engine", "bos", "bos2", "bos10", "class",
-        "int", "three-way", "compoblig-engine", "compoblig-class", "compoblig-bos2",
-        "compoblig-after-player", "player-after-compoblig",
+        "int", "three-way", "both-globals", "compoblig-engine", "compoblig-class",
+        "compoblig-bos2", "compoblig-after-player", "player-after-compoblig",
     ],
 )
 def test_clashing_or_unusable_ad_name_is_e012(decls, expected):
