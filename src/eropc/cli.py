@@ -1,7 +1,9 @@
 """Command-line driver: argument handling, file I/O, diagnostics, exit codes.
 
 Exit codes: 0 success, 1 any error diagnostic (warnings alone stay 0),
-2 usage/IO/config problems.
+2 a usage or config problem, or a failed read or write (stdout's too).
+-o refuses an existing target that is not a regular file, such as a FIFO
+or a device: use -o - to stream the output and --check to discard it.
 """
 
 from __future__ import annotations
@@ -9,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import re
+import stat
 import sys
 
 from . import __version__
@@ -79,29 +82,20 @@ def run(argv: list[str]) -> int:
             print(f"eropc: {args.lookup}: {err}", file=sys.stderr)
             return 2
 
-    if args.check or args.emit_ast:
-        return _run_analysis(args, source)
-
     stem = os.path.splitext(args.input)[0]
-    package_name = args.package or sanitize_package_name(os.path.basename(stem))
-    text, diags = translate(source, package_name, lookup)
-    _print_diagnostics(diags, args.input)
+    if args.check or args.emit_ast:
+        ast, _, _, diags = analyze(source)
+        if args.emit_ast and ast is not None:  # the parse tree is printed even when checks fail
+            return _write("-", "\n".join(map(str, [*ast.decls, *ast.rules])) + "\n", args.input)
+        text = None  # --check, or a lexical or syntax error
+    else:
+        package_name = args.package or sanitize_package_name(os.path.basename(stem))
+        text, diags = translate(source, package_name, lookup)  # None on any error
+    for d in diags:
+        print(render_diagnostic(d, args.input), file=sys.stderr)
     if text is None:
-        return 1
-
-    output = stem + ".drl" if args.output is None else args.output
-    if output == "-":
-        sys.stdout.write(text)
-        return 0
-    if os.path.exists(output) and os.path.samefile(output, args.input):  # a link to it too
-        print(f"eropc: output {output} is the input file", file=sys.stderr)
-        return 2
-    try:
-        _write_atomic(output, text)
-    except OSError:
-        print(f"eropc: cannot write {output}", file=sys.stderr)
-        return 2
-    return 0
+        return int(any(d.is_error for d in diags))
+    return _write(stem + ".drl" if args.output is None else args.output, text, args.input)
 
 
 def _read_text(path: str) -> str | None:
@@ -117,39 +111,45 @@ def _read_text(path: str) -> str | None:
     return None
 
 
-def _run_analysis(args, source: str) -> int:
-    ast, _, _, diags = analyze(source)
-    if args.emit_ast and ast is not None:  # the parse tree is printed even when checks fail
-        print(*ast.decls, *ast.rules, sep="\n")
-        return 0
-    _print_diagnostics(diags, args.input)  # --check, or a lexical or syntax error
-    return int(any(d.is_error for d in diags))
+def _write(path: str, text: str, source: str) -> int:
+    """Write text to path ('-' for stdout): 0, or 2 once the failure is reported.
 
-
-def _print_diagnostics(diags: list[Diagnostic], file: str) -> None:
-    for d in diags:
-        print(render_diagnostic(d, file), file=sys.stderr)
-
-
-def _write_atomic(path: str, text: str) -> None:
-    # write a temp file, then rename it over the output, so no failure leaves a
-    # truncated output; like open(), os.open applies the umask to mode 0o666.
-    # A symbolic link is resolved first, so the link stays and its target changes.
-    path = os.path.realpath(path)
-    if os.path.isdir(path):  # refused before a temp file is made beside it, in its parent
-        raise IsADirectoryError(path)
-    tmp = f"{path}.{os.urandom(4).hex()}"
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    A file is written to a temp file renamed over the link-resolved path, so no failure
+    leaves a partial output. An existing target that is not a regular file is refused:
+    a rename would replace a FIFO or a device, or put a directory's temp file outside it.
+    """
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except OSError:
+        if path == "-":
+            if sys.stdout is None:  # started with stdout closed
+                raise OSError("no stdout")
+            sys.stdout.write(text)
+            sys.stdout.flush()
+            return 0
+        real = os.path.realpath(path)  # a link stays and its target changes
         try:
-            os.unlink(tmp)
+            st = os.stat(real)
+        except FileNotFoundError:
+            st = None
+        if st is not None and os.path.samestat(st, os.stat(source)):
+            print(f"eropc: output {path} is the input file", file=sys.stderr)
+            return 2
+        if st is not None and not stat.S_ISREG(st.st_mode):
+            raise OSError("not a regular file")
+        tmp = f"{real}.{os.urandom(4).hex()}"  # os.open applies the umask, as open() does
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+            os.replace(tmp, real)
         except OSError:
-            pass
-        raise
+            os.unlink(tmp)  # a failure here is reported as the write's
+            raise
+        return 0
+    except BrokenPipeError:
+        raise  # the reader went away: main exits 0
+    except OSError:
+        print(f"eropc: cannot write {'<stdout>' if path == '-' else path}", file=sys.stderr)
+        return 2
 
 
 def main() -> None:

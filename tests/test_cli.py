@@ -1,5 +1,9 @@
+import errno
+import functools
+import itertools
 import os
 import shutil
+import stat
 import subprocess
 import sys
 
@@ -14,6 +18,7 @@ from eropc.lexer import SourcePos
 from eropc.sema import Diagnostic
 
 CASE_STUDY = CORPUS / "buyer_store.erop"
+SRC = str(CORPUS.parent.parent / "src")
 
 
 def test_compile_writes_golden_output(tmp_path, golden_drl):
@@ -222,12 +227,143 @@ def test_empty_output_name_is_no_default(tmp_path, capsys, work, opened_outside)
 
 def test_directory_output_is_refused_before_any_file_is_made(tmp_path, capsys, work,
                                                              opened_outside):
-    # a temp file beside the directory would be made in its parent, outside it
-    assert run(["bs.erop", "-o", "."]) == 2
-    assert capsys.readouterr().err == "eropc: cannot write .\n"
+    # a temp file beside the directory would be made in its parent, outside it;
+    # renamed over a FIFO, or over a link's FIFO, it would leave a regular file there
+    targets = ["."]
+    if hasattr(os, "mkfifo"):  # the FIFO rows need it
+        os.mkfifo(work / "fifo")
+        (work / "link").symlink_to("fifo")
+        targets += ["fifo", "link"]
+    for target in targets:
+        assert run(["bs.erop", "-o", target]) == 2
+        assert capsys.readouterr().err == f"eropc: cannot write {target}\n"
     assert opened_outside() == []
     assert list(tmp_path.iterdir()) == [work]
-    assert [p.name for p in work.iterdir()] == ["bs.erop"]
+    assert sorted(p.name for p in work.iterdir()) == ["bs.erop", *targets[1:]]
+    if "fifo" in targets:
+        assert stat.S_ISFIFO(os.lstat(work / "fifo").st_mode)
+        assert os.readlink(work / "link") == "fifo"
+
+
+class _Stdout:
+    """A stdout whose write or flush fails as on a full disk."""
+
+    def __init__(self, failing: str):
+        self.failing = failing
+
+    def write(self, text):
+        if self.failing == "write":
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return len(text)
+
+    def flush(self):
+        if self.failing == "flush":
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.mark.parametrize("stdout", ["write", "flush", None], ids=["write fails", "flush fails",
+                                                                  "no stdout"])
+@pytest.mark.parametrize("mode", [["-o", "-"], ["--emit-ast"]], ids=" ".join)
+def test_a_failed_write_to_stdout_exits_2_with_one_line(capsys, monkeypatch, stdout, mode):
+    # None: the process started with its stdout closed (`eropc ... >&-`)
+    monkeypatch.setattr(sys, "stdout", stdout and _Stdout(stdout))
+    assert run([str(CASE_STUDY), *mode]) == 2
+    assert capsys.readouterr().err == "eropc: cannot write <stdout>\n"
+
+
+@pytest.mark.parametrize("mode", [["-o", "-"], ["--emit-ast"]], ids=" ".join)
+def test_a_closed_pipe_on_stdout_exits_0(mode):
+    # the reader went away, as `eropc ... | head -1` does: no failure of eropc's
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "eropc", str(CASE_STUDY), *mode],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": SRC},
+        )
+    finally:
+        os.close(write)
+    assert (result.returncode, result.stderr) == (0, b"")
+
+
+class _Handle:
+    """A text file handle whose write is the given function."""
+
+    def __init__(self, handle, write):
+        self.handle, self.write = handle, write
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return self.handle.__exit__(*exc_info)
+
+
+def _tree(root):
+    """Each path under root, with its bytes or the target of its link."""
+    return {
+        str(p.relative_to(root)): os.readlink(p) if p.is_symlink() else p.read_bytes()
+        for p in root.rglob("*")
+    }
+
+
+# the library calls of the CLI's write path, besides the write of the handle os.fdopen gives
+_IO_CALLS = {f"os.{name}": getattr(os, name) for name in ("stat", "open", "fdopen", "replace")}
+_IO_CALLS["os.path.realpath"] = os.path.realpath
+
+
+@pytest.mark.parametrize("target", ["new", "regular", "link"])
+@pytest.mark.parametrize("point", ["os.path.realpath", "os.stat", "os.open", "write", "os.replace"])
+def test_an_injected_io_fault_exits_2_or_writes_the_whole_output(tmp_path, capsys, golden_drl,
+                                                                  point, target):
+    # Library-level fault injection (Marinescu and Candea, "LFI", DSN 2009): the
+    # k-th call at one point raises, for every k up to the first run it misses.
+    # A failed write writes half the text first, as on a full disk.
+    for k in itertools.count(1):
+        work = tmp_path / str(k)
+        work.mkdir()
+        out = work / "out.drl"
+        if target != "new":
+            (work / "real.drl").write_text("old text")
+        if target == "link":
+            out.symlink_to("real.drl")
+        elif target == "regular":
+            os.rename(work / "real.drl", out)
+        before = _tree(work)
+        calls = 0
+
+        def fault(function, *args, **kwargs):
+            nonlocal calls
+            calls += 1
+            if calls == k:
+                if function.__name__ == "write":
+                    function(args[0][: len(args[0]) // 2])
+                raise OSError(errno.ENOSPC, "injected")
+            return function(*args, **kwargs)
+
+        def fdopen(*args, **kwargs):
+            handle = _IO_CALLS["os.fdopen"](*args, **kwargs)
+            return _Handle(handle, functools.partial(fault, handle.write))
+
+        with pytest.MonkeyPatch.context() as patch:
+            if point == "write":
+                patch.setattr("os.fdopen", fdopen)
+            else:
+                patch.setattr(point, functools.partial(fault, _IO_CALLS[point]))
+            code = run([str(CASE_STUDY), "--package", "BuyerStoreContractEx", "-o", str(out)])
+        err = capsys.readouterr().err
+        if code == 2:
+            assert calls >= k and err == f"eropc: cannot write {out}\n"
+            assert _tree(work) == before
+        else:
+            assert (code, err) == (0, "")
+            written = work / ("real.drl" if target == "link" else "out.drl")
+            assert _tree(work) == {**before, written.name: golden_drl.encode()}
+        if calls < k:  # the fault was never reached: a clean run, which wrote it all
+            assert code == 0
+            break
 
 
 def test_failed_compile_leaves_output_untouched(tmp_path):
@@ -588,10 +724,9 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     # Both cost a CLI run tens of milliseconds at start-up.  -S keeps site
     # hooks, which may import anything, out of the measured process.
     probe = "import sys, eropc.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    src = str(CORPUS.parent.parent / "src")
     result = subprocess.run(
         [sys.executable, "-S", "-c", probe],
-        env={**os.environ, "PYTHONPATH": src},
+        env={**os.environ, "PYTHONPATH": SRC},
         capture_output=True,
         text=True,
         check=True,
