@@ -1,9 +1,8 @@
 """Command-line driver: argument handling, file I/O, diagnostics, exit codes.
 
-Exit codes: 0 success, 1 any error diagnostic (warnings alone stay 0),
-2 a usage or config problem, or a failed read or write (stdout's too).
--o refuses an existing target that is not a regular file, such as a FIFO
-or a device: use -o - to stream the output and --check to discard it.
+Exit codes: 0 success, 1 any error diagnostic (warnings alone stay 0), 2 a usage or config
+problem, or a failed read or write: stdout's unless its reader went away, never stderr's.
+-o writes a regular file atomically; it refuses a FIFO, a device or a path ending in /.
 """
 
 from __future__ import annotations
@@ -63,8 +62,10 @@ def run(argv: list[str]) -> int:
                 parser.error(f"argument --{name}: not allowed with argument --emit-ast")
     except SystemExit as exc:
         return int(exc.code or 0)
+    except OSError:  # Python 3.10's argparse lets a failed write through; 3.11's loses it
+        return 2
     if args.package is not None and not all(map(is_java_identifier, args.package.split("."))):
-        print(f"eropc: --package {args.package!r} is not a dotted Java identifier", file=sys.stderr)
+        _say(f"eropc: --package {args.package!r} is not a dotted Java identifier")
         return 2
 
     source = _read_text(args.input)
@@ -79,7 +80,7 @@ def run(argv: list[str]) -> int:
         try:
             lookup = load_lookup(lookup_text)
         except ConfigError as err:
-            print(f"eropc: {args.lookup}: {err}", file=sys.stderr)
+            _say(f"eropc: {args.lookup}: {err}")
             return 2
 
     stem = os.path.splitext(args.input)[0]
@@ -92,7 +93,7 @@ def run(argv: list[str]) -> int:
         package_name = args.package or sanitize_package_name(os.path.basename(stem))
         text, diags = translate(source, package_name, lookup)  # None on any error
     for d in diags:
-        print(render_diagnostic(d, args.input), file=sys.stderr)
+        _say(render_diagnostic(d, args.input))
     if text is None:
         return int(any(d.is_error for d in diags))
     return _write(stem + ".drl" if args.output is None else args.output, text, args.input)
@@ -107,7 +108,7 @@ def _read_text(path: str) -> str | None:
         reason = ""
     except UnicodeDecodeError:
         reason = ": not valid UTF-8"
-    print(f"eropc: cannot read {path}{reason}", file=sys.stderr)
+    _say(f"eropc: cannot read {path}{reason}")
     return None
 
 
@@ -115,8 +116,8 @@ def _write(path: str, text: str, source: str) -> int:
     """Write text to path ('-' for stdout): 0, or 2 once the failure is reported.
 
     A file is written to a temp file renamed over the link-resolved path, so no failure
-    leaves a partial output. An existing target that is not a regular file is refused:
-    a rename would replace a FIFO or a device, or put a directory's temp file outside it.
+    leaves a partial output. A target that is not a regular file, or ends in '/' or '/.', is
+    refused: a rename would replace a FIFO or a device, or put a directory's temp file outside it.
     """
     try:
         if path == "-":
@@ -131,9 +132,9 @@ def _write(path: str, text: str, source: str) -> int:
         except FileNotFoundError:
             st = None
         if st is not None and os.path.samestat(st, os.stat(source)):
-            print(f"eropc: output {path} is the input file", file=sys.stderr)
+            _say(f"eropc: output {path} is the input file")
             return 2
-        if st is not None and not stat.S_ISREG(st.st_mode):
+        if os.path.basename(path) in ("", ".") or st and not stat.S_ISREG(st.st_mode):
             raise OSError("not a regular file")
         tmp = f"{real}.{os.urandom(4).hex()}"  # os.open applies the umask, as open() does
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
@@ -145,22 +146,24 @@ def _write(path: str, text: str, source: str) -> int:
             os.unlink(tmp)  # a failure here is reported as the write's
             raise
         return 0
-    except BrokenPipeError:
-        raise  # the reader went away: main exits 0
+    except BrokenPipeError:  # stdout's reader went away, as `| head` does: no failure
+        sys.stdout = None  # and no text is left for the interpreter's exit flush
+        return 0
     except OSError:
-        print(f"eropc: cannot write {'<stdout>' if path == '-' else path}", file=sys.stderr)
+        _say(f"eropc: cannot write {'<stdout>' if path == '-' else path}")
         return 2
 
 
+def _say(line: str) -> None:
+    try:  # stderr is advice: one that is None, closed, full or without a reader loses the line
+        sys.stderr.write(line + "\n")  # line-buffered, so a failed flush raises here
+    except (AttributeError, OSError, ValueError):
+        pass
+
+
 def main() -> None:
-    try:
-        code = run(sys.argv[1:])
-    except BrokenPipeError:
-        # downstream closed the pipe (e.g. piping into head); not our error
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        code = 0
-    sys.exit(code)
+    sys.stderr = sys.stderr or open(os.devnull, "w")  # closed at start: usage stays off stdout
+    sys.exit(run(sys.argv[1:]))
 
 
 if __name__ == "__main__":

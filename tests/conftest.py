@@ -23,6 +23,25 @@ def extract_rule(text: str, name: str) -> str:
     return m.group(0)
 
 
+def wide_contract(players=300, ops=800):
+    """Hundreds of declarations, a quarter of the operations unused, one rule per player."""
+    source = [
+        "roleplayer " + ", ".join(f"p{i:03d}" for i in range(players)) + ";\n",
+        "businessoperation " + ", ".join(f"Op{i:03d}" for i in range(ops)) + ";\n",
+    ]
+    for i in range(players):
+        source.append(f"""\
+rule "R{i:03d}"
+when e matches (botype == T, originator == p{i:03d}, responder == p{i:03d}, outcome == success)
+    Op{2 * i % 600:03d} in p{i:03d}.rights
+    e.hour in [9, 17]
+then
+    p{i:03d}.rights -= Op{(2 * i + 1) % 600:03d}(p{i:03d})
+end
+""")
+    return "".join(source)
+
+
 @pytest.fixture
 def case_study_source() -> str:
     return (CORPUS / "buyer_store.erop").read_text(encoding="utf-8")

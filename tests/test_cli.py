@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import CORPUS
+from conftest import CORPUS, wide_contract
 from eropc.cli import render_diagnostic, run, sanitize_package_name
 from eropc.codegen import is_java_identifier
 from eropc.lexer import SourcePos
@@ -228,8 +228,11 @@ def test_empty_output_name_is_no_default(tmp_path, capsys, work, opened_outside)
 def test_directory_output_is_refused_before_any_file_is_made(tmp_path, capsys, work,
                                                              opened_outside):
     # a temp file beside the directory would be made in its parent, outside it;
-    # renamed over a FIFO, or over a link's FIFO, it would leave a regular file there
-    targets = ["."]
+    # renamed over a FIFO, or over a link's FIFO, it would leave a regular file there.
+    # A trailing / or /. names a directory, though realpath drops it: the OS refuses
+    # `f/` for a regular file f, and `newdir/` must not become a file
+    (work / "f").write_text("old text")
+    targets = [".", "newdir/", "f/", "f/."]
     if hasattr(os, "mkfifo"):  # the FIFO rows need it
         os.mkfifo(work / "fifo")
         (work / "link").symlink_to("fifo")
@@ -239,7 +242,8 @@ def test_directory_output_is_refused_before_any_file_is_made(tmp_path, capsys, w
         assert capsys.readouterr().err == f"eropc: cannot write {target}\n"
     assert opened_outside() == []
     assert list(tmp_path.iterdir()) == [work]
-    assert sorted(p.name for p in work.iterdir()) == ["bs.erop", *targets[1:]]
+    assert sorted(p.name for p in work.iterdir()) == ["bs.erop", "f", *targets[4:]]  # the FIFOs
+    assert (work / "f").read_text() == "old text"
     if "fifo" in targets:
         assert stat.S_ISFIFO(os.lstat(work / "fifo").st_mode)
         assert os.readlink(work / "link") == "fifo"
@@ -271,21 +275,104 @@ def test_a_failed_write_to_stdout_exits_2_with_one_line(capsys, monkeypatch, std
     assert capsys.readouterr().err == "eropc: cannot write <stdout>\n"
 
 
-@pytest.mark.parametrize("mode", [["-o", "-"], ["--emit-ast"]], ids=" ".join)
-def test_a_closed_pipe_on_stdout_exits_0(mode):
-    # the reader went away, as `eropc ... | head -1` does: no failure of eropc's
+# each run mode: its arguments, its exit code, and whether it writes stdout
+_MODES = {
+    "compile": (["wide.erop", "-o", "wide.drl"], 0, False),  # 200 warnings
+    "-o -": (["wide.erop", "-o", "-"], 0, True),  # 110 KB, more than a pipe holds
+    "case study -o -": ([str(CASE_STUDY), "-o", "-"], 0, True),
+    "--emit-ast": ([str(CASE_STUDY), "--emit-ast"], 0, True),
+    "--check": ([str(CORPUS / "bad" / "e001.erop"), "--check"], 1, False),
+    "usage error": (["wide.erop", "--no-such-option"], 2, False),
+    "missing input": (["missing.erop"], 2, False),
+}
+# (stdout, stderr): a pipe read back, a pipe whose reader is gone, closed at start, or a full device
+_STREAMS = {
+    "stderr closed": ("pipe", "closed"),
+    "stderr no reader": ("pipe", "gone"),
+    "stderr full": ("pipe", "full"),
+    "stdout no reader": ("gone", "pipe"),
+    "stdout closed, stderr no reader": ("closed", "gone"),
+}
+
+
+def _eropc(cwd, args, stdout="pipe", stderr="pipe"):
+    """eropc run in a child in cwd, with each of stdout and stderr in the given state."""
+    shell = {"closed": ">&-", "full": ">/dev/full"}
+    redirects = " ".join(f"{fd}{shell[state]}" for fd, state in ((1, stdout), (2, stderr))
+                         if state in shell)
     read, write = os.pipe()
     os.close(read)
     try:
-        result = subprocess.run(
-            [sys.executable, "-m", "eropc", str(CASE_STUDY), *mode],
-            stdout=write,
-            stderr=subprocess.PIPE,
+        return subprocess.run(
+            ["sh", "-c", f'exec "$@" {redirects}', "sh", sys.executable, "-X", "dev", "-m",
+             "eropc", *args],
+            cwd=cwd,
             env={**os.environ, "PYTHONPATH": SRC},
+            stdout=write if stdout == "gone" else subprocess.PIPE,
+            stderr=write if stderr == "gone" else subprocess.PIPE,
         )
     finally:
         os.close(write)
-    assert (result.returncode, result.stderr) == (0, b"")
+
+
+@pytest.fixture(scope="module")
+def working_runs(tmp_path_factory):
+    """Each mode's run with a working stdout and stderr, and the files it left in its directory."""
+    runs = {}
+    for mode, (args, _, _) in _MODES.items():
+        work = tmp_path_factory.mktemp("working")
+        (work / "wide.erop").write_text(wide_contract())
+        runs[mode] = _eropc(work, args), _tree(work)
+    return runs
+
+
+@pytest.mark.parametrize("mode", _MODES)
+@pytest.mark.parametrize("streams", _STREAMS)
+def test_each_stream_keeps_its_rule(tmp_path, working_runs, streams, mode):
+    # stdout is the output, and a reader that goes away is no failure; stderr is
+    # advice, so what it cannot take is lost and nothing else changes
+    stdout, stderr = _STREAMS[streams]
+    if "full" in (stdout, stderr) and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    args, code, writes_stdout = _MODES[mode]
+    working, files = working_runs[mode]
+    assert working.returncode == code and bool(working.stdout) == writes_stdout
+    (tmp_path / "wide.erop").write_text(wide_contract())
+    result = _eropc(tmp_path, args, stdout, stderr)
+    assert result.returncode == (2 if stdout == "closed" and writes_stdout else code)
+    assert _tree(tmp_path) == files  # the .drl, byte for byte, and nothing else
+    if stdout == "pipe":
+        assert result.stdout == working.stdout
+    if stderr == "pipe":  # diagnostics as ever, and no "Exception ignored" from the exit flush
+        assert result.stderr == working.stderr
+
+
+class _Stderr:
+    """A stderr whose every write raises the given error."""
+
+    def __init__(self, error):
+        self.error = error
+
+    def write(self, text):
+        raise self.error
+
+
+@pytest.mark.parametrize("stderr", [
+    _Stderr(BrokenPipeError(errno.EPIPE, "Broken pipe")),
+    _Stderr(OSError(errno.ENOSPC, "No space left on device")),
+    _Stderr(ValueError("I/O operation on closed file.")),
+    None,
+], ids=["EPIPE", "ENOSPC", "closed", "None"])
+def test_a_failing_stderr_changes_nothing_in_process(tmp_path, capsys, monkeypatch, stderr):
+    src = tmp_path / "wide.erop"
+    src.write_text(wide_contract())
+    assert run([str(src), "-o", str(tmp_path / "working.drl")]) == 0
+    assert capsys.readouterr().err.count("warning[W001]") == 200
+    monkeypatch.setattr(sys, "stderr", stderr)
+    assert run([str(src), "-o", str(tmp_path / "failing.drl")]) == 0
+    assert run([str(CORPUS / "bad" / "e001.erop"), "--check"]) == 1
+    assert (tmp_path / "failing.drl").read_bytes() == (tmp_path / "working.drl").read_bytes()
+    assert capsys.readouterr() == ("", "")
 
 
 class _Handle:

@@ -4,7 +4,7 @@ import tracemalloc
 
 import pytest
 
-from conftest import CORPUS
+from conftest import CORPUS, wide_contract
 from eropc import codegen
 from eropc.codegen import (
     ADFile,
@@ -553,25 +553,6 @@ def test_each_source_rule_is_freed_once_rendered(case_study_source, golden_drl, 
     before = source_rules()
     assert translate(case_study_source, "BuyerStoreContractEx") == (golden_drl, [])
     assert len(names) == 10 and alive_at_emit[-1] - before <= 1  # the rule being rendered
-
-
-def wide_contract(players=300, ops=800):
-    """Hundreds of declarations, a quarter of the operations unused, one rule per player."""
-    source = [
-        "roleplayer " + ", ".join(f"p{i:03d}" for i in range(players)) + ";\n",
-        "businessoperation " + ", ".join(f"Op{i:03d}" for i in range(ops)) + ";\n",
-    ]
-    for i in range(players):
-        source.append(f"""\
-rule "R{i:03d}"
-when e matches (botype == T, originator == p{i:03d}, responder == p{i:03d}, outcome == success)
-    Op{2 * i % 600:03d} in p{i:03d}.rights
-    e.hour in [9, 17]
-then
-    p{i:03d}.rights -= Op{(2 * i + 1) % 600:03d}(p{i:03d})
-end
-""")
-    return "".join(source)
 
 
 def test_nothing_after_the_parse_peaks_above_it(monkeypatch):
