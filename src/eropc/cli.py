@@ -50,6 +50,7 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     mode.add_argument("--check", action="store_true", help="report diagnostics, write nothing")
     mode.add_argument("--emit-ast", action="store_true", help="dump the parse tree (debug)")
     p.add_argument("--version", action="version", version=f"eropc {__version__}")
+    p._print_message = _print_message  # Python 3.10's lets a failed write through; 3.11's loses it
     return p
 
 
@@ -62,8 +63,6 @@ def run(argv: list[str]) -> int:
                 parser.error(f"argument --{name}: not allowed with argument --emit-ast")
     except SystemExit as exc:
         return int(exc.code or 0)
-    except OSError:  # Python 3.10's argparse lets a failed write through; 3.11's loses it
-        return 2
     if args.package is not None and not all(map(is_java_identifier, args.package.split("."))):
         _say(f"eropc: --package {args.package!r} is not a dotted Java identifier")
         return 2
@@ -126,6 +125,7 @@ def _write(path: str, text: str, source: str) -> int:
             sys.stdout.write(text)
             sys.stdout.flush()
             return 0
+        os.stat(os.path.dirname(path) or ".")  # realpath drops the ".." of "f/.." for a file f
         real = os.path.realpath(path)  # a link stays and its target changes
         try:
             st = os.stat(real)
@@ -155,8 +155,14 @@ def _write(path: str, text: str, source: str) -> int:
 
 
 def _say(line: str) -> None:
-    try:  # stderr is advice: one that is None, closed, full or without a reader loses the line
-        sys.stderr.write(line + "\n")  # line-buffered, so a failed flush raises here
+    _print_message(line + "\n")
+
+
+def _print_message(text: str, file=None) -> None:
+    """The one write of stderr's lines and of argparse's: a stream (stderr by default) that is
+    None, closed, full or without a reader loses the text, and nothing else changes."""
+    try:  # stderr is line-buffered, so a failed flush raises here
+        (file or sys.stderr).write(text)
     except (AttributeError, OSError, ValueError):
         pass
 

@@ -168,7 +168,7 @@ def check_globals(tab: SymbolTable) -> list[Diagnostic]:
     """
     owners: dict[str, str] = {}  # each identifier's first-declared name
     diags: list[Diagnostic] = []
-    for name, token in tab.declared.items():
+    for name, index in tab.declared.items():
         kind = tab.kinds[name]
         for _, ident in ad_globals(name, kind):
             owner = owners.setdefault(ident, name)
@@ -182,14 +182,14 @@ def check_globals(tab: SymbolTable) -> list[Diagnostic]:
                 why = f"becomes '{ident}', which is not a Java identifier"
             else:
                 continue
-            diags.append(Diagnostic("error", "E012", f"{kind} '{name}' {why}", token.index))
+            diags.append(Diagnostic("error", "E012", f"{kind} '{name}' {why}", index))
     return diags
 
 
 def event_line(rule: RuleAst) -> str:
     """The ``$e: Event(...)`` pattern that opens each AD rule of a source rule."""
     # sema (E006) leaves exactly the four fields, each once
-    ev = {f.name.lexeme: f.value.lexeme for f in rule.event_fields}
+    ev = {f.name: f.value for f in rule.event_fields}
     pairs = ", ".join(f'{ad}=="{ev[name]}"' for name, ad in _AD_FIELD.items())
     return f"$e: Event({pairs})"
 
@@ -203,23 +203,21 @@ def emit_rule(rule: RuleAst, event: str, lookup: Mapping[str, str], tab: SymbolT
         if isinstance(action, RopManip):
             # sema leaves one beneficiary (E009) and a composite obligation only in obligs (E005)
             method = lookup[f"rop.{action.op}.{_SET_SINGULAR[action.rop_set]}"]
-            bo = action.bo.lexeme
-            compoblig = bo in tab.comp_obligs  # it travels by name
-            args = [f'"{bo}"' if compoblig else bo_global_name(bo)]
+            compoblig = action.bo in tab.comp_obligs  # it travels by name
+            args = [f'"{action.bo}"' if compoblig else bo_global_name(action.bo)]
             if compoblig and action.op == "add":  # with its member operations in an array
                 arrays += 1
                 args.append("bos" if arrays == 1 else f"bos{arrays}")
-                members = ", ".join(bo_global_name(m) for m in tab.comp_obligs[bo])
+                members = ", ".join(bo_global_name(m) for m in tab.comp_obligs[action.bo])
                 then.append(f"BusinessOperation[] {args[1]} = {{{members}}};")
-            args.append(action.args[0].lexeme)
-            args += [f'"{deadline}"' for deadline in action.deadlines]  # E009 leaves at most one
-            then.append(f"{rop_var_name(action.player.lexeme)}.{method}({', '.join(args)});")
+            # E009 leaves one identifier, the beneficiary, then at most one deadline string
+            args += sorted(action.actuals, key=lambda actual: actual[0] == '"')
+            then.append(f"{rop_var_name(action.player)}.{method}({', '.join(args)});")
         elif isinstance(action, Outcome):
             setter = lookup["bizfail.set"]  # sema (E008) leaves the value 'true' or 'false'
-            bo, value = action.bo.lexeme, action.value.lexeme
-            then.append(f"{bo_global_name(bo)}.{setter}({value});")
+            then.append(f"{bo_global_name(action.bo)}.{setter}({action.value});")
         else:  # ResetAct
-            then.append(f"{rop_var_name(action.player.lexeme)}.{lookup['reset']}();")
+            then.append(f"{rop_var_name(action.player)}.{lookup['reset']}();")
     indent = "\n    ".join
     return f'rule "{rule.name}"\nwhen\n    {indent(when)}\nthen\n    {indent(then)}\nend\n'
 
@@ -230,11 +228,10 @@ def constraint_expr(
     """The parenthesis-free boolean expression a constraint evaluates."""
     if isinstance(constraint, RopMembership):
         method = lookup[f"rop.matches.{constraint.rop_set}"]
-        player, bo = constraint.player.lexeme, constraint.bo.lexeme
-        return f"{rop_var_name(player)}.{method}({bo_global_name(bo)})"
+        return f"{rop_var_name(constraint.player)}.{method}({bo_global_name(constraint.bo)})"
     if isinstance(constraint, Outcome):  # sema (E008) leaves 'true' or 'false'
         getter = lookup["bizfail.get"]
-        return f"{bo_global_name(constraint.bo.lexeme)}.{getter}() == {constraint.value.lexeme}"
+        return f"{bo_global_name(constraint.bo)}.{getter}() == {constraint.value}"
     if isinstance(constraint, TimeDirect):
         accessor = lookup["time.stamp"]
         return f'$e.{accessor}() {constraint.op} "{constraint.timestamp}"'
@@ -246,7 +243,7 @@ def constraint_expr(
     if isinstance(constraint, Historical):
         # name/value pairs in canonical field order; sema (E006) leaves each field at most once
         method = lookup["historical.happened"]
-        provided = {f.name.lexeme: f.value.lexeme for f in constraint.fields}
+        provided = {f.name: f.value for f in constraint.fields}
         args = ", ".join(
             f'"{ad}", "{provided[name]}"' for name, ad in _AD_FIELD.items() if name in provided
         )

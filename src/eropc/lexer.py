@@ -75,6 +75,7 @@ _TOKEN_RE = re.compile(
 )
 # Any of \n, \r\n, or \r counts as a single line break.
 _LINE_BREAK = re.compile(r"\r\n?|\n")
+_CHUNK = 1 << 16  # the characters tokenize scans at once, up to the next line break
 # A NamedTuple's generated __new__ is Python code; this builds one from its fields in order.
 _new = tuple.__new__
 
@@ -88,12 +89,6 @@ class SourcePos(NamedTuple):
 
     def __str__(self) -> str:
         return f"{self.line}:{self.col}"
-
-
-class Token(NamedTuple):
-    """An identifier the parser keeps in the syntax tree; its kind stays in the stream."""
-    lexeme: str
-    index: int  # the token's index in its TokenStream; see positions()
 
 
 class TokenStream:
@@ -130,14 +125,28 @@ def tokenize(source: str) -> TokenStream:
     skipped.  Raises LexError for an unterminated string literal, a string
     literal holding a backslash, an unterminated block comment, or an
     illegal character, named from the bad lexeme alone: no offset is computed.
+
+    It scans stretches of about ``_CHUNK`` characters, each cut just after a line
+    break, and interns each stretch's lexemes, so one stretch's fresh strings live at
+    a time.  Only a block comment spans a line break: a stretch whose last lexeme is
+    the unterminated-comment fallback is scanned again at twice the length.
     """
-    lexemes = _TOKEN_RE.findall(source)
-    if len(lexemes) > 1 and not lexemes[-2]:  # trailing trivia, then ``\Z`` matched twice
-        lexemes.pop()
-    kind_of = {lexeme: _FIXED_KINDS.get(lexeme) or _kind(lexeme) for lexeme in set(lexemes)}
-    # one string object per distinct lexeme, which every Token of the tree then shares
-    one = dict(zip(kind_of, kind_of))
-    lexemes = list(map(one.__getitem__, lexemes))
+    lexemes: list[str] = []
+    one: dict[str, str] = {}  # each distinct lexeme's first string, which every token shares
+    start, end, size = 0, len(source), _CHUNK
+    while start < end:
+        brk = _LINE_BREAK.search(source, start + size)
+        cut = brk.end() if brk else end
+        found = _TOKEN_RE.findall(source, start, cut)
+        while found and not found[-1]:  # the "" of ``\Z`` at the cut, twice after trivia
+            found.pop()
+        if cut < end and found and found[-1][:2] == "/*":
+            size *= 2
+        else:
+            lexemes += map(one.setdefault, found, found)
+            start, size = cut, _CHUNK
+    lexemes.append(one.setdefault("", ""))
+    kind_of = {lexeme: _FIXED_KINDS.get(lexeme) or _kind(lexeme) for lexeme in one}
     kinds = list(map(kind_of.__getitem__, lexemes))
     if None in kind_of.values():
         bad = kinds.index(None)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .lexer import SourcePos, Token
+from .lexer import SourcePos
 from .syntax import (
     BUSINESS_OP,
     COMP_OBLIG,
@@ -38,6 +38,7 @@ from .syntax import (
     TimeDirect,
     TimePartial,
     EVENT_FIELDS,
+    field_pos,
 )
 
 OUTCOME_VALUES = ("success", "tecfail", "bizfail")  # compared case-insensitively
@@ -60,7 +61,7 @@ class SymbolTable:
     """Declared names, in declaration order; the namespaces are disjoint.
 
     ``kinds`` maps each name that build_symbol_table declared to its kind,
-    and ``declared`` to the token of its accepted (first) declaration; the
+    and ``declared`` to the token index of its accepted (first) declaration; the
     per-kind collections keep declaration order for code generation.
     """
 
@@ -69,7 +70,7 @@ class SymbolTable:
         self.business_ops: list[str] = []
         self.comp_obligs: dict[str, list[str]] = {}
         self.kinds: dict[str, str] = {}
-        self.declared: dict[str, Token] = {}
+        self.declared: dict[str, int] = {}
 
 
 def build_symbol_table(ast: ContractAst) -> tuple[SymbolTable, list[Diagnostic]]:
@@ -79,19 +80,19 @@ def build_symbol_table(ast: ContractAst) -> tuple[SymbolTable, list[Diagnostic]]
 
     comp_decls: list[Decl] = []
     for decl in ast.decls:
-        for ident in decl.names:
-            name = ident.lexeme
+        for j, name in enumerate(decl.names):
+            index = decl.name_pos(j)
             if name in tab.kinds:
                 message = f"duplicate declaration of '{name}'"
-                diags.append(Diagnostic("error", "E001", message, ident.index))
+                diags.append(Diagnostic("error", "E001", message, index))
                 continue
             tab.kinds[name] = decl.kind
-            tab.declared[name] = ident
+            tab.declared[name] = index
             lower = decl.kind == ROLE_PLAYER
             if name[0].islower() != lower:  # names start with an ASCII letter
                 case = "a lower-case" if lower else "an upper-case"
                 message = f"{decl.kind} '{name}' must begin with {case} letter"
-                diags.append(Diagnostic("error", "E003", message, ident.index))
+                diags.append(Diagnostic("error", "E003", message, index))
             if decl.kind == ROLE_PLAYER:
                 tab.role_players.append(name)
             elif decl.kind == BUSINESS_OP:
@@ -102,13 +103,13 @@ def build_symbol_table(ast: ContractAst) -> tuple[SymbolTable, list[Diagnostic]]
 
     # member lookup is order-insensitive within the declaration section
     for decl in comp_decls:
-        members = tab.comp_obligs[decl.names[0].lexeme]
-        for member in decl.members:
-            if tab.kinds.get(member.lexeme) == BUSINESS_OP:
-                members.append(member.lexeme)
+        members = tab.comp_obligs[decl.names[0]]
+        for j, member in enumerate(decl.members):
+            if tab.kinds.get(member) == BUSINESS_OP:
+                members.append(member)
             else:
-                message = f"{COMP_OBLIG} member '{member.lexeme}' is not a declared {BUSINESS_OP}"
-                diags.append(Diagnostic("error", "E002", message, member.index))
+                message = f"{COMP_OBLIG} member '{member}' is not a declared {BUSINESS_OP}"
+                diags.append(Diagnostic("error", "E002", message, decl.member_pos(j)))
     return tab, diags
 
 
@@ -147,8 +148,8 @@ class _Checker:
 
     def check(self, decls: list[Decl], rules: SplitRules) -> None:
         for decl in decls:  # only an accepted declaration's members count as uses
-            if self.tab.declared[decl.names[0].lexeme] is decl.names[0]:
-                self.used.update(member.lexeme for member in decl.members)
+            if self.tab.declared[decl.names[0]] == decl.name_pos(0):
+                self.used.update(decl.members)
         seen_source: set[str] = set()
         seen_emitted: set[str] = set()
         for rule, pieces in rules:
@@ -177,71 +178,63 @@ class _Checker:
             self.check_action(action, rule)
 
     def check_event_fields(self, rule: RuleAst) -> None:
-        if sorted(self.check_fields(rule.event_fields, once=False)) != sorted(EVENT_FIELDS):
-            self.error(
-                "E006",
-                "event match must specify botype, originator, responder and outcome exactly once",
-                rule.event_var.index,
-            )
+        names = self.check_fields(rule.event_fields, rule.fields_pos, once=False)
+        if sorted(names) != sorted(EVENT_FIELDS):
+            each = "botype, originator, responder and outcome"
+            self.error("E006", f"event match must specify {each} exactly once", rule.event_var_pos)
 
-    def check_fields(self, fields: list[EventField], once: bool) -> list[str]:
-        """Check a ``(field == value, ...)`` list; returns its known field names in order."""
+    def check_fields(self, fields: list[EventField], lparen: int, once: bool) -> list[str]:
+        """Check a ``(field == value, ...)`` list, its ``(`` at token ``lparen``;
+        returns its known field names in order."""
         names: list[str] = []
-        for f in fields:
-            name = f.name.lexeme
+        for j, (name, value) in enumerate(fields):
+            name_pos, value_pos = field_pos(lparen, j)
             if name not in EVENT_FIELDS:
-                self.error("E006", f"unknown event field '{name}'", f.name.index)
+                self.error("E006", f"unknown event field '{name}'", name_pos)
                 continue
             if once and name in names:  # an event match leaves repeats to its four-field rule
-                self.error("E006", f"repeated event field '{name}'", f.name.index)
+                self.error("E006", f"repeated event field '{name}'", name_pos)
             names.append(name)
             if name in ("originator", "responder"):
-                self.expect_role_player(f.value)
-            elif name == "outcome" and f.value.lexeme.lower() not in OUTCOME_VALUES:
-                self.warn(
-                    "W002",
-                    f"unexpected outcome value '{f.value.lexeme}' "
-                    "(expected success, tecFail or bizFail)",
-                    f.value.index,
-                )
+                self.expect_role_player(value, value_pos)
+            elif name == "outcome" and value.lower() not in OUTCOME_VALUES:
+                expected = "(expected success, tecFail or bizFail)"
+                self.warn("W002", f"unexpected outcome value '{value}' {expected}", value_pos)
             # botype values are free-form identifiers
         return names
 
     def check_constraint(self, constraint: ConstraintAst, rule: RuleAst) -> None:
         if isinstance(constraint, RopMembership):
-            self.expect_operation(constraint.bo, constraint.rop_set)
-            self.expect_role_player(constraint.player)
+            self.expect_operation(constraint.bo, constraint.pos, constraint.rop_set)
+            self.expect_role_player(constraint.player, constraint.player_pos)
         elif isinstance(constraint, Outcome):
             self.check_outcome(constraint, "outcome check")
         elif isinstance(constraint, (TimeDirect, TimePartial)):
             var = constraint.event_var
-            if var.lexeme != rule.event_var.lexeme:
-                self.error("E004", f"'{var.lexeme}' is not declared", var.index)
+            if var != rule.event_var:
+                self.error("E004", f"'{var}' is not declared", constraint.pos)
             if isinstance(constraint, TimePartial):
                 unit, lo, hi = constraint.unit, constraint.lo, constraint.hi
                 if lo > hi or hi > UNIT_MAX.get(unit, hi):
                     message = f"empty or out-of-range {unit} window [{lo}, {hi}]"
-                    self.error("E011", message, var.index)
+                    self.error("E011", message, constraint.pos)
         elif isinstance(constraint, Historical):
-            self.check_fields(constraint.fields, once=True)
+            self.check_fields(constraint.fields, constraint.pos, once=True)
 
     def check_action(self, action: ActionAst, rule: RuleAst) -> None:
         if isinstance(action, RopManip):
-            self.expect_role_player(action.player)
-            self.expect_operation(action.bo, action.rop_set)
-            if len(action.args) != 1 or len(action.deadlines) > 1:
-                self.error(
-                    "E009",
-                    f"ROP manipulation takes one beneficiary {ROLE_PLAYER} and an optional "
-                    "deadline string",
-                    action.bo.index,
-                )
-            for arg in action.args:
-                self.expect_role_player(arg)
+            self.expect_role_player(action.player, action.pos)
+            self.expect_operation(action.bo, action.bo_pos, action.rop_set)
+            args = [j for j, actual in enumerate(action.actuals) if actual[0] != '"']
+            if len(args) != 1 or len(action.actuals) > 2:  # the strings are deadlines
+                why = f"takes one beneficiary {ROLE_PLAYER} and an optional deadline string"
+                self.error("E009", f"ROP manipulation {why}", action.bo_pos)
+            for j in args:
+                self.expect_role_player(action.actuals[j], action.actual_pos(j))
         elif isinstance(action, Outcome):
             self.check_outcome(action, "outcome setter")
         elif isinstance(action, ResetAct):
-            self.expect_role_player(action.player)
+            self.expect_role_player(action.player, action.pos)
         else:
             for constraint in action.cond:
                 self.check_constraint(constraint, rule)
@@ -252,44 +245,43 @@ class _Checker:
 
     # shared checks
 
-    def expect_role_player(self, ident: Token) -> None:
-        self.used.add(ident.lexeme)
-        kind = self.tab.kinds.get(ident.lexeme)
+    def expect_role_player(self, name: str, index: int) -> None:
+        """The identifier ``name``, at token ``index``, names a role player."""
+        self.used.add(name)
+        kind = self.tab.kinds.get(name)
         if kind is None:
-            self.error("E004", f"'{ident.lexeme}' is not declared", ident.index)
+            self.error("E004", f"'{name}' is not declared", index)
         elif kind != ROLE_PLAYER:
-            self.error("E005", f"'{ident.lexeme}' is not a {ROLE_PLAYER}", ident.index)
+            self.error("E005", f"'{name}' is not a {ROLE_PLAYER}", index)
 
-    def expect_operation(self, ident: Token, rop_set: str | None) -> None:
+    def expect_operation(self, name: str, index: int, rop_set: str | None) -> None:
         """A business operation, or a composite obligation in an obligs set; ``rop_set``
         is None for ``BO.BizFail``, which only a business operation has."""
-        self.used.add(ident.lexeme)
-        kind = self.tab.kinds.get(ident.lexeme)
+        self.used.add(name)
+        kind = self.tab.kinds.get(name)
         if kind is None:
-            self.error("E004", f"'{ident.lexeme}' is not declared", ident.index)
+            self.error("E004", f"'{name}' is not declared", index)
         elif kind == ROLE_PLAYER:
-            message = f"'{ident.lexeme}' is not a {BUSINESS_OP} or {COMP_OBLIG}"
-            self.error("E005", message, ident.index)
+            message = f"'{name}' is not a {BUSINESS_OP} or {COMP_OBLIG}"
+            self.error("E005", message, index)
         elif kind == COMP_OBLIG and rop_set is None:
-            message = f"{COMP_OBLIG} '{ident.lexeme}' has no BizFail flag; a {BUSINESS_OP} has one"
-            self.error("E005", message, ident.index)
+            message = f"{COMP_OBLIG} '{name}' has no BizFail flag; a {BUSINESS_OP} has one"
+            self.error("E005", message, index)
         elif kind == COMP_OBLIG and rop_set != "obligs":
-            message = f"{COMP_OBLIG} '{ident.lexeme}' can only be in an obligs set, not {rop_set}"
-            self.error("E005", message, ident.index)
+            message = f"{COMP_OBLIG} '{name}' can only be in an obligs set, not {rop_set}"
+            self.error("E005", message, index)
 
     def check_outcome(self, outcome: Outcome, where: str) -> None:
-        self.expect_operation(outcome.bo, None)
-        value = outcome.value
-        if value.lexeme not in ("true", "false"):
-            self.error(
-                "E008", f"{where} expects 'true' or 'false', found '{value.lexeme}'", value.index
-            )
+        self.expect_operation(outcome.bo, outcome.pos, None)
+        if outcome.value not in ("true", "false"):
+            message = f"{where} expects 'true' or 'false', found '{outcome.value}'"
+            self.error("E008", message, outcome.value_pos)
 
     def report_unused(self) -> None:
-        for name, ident in self.tab.declared.items():
+        for name, index in self.tab.declared.items():
             if name not in self.used:
                 kind = self.tab.kinds[name]
-                self.warn("W001", f"{kind} '{name}' declared but never used", ident.index)
+                self.warn("W001", f"{kind} '{name}' declared but never used", index)
 
     def error(self, code: str, message: str, index: int) -> None:
         self.diags.append(Diagnostic("error", code, message, index))

@@ -29,7 +29,9 @@ Grammar for ``.erop`` files (normative for this compiler):
 Field names such as ``botype`` or ``BizFail``, ROP-set names, and time units
 are contextual identifiers recognised positionally, not reserved words.
 
-An identifier in the AST is a Token of its lexeme and token index.  Every
+An identifier in the AST is its lexeme, the very string the token stream holds.  A
+record that holds identifiers keeps one token index, ``pos``, and each identifier's
+index follows from its fixed place in the production, which the record states.  Every
 position, a lexical or syntax error's too, is a token index, which one call of
 ``lexer.positions`` turns into line and column; ``sema.split`` gives RuleAsts.
 The parser tests token kinds by index and builds every record positionally.
@@ -39,7 +41,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .lexer import FrontEndError, Token, TokenKind, TokenStream, _new, string_value
+from .lexer import FrontEndError, TokenKind, TokenStream, _new, string_value
 
 INT_MAX = 2**31 - 1  # a window bound is emitted into a Java int comparison
 ROP_SETS = ("rights", "obligs", "prohibs")
@@ -48,8 +50,13 @@ EVENT_FIELDS = ("botype", "originator", "responder", "outcome")
 
 
 class EventField(NamedTuple):
-    name: Token
-    value: Token
+    name: str
+    value: str
+
+
+def field_pos(lparen: int, j: int) -> tuple[int, int]:
+    """The token indexes of the name and value of field j of a list whose "(" is at ``lparen``."""
+    return lparen + 1 + 4 * j, lparen + 3 + 4 * j
 
 
 # --- declarations ---
@@ -63,12 +70,19 @@ class Decl(NamedTuple):
     """A declaration of ``kind`` (one of the three constants above).
 
     A composite obligation has one name and its member list; the other two
-    kinds have ``members=[]``.
+    kinds have ``members=[]``.  ``pos`` is the first name's token index.
     """
 
     kind: str
-    names: list[Token]
-    members: list[Token]
+    names: list[str]
+    members: list[str]
+    pos: int
+
+    def name_pos(self, j: int) -> int:
+        return self.pos + 2 * j  # names are separated by commas
+
+    def member_pos(self, j: int) -> int:
+        return self.pos + 2 + 2 * j  # after the one name and its "("
 
 
 # --- constraints ---
@@ -77,34 +91,45 @@ class Decl(NamedTuple):
 class RopMembership(NamedTuple):
     """``BO in player.rights`` (membership of a ROP set)."""
 
-    bo: Token
-    player: Token
+    bo: str
+    player: str
     rop_set: str
+    pos: int
+
+    player_pos = property(lambda self: self.pos + 2)
 
 
 class Outcome(NamedTuple):
     """``BO.BizFail == true|false``: a check as a constraint, a setter as an action."""
 
-    bo: Token
-    value: Token
+    bo: str
+    value: str
+    pos: int
+
+    value_pos = property(lambda self: self.pos + 4)
 
 
 class TimeDirect(NamedTuple):
-    event_var: Token
+    event_var: str
     op: str  # "==", "<" or ">"
     timestamp: str
+    pos: int
 
 
 class TimePartial(NamedTuple):
-    event_var: Token
+    event_var: str
     unit: str
     lo: int
     hi: int
+    pos: int
 
 
 class Historical(NamedTuple):
+    """``[not] happened (fields)``, its ``(`` at token ``pos``."""
+
     happened: bool
     fields: list[EventField]
+    pos: int
 
 
 ConstraintAst = RopMembership | Outcome | TimeDirect | TimePartial | Historical
@@ -120,18 +145,27 @@ class NegatedConjunction(NamedTuple):
 
 
 class RopManip(NamedTuple):
-    """``player.rights += BO(args...)`` or the ``-=`` form."""
+    """``player.rights += BO(actuals...)`` or the ``-=`` form; each actual is
+    an identifier or a STRING lexeme (quotes included), in source order."""
 
-    player: Token
+    player: str
     rop_set: str
     op: str  # "add" or "remove"
-    bo: Token
-    args: list[Token]
-    deadlines: list[str]
+    bo: str
+    actuals: list[str]
+    pos: int
+
+    bo_pos = property(lambda self: self.pos + 4)
+
+    def actual_pos(self, j: int) -> int:
+        return self.pos + 6 + 2 * j  # after "BO (", separated by commas
 
 
 class ResetAct(NamedTuple):
-    player: Token
+    """``reset player`` or ``player reset``, the player at token ``pos``."""
+
+    player: str
+    pos: int
 
 
 class IfAct(NamedTuple):
@@ -147,10 +181,13 @@ ActionAst = RopManip | Outcome | ResetAct | IfAct
 class RuleAst(NamedTuple):
     name: str
     name_pos: int
-    event_var: Token
+    event_var: str
     event_fields: list[EventField]
     constraints: list[ConstraintAst | NegatedConjunction]
     actions: list[ActionAst]
+
+    event_var_pos = property(lambda self: self.name_pos + 2)  # after "when"
+    fields_pos = property(lambda self: self.name_pos + 4)  # the event match's "("
 
 
 class ContractAst(NamedTuple):
@@ -180,7 +217,7 @@ def parse_contract(tokens: TokenStream) -> ContractAst:
 class _Parser:
     """A production tests kinds by token index, from its first token on, and
     raises at the first that fails, so no test reads past EOF; then it moves
-    the cursor ``i`` past what it read.  A Token is built only for the AST."""
+    the cursor ``i`` past what it read."""
 
     def __init__(self, tokens: TokenStream) -> None:
         self.kinds = tokens.kinds
@@ -227,20 +264,20 @@ class _Parser:
     def decl(self) -> Decl:
         kind = _DECL_KINDS[self.kinds[self.i]]
         self.i += 1
+        pos = self.i
         if kind != COMP_OBLIG:
             names = self.idents(f"a {kind} name")
             self.expect(TokenKind.SEMI, "';'")
-            return _new(Decl, (kind, names, []))
-        i = self.i
-        name = _new(Token, (self.expect(TokenKind.IDENT, f"a {kind} name"), i))
+            return _new(Decl, (kind, names, [], pos))
+        name = self.expect(TokenKind.IDENT, f"a {kind} name")
         self.expect(TokenKind.LPAREN, "'('")
         members = self.idents(f"a member {BUSINESS_OP}")
         self.expect(TokenKind.RPAREN, "')'")
         if self.at(TokenKind.SEMI):  # trailing ';' is optional here
             self.i += 1
-        return _new(Decl, (kind, [name], members))
+        return _new(Decl, (kind, [name], members, pos))
 
-    def idents(self, what: str) -> list[Token]:
+    def idents(self, what: str) -> list[str]:
         """``IDENT ("," IDENT)*``, each IDENT ``what``."""
         kinds, lexemes = self.kinds, self.lexemes
         i = self.i
@@ -248,7 +285,7 @@ class _Parser:
         while True:
             if kinds[i] is not TokenKind.IDENT:
                 raise self.fail(f"expected {what}", i)
-            names.append(_new(Token, (lexemes[i], i)))
+            names.append(lexemes[i])
             if kinds[i + 1] is not TokenKind.COMMA:
                 break
             i += 2
@@ -267,7 +304,6 @@ class _Parser:
             raise self.fail("expected an event variable", i + 2)
         if kinds[i + 3] is not TokenKind.MATCHES:
             raise self.fail("expected 'matches'", i + 3)
-        event_var = _new(Token, (lexemes[i + 2], i + 2))
         self.i = i + 4
         fields = self.event_fields()
 
@@ -282,7 +318,8 @@ class _Parser:
         if kinds[self.i] is not TokenKind.END:
             raise self.fail("expected 'end'")
         self.i += 1
-        return _new(RuleAst, (string_value(lexemes[i]), i, event_var, fields, constraints, actions))
+        rule = (string_value(lexemes[i]), i, lexemes[i + 2], fields, constraints, actions)
+        return _new(RuleAst, rule)
 
     def event_fields(self) -> list[EventField]:
         """``"(" IDENT "==" IDENT ("," IDENT "==" IDENT)* ")"``"""
@@ -299,9 +336,7 @@ class _Parser:
                 raise self.fail("expected '=='", i + 1)
             if kinds[i + 2] is not TokenKind.IDENT:
                 raise self.fail("expected an event field value", i + 2)
-            name = _new(Token, (lexemes[i], i))
-            value = _new(Token, (lexemes[i + 2], i + 2))
-            fields.append(_new(EventField, (name, value)))
+            fields.append(_new(EventField, (lexemes[i], lexemes[i + 2])))
             i += 3
             if kinds[i] is not TokenKind.COMMA:
                 break
@@ -318,12 +353,11 @@ class _Parser:
         first = lexemes[i]
         if first == "not" and kinds[i + 1] is TokenKind.IDENT and lexemes[i + 1] == "happened":
             self.i = i + 2
-            return _new(Historical, (False, self.event_fields()))
+            return _new(Historical, (False, self.event_fields(), i + 2))
         if first == "happened" and kinds[i + 1] is TokenKind.LPAREN:
             self.i = i + 1
-            return _new(Historical, (True, self.event_fields()))
+            return _new(Historical, (True, self.event_fields(), i + 1))
 
-        subject = _new(Token, (first, i))
         if kinds[i + 1] is TokenKind.IN:
             if kinds[i + 2] is not TokenKind.IDENT:
                 raise self.fail(f"expected a {ROLE_PLAYER} name", i + 2)
@@ -333,8 +367,7 @@ class _Parser:
             if kinds[i + 4] is not TokenKind.IDENT or rop_set not in ROP_SETS:
                 raise self.fail("expected 'rights', 'obligs' or 'prohibs'", i + 4)
             self.i = i + 5
-            player = _new(Token, (lexemes[i + 2], i + 2))
-            return _new(RopMembership, (subject, player, rop_set))
+            return _new(RopMembership, (first, lexemes[i + 2], rop_set, i))
 
         if kinds[i + 1] is not TokenKind.DOT:
             raise self.fail("expected 'in' or '.'", i + 1)
@@ -342,7 +375,7 @@ class _Parser:
             raise self.fail("expected 'BizFail', 'timestamp' or a time unit", i + 2)
         selector = lexemes[i + 2]
         if selector == "BizFail":
-            return self.outcome(subject)
+            return self.outcome(i)
         if selector == "timestamp":
             op = kinds[i + 3]  # an operator's kind is its lexeme
             if op is not TokenKind.EQ and op is not TokenKind.LT and op is not TokenKind.GT:
@@ -350,7 +383,7 @@ class _Parser:
             if kinds[i + 4] is not TokenKind.STRING:
                 raise self.fail("expected a timestamp string", i + 4)
             self.i = i + 5
-            return _new(TimeDirect, (subject, op, string_value(lexemes[i + 4])))
+            return _new(TimeDirect, (first, op, string_value(lexemes[i + 4]), i))
         if selector in TIME_UNITS:
             if kinds[i + 3] is not TokenKind.IN:
                 raise self.fail("expected 'in'", i + 3)
@@ -363,7 +396,7 @@ class _Parser:
             if kinds[i + 8] is not TokenKind.RBRACKET:
                 raise self.fail("expected ']'", i + 8)
             self.i = i + 9
-            return _new(TimePartial, (subject, selector, lo, hi))
+            return _new(TimePartial, (first, selector, lo, hi, i))
         raise self.fail("expected 'BizFail', 'timestamp' or a time unit after '.'", i + 2)
 
     def int_bound(self, i: int) -> int:
@@ -390,7 +423,7 @@ class _Parser:
             if kinds[i + 1] is not TokenKind.IDENT:
                 raise self.fail(f"expected a {ROLE_PLAYER} name", i + 1)
             self.i = i + 2
-            return _new(ResetAct, (_new(Token, (lexemes[i + 1], i + 1)),))
+            return _new(ResetAct, (lexemes[i + 1], i + 1))
         if kind is TokenKind.IF:
             if inside_if:
                 raise ParseError("nested 'if' actions are not supported", i)
@@ -398,17 +431,16 @@ class _Parser:
         if kind is not TokenKind.IDENT:
             raise self.fail("expected an action", i)
 
-        subject = _new(Token, (lexemes[i], i))
         if kinds[i + 1] is TokenKind.RESET:
             self.i = i + 2
-            return _new(ResetAct, (subject,))
+            return _new(ResetAct, (lexemes[i], i))
         if kinds[i + 1] is not TokenKind.DOT:
             raise self.fail("expected '.'", i + 1)
         if kinds[i + 2] is not TokenKind.IDENT:
             raise self.fail("expected a ROP set or 'BizFail'", i + 2)
         selector = lexemes[i + 2]
         if selector == "BizFail":
-            return self.outcome(subject)
+            return self.outcome(i)
         if selector not in ROP_SETS:
             raise self.fail("expected 'rights', 'obligs', 'prohibs' or 'BizFail'", i + 2)
         op = _MANIP_OPS.get(kinds[i + 3])
@@ -418,35 +450,30 @@ class _Parser:
             raise self.fail(f"expected a {BUSINESS_OP} name", i + 4)
         if kinds[i + 5] is not TokenKind.LPAREN:
             raise self.fail("expected '('", i + 5)
-        bo = _new(Token, (lexemes[i + 4], i + 4))
-        args: list[Token] = []  # the identifiers and the deadline strings of actualList
-        deadlines: list[str] = []
-        i += 6
+        actuals = []
+        j = i + 6
         while True:
-            kind = kinds[i]
-            if kind is TokenKind.IDENT:
-                args.append(_new(Token, (lexemes[i], i)))
-            elif kind is TokenKind.STRING:
-                deadlines.append(string_value(lexemes[i]))
-            else:
-                raise self.fail("expected an argument (identifier or string)", i)
-            if kinds[i + 1] is not TokenKind.COMMA:
+            kind = kinds[j]
+            if kind is not TokenKind.IDENT and kind is not TokenKind.STRING:
+                raise self.fail("expected an argument (identifier or string)", j)
+            actuals.append(lexemes[j])
+            if kinds[j + 1] is not TokenKind.COMMA:
                 break
-            i += 2
-        if kinds[i + 1] is not TokenKind.RPAREN:
-            raise self.fail("expected ')'", i + 1)
-        self.i = i + 2
-        return _new(RopManip, (subject, selector, op, bo, args, deadlines))
+            j += 2
+        if kinds[j + 1] is not TokenKind.RPAREN:
+            raise self.fail("expected ')'", j + 1)
+        self.i = j + 2
+        return _new(RopManip, (lexemes[i], selector, op, lexemes[i + 4], actuals, i))
 
-    def outcome(self, bo: Token) -> Outcome:
-        """The rest of ``BO.BizFail == value``, with ``BO`` the token ``bo``."""
-        i = bo.index + 3
+    def outcome(self, pos: int) -> Outcome:
+        """``BO.BizFail == value``, its ``BO.BizFail`` at ``pos``, which the caller tested."""
+        i = pos + 3
         if self.kinds[i] is not TokenKind.EQ:
             raise self.fail("expected '=='", i)
         if self.kinds[i + 1] is not TokenKind.IDENT:
             raise self.fail("expected 'true' or 'false'", i + 1)
         self.i = i + 2
-        return _new(Outcome, (bo, _new(Token, (self.lexemes[i + 1], i + 1))))
+        return _new(Outcome, (self.lexemes[pos], self.lexemes[i + 1], pos))
 
     def if_action(self) -> IfAct:
         """The action at its ``if`` keyword, which the caller tested."""

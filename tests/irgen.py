@@ -10,7 +10,6 @@ from typing import NamedTuple
 from hypothesis import strategies as st
 
 from eropc.codegen import DEFAULT_LOOKUP, constraint_expr, emit_rule, event_line
-from eropc.lexer import Token
 from eropc.sema import SymbolTable, split
 from eropc.syntax import (
     EventField,
@@ -25,52 +24,52 @@ from eropc.syntax import (
     TimePartial,
 )
 
-POS = 0  # the laws compare rendered text, which holds no offsets, so one dummy serves all
+# the laws compare rendered text, which holds no token index, so any index serves
+positions = st.integers(0, 100_000)
 
 players = st.sampled_from(("buyer", "seller", "store", "broker"))
 ops = st.sampled_from(("BuyRequest", "Payment", "Cancellation", "Shipment"))
 rop_sets = st.sampled_from(("rights", "obligs", "prohibs"))
 
 
-def ident(name: str) -> Token:
-    return Token(name, POS)
-
-
 def _fields(pairs) -> list[EventField]:
-    return [EventField(ident(name), ident(value)) for name, value in pairs]
+    return [EventField(name, value) for name, value in pairs]
 
 
 constraints = st.one_of(
-    st.builds(lambda player, rop_set, bo: RopMembership(ident(bo), ident(player), rop_set),
-              players, rop_sets, ops),
-    st.builds(lambda bo, value: Outcome(ident(bo), ident(value)),
-              ops, st.sampled_from(("true", "false"))),
+    st.builds(lambda player, rop_set, bo, pos: RopMembership(bo, player, rop_set, pos),
+              players, rop_sets, ops, positions),
+    st.builds(Outcome, ops, st.sampled_from(("true", "false")), positions),
     st.builds(
-        lambda op, timestamp: TimeDirect(ident("e"), op, timestamp),
+        lambda op, timestamp, pos: TimeDirect("e", op, timestamp, pos),
         st.sampled_from(("==", "<", ">")),
         st.sampled_from(("01-01-2016 12:00:00", "31-12-2020 23:59:59")),
+        positions,
     ),
     st.builds(
-        lambda unit, lo, hi: TimePartial(ident("e"), unit, lo, hi),
+        lambda unit, lo, hi, pos: TimePartial("e", unit, lo, hi, pos),
         st.sampled_from(("hour", "minute", "day", "month", "year")),
         st.integers(0, 30),
         st.integers(0, 59),
+        positions,
     ),
     st.builds(
-        lambda happened, fields: Historical(happened, _fields(fields)),
+        lambda happened, fields, pos: Historical(happened, _fields(fields), pos),
         st.booleans(),
         st.sampled_from((
             (("botype", "BUYREQ"),),
             (("botype", "BUYPAY"), ("originator", "buyer")),
             (("originator", "seller"), ("responder", "buyer"), ("outcome", "success")),
         )),
+        positions,
     ),
 )
 
 
-def _rop_manip(player, rop_set, op, bo, beneficiary, deadline):
-    deadlines = [] if deadline is None else [deadline]
-    return RopManip(ident(player), rop_set, op, ident(bo), [ident(beneficiary)], deadlines)
+def _rop_manip(player, rop_set, op, bo, beneficiary, deadline, deadline_first, pos):
+    """The beneficiary and any deadline (a STRING lexeme) as actuals, in either source order."""
+    actuals = [beneficiary] if deadline is None else [beneficiary, deadline]
+    return RopManip(player, rop_set, op, bo, actuals[::-1] if deadline_first else actuals, pos)
 
 
 simple_actions = st.one_of(
@@ -81,11 +80,12 @@ simple_actions = st.one_of(
         st.sampled_from(("add", "remove")),
         ops,
         players,
-        st.none() | st.just("01-01-2016 12:00:00"),
+        st.none() | st.just('"01-01-2016 12:00:00"'),
+        st.booleans(),
+        positions,
     ),
-    st.builds(lambda bo, value: Outcome(ident(bo), ident(value)),
-              ops, st.sampled_from(("true", "false"))),
-    st.builds(lambda player: ResetAct(ident(player)), players),
+    st.builds(Outcome, ops, st.sampled_from(("true", "false")), positions),
+    st.builds(ResetAct, players, positions),
 )
 
 
@@ -107,8 +107,8 @@ def source_rules(draw, names=ops) -> RuleAst:
         else_acts = (
             draw(st.lists(simple_actions, min_size=1, max_size=2)) if shape == "ifelse" else None
         )
-        actions = [IfAct(cond, then_acts, else_acts, POS)]
-    return RuleAst(draw(names), POS, ident("e"), event, own, actions)
+        actions = [IfAct(cond, then_acts, else_acts, draw(positions))]
+    return RuleAst(draw(names), draw(positions), "e", event, own, actions)
 
 
 def expected_piece_count(rule: RuleAst) -> int:

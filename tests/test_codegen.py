@@ -21,7 +21,7 @@ from eropc.codegen import (
     rop_var_name,
     translate,
 )
-from eropc.lexer import Token, tokenize
+from eropc.lexer import tokenize
 from eropc.sema import NegatedConjunction, build_symbol_table, split
 from eropc.syntax import ROLE_PLAYER, ContractAst, Decl, RuleAst, parse_contract
 from irgen import read_rule
@@ -40,7 +40,7 @@ EVENT_LINE = (
 
 
 def player_table(*names):
-    decl = Decl(ROLE_PLAYER, [Token(name, 0) for name in names], [])
+    decl = Decl(ROLE_PLAYER, list(names), [], 0)
     tab, _ = build_symbol_table(ContractAst([decl], []))
     return tab
 
@@ -576,6 +576,26 @@ def test_nothing_after_the_parse_peaks_above_it(monkeypatch):
         tracemalloc.stop()
     assert text is not None and [d.code for d in diags] == ["W001"] * 200
     assert peak <= parse_peak[0] + 1024  # what recording the parse's peak allocates
+
+    # below the parse, tokenize holds one stretch's fresh strings at a time, so what it
+    # allocates above the stream it returns does not grow with the source: ~117 KB, two
+    # stretches, against ~941 KB
+    case_study = (CORPUS / "buyer_store.erop").read_text(encoding="utf-8")
+    small, large = (tokenize_overhead(case_study * copies) for copies in (40, 320))
+    assert large <= small
+
+
+def tokenize_overhead(source):
+    """tokenize's traced peak above the traced size of the stream it returns."""
+    tokenize(source)  # lazy set-up outside the trace
+    tracemalloc.start()
+    try:
+        tokens = tokenize(source)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(tokens) > 10_000
+    return peak - kept
 
 
 def test_each_source_rule_is_split_once_per_compile(case_study_source, golden_drl, monkeypatch):

@@ -37,7 +37,7 @@ end
     (piece,) = split(source)
     # splitting copies nothing: the AD rule is the source rule itself
     assert piece is source and piece.name == "BuyRequestReceived"
-    assert piece.actions[1].deadlines == ["01-01-2016 12:00:00"]
+    assert piece.actions[1].actuals == ["buyer", '"01-01-2016 12:00:00"']  # a STRING lexeme
     (ad_rule,) = render_split(source)
     assert ad_rule.when_lines == [
         '$e: Event(type=="BUYREQ", originator=="buyer", responder=="store", status=="success")',
@@ -141,7 +141,7 @@ end
 """
     ((first, second),) = [piece.actions for piece in split(parse(source).rules[0])]
     assert type(first) is type(second) is ResetAct
-    assert first.player.lexeme == second.player.lexeme == "buyer"
+    assert first.player == second.player == "buyer"
     text, _ = translate(source, "P")
     assert text.endswith("then\n    ropBuyer.reset();\n    ropBuyer.reset();\nend\n")
 

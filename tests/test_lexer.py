@@ -1,21 +1,35 @@
 import string
 
 import pytest
+from conftest import CORPUS, wide_contract
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eropc import lexer
 from eropc.codegen import analyze, translate
 from eropc.lexer import (
     KEYWORDS,
     LexError,
     SourcePos,
-    Token,
     TokenKind,
     positions,
     string_value,
     tokenize,
 )
-from eropc.syntax import parse_contract
+from eropc.syntax import (
+    Decl,
+    Historical,
+    IfAct,
+    Outcome,
+    ResetAct,
+    RopManip,
+    RopMembership,
+    RuleAst,
+    TimeDirect,
+    TimePartial,
+    field_pos,
+    parse_contract,
+)
 
 
 def kinds(source):
@@ -467,23 +481,92 @@ def test_trivia_joined_lexemes_lex_back_with_their_offsets(case):
     assert all(id(kind) in KIND_CONSTANTS for kind in tokens.kinds)
 
 
-def held_tokens(node):
-    """Every Token reachable from an AST node."""
-    if isinstance(node, Token):
-        return [node]
-    if isinstance(node, (tuple, list)):
-        return [tok for child in node for tok in held_tokens(child)]
-    return []
+# --- identifiers of the syntax tree ------------------------------------------
 
 
-def test_parser_identifiers_are_the_very_tokens(case_study_source):
-    # each Token the syntax tree keeps is the IDENT at its index, its lexeme the very string
-    tokens = tokenize(case_study_source)
-    held = held_tokens(parse_contract(tokens))
-    assert len(held) > 100
-    for tok in held:
-        assert tokens.kinds[tok.index] is TokenKind.IDENT
-        assert tok.lexeme is tokens.lexemes[tok.index]
+def held_identifiers(record):
+    """Each identifier (or ROP actual) a record holds, its whole subtree's, with the token
+    index its record derives for it."""
+    if isinstance(record, Decl):
+        return [*((name, record.name_pos(j)) for j, name in enumerate(record.names)),
+                *((member, record.member_pos(j)) for j, member in enumerate(record.members))]
+    if isinstance(record, RuleAst):
+        return [(record.event_var, record.event_var_pos),
+                *held_fields(record.event_fields, record.fields_pos),
+                *(held for child in [*record.constraints, *record.actions]
+                  for held in held_identifiers(child))]
+    if isinstance(record, IfAct):
+        children = [*record.cond, *record.then_actions, *(record.else_actions or [])]
+        return [held for child in children for held in held_identifiers(child)]
+    if isinstance(record, RopMembership):
+        return [(record.bo, record.pos), (record.player, record.player_pos)]
+    if isinstance(record, Outcome):
+        return [(record.bo, record.pos), (record.value, record.value_pos)]
+    if isinstance(record, (TimeDirect, TimePartial)):
+        return [(record.event_var, record.pos)]
+    if isinstance(record, ResetAct):
+        return [(record.player, record.pos)]
+    if isinstance(record, Historical):
+        return held_fields(record.fields, record.pos)
+    assert isinstance(record, RopManip), record
+    return [(record.player, record.pos), (record.bo, record.bo_pos),
+            *((actual, record.actual_pos(j)) for j, actual in enumerate(record.actuals))]
+
+
+def held_fields(fields, lparen):
+    return [pair for j, (name, value) in enumerate(fields)
+            for pair in zip((name, value), field_pos(lparen, j))]
+
+
+EVERY_RECORD = """\
+roleplayer buyer, seller;
+businessoperation Pay, Ship;
+compoblig React(Pay, Ship)
+rule "R"
+when e matches (botype == X, originator == buyer, responder == seller, outcome == ok)
+    Pay in buyer.rights
+    e.timestamp < "01-01-2016 00:00:00"
+    e.hour in [9, 17]
+    not happened (originator == buyer, botype == Pay)
+then
+    buyer.obligs += React("02-01-2016 00:00:00", seller)
+    reset buyer
+    seller reset
+end
+rule "S"
+when e matches (botype == X, originator == buyer, responder == seller, outcome == ok)
+    happened (responder == seller)
+then
+    if (Pay.BizFail == true, e.minute in [0, 30]) then reset buyer else Ship.BizFail == false endif
+end
+"""
+PARSEABLE = {
+    "case study": CORPUS / "buyer_store.erop",
+    **{path.name: path for path in sorted((CORPUS / "bad").glob("*.erop"))},
+}
+
+
+def test_parser_identifiers_are_the_very_tokens():
+    # one law over each offset rule of syntax.py, on the case study, each parseable
+    # corpus file, a source with every record and the wide contract: the index a record
+    # derives for an identifier holds that identifier, the very string of the stream
+    sources = {name: path.read_text(encoding="utf-8") for name, path in PARSEABLE.items()}
+    sources.update({"every record": EVERY_RECORD, "wide": wide_contract(players=5, ops=9)})
+    for name, source in sources.items():
+        tokens = tokenize(source)
+        ast = parse_contract(tokens)
+        held = [pair for record in [*ast.decls, *ast.rules] for pair in held_identifiers(record)]
+        assert held, name
+        for identifier, index in held:
+            assert tokens.lexemes[index] is identifier, (name, identifier, index)
+            kind = TokenKind.STRING if identifier[0] == '"' else TokenKind.IDENT
+            assert tokens.kinds[index] is kind, (name, identifier, index)
+    # EVERY_RECORD reaches each record kind, so the law meets each offset rule
+    rules = parse_contract(tokenize(EVERY_RECORD)).rules
+    held = {type(r) for rule in rules for r in [*rule.constraints, *rule.actions]}
+    held |= {type(r) for a in rules[1].actions for r in [*a.cond, *a.then_actions, *a.else_actions]}
+    assert held == {RopMembership, Outcome, TimeDirect, TimePartial, Historical, RopManip,
+                    ResetAct, IfAct}
 
 
 def repeated_names_contract(rules):
@@ -502,3 +585,43 @@ def test_each_distinct_lexeme_is_one_object(case_study_source, source):
     tokens = tokenize(source or case_study_source)
     assert len(tokens.lexemes) > 3 * len(set(tokens.lexemes))
     assert len({id(lexeme) for lexeme in tokens.lexemes}) == len(set(tokens.lexemes))
+
+
+# --- the scan in stretches -----------------------------------------------------
+
+
+def scanned(source):
+    """The kinds and lexemes of ``source``, or its LexError's message and index."""
+    try:
+        tokens = tokenize(source)
+    except LexError as err:
+        return err.message, err.pos
+    return tokens.kinds, tokens.lexemes
+
+
+def assert_chunk_invariant(source, monkeypatch):
+    monkeypatch.setattr(lexer, "_CHUNK", len(source) + 1)  # one stretch
+    whole = scanned(source)
+    for chunk in (1, 2, 3, 7, 64):
+        monkeypatch.setattr(lexer, "_CHUNK", chunk)
+        assert scanned(source) == whole, chunk
+
+
+@pytest.mark.parametrize("name", PARSEABLE)
+def test_each_stretch_length_scans_a_corpus_file_alike(name, monkeypatch):
+    assert_chunk_invariant(PARSEABLE[name].read_text(encoding="utf-8"), monkeypatch)
+
+
+# lexemes, trivia and faults that meet the cuts: comments across line breaks, each line
+# break, strings, an unterminated comment or string, and a bad character
+STRETCH_PIECES = st.sampled_from((
+    "\n", "\r\n", "\r", " ", "\t", "/* a\nb */", "/* \r\n\r */", "/*\n\n*/", "// c", "// c\n",
+    '"s t"', '""', "/*", "*/", '"', "@", "\u00e9", "buyer", "Pay", "42", ",", ".", "(", ")", "+=",
+))
+
+
+@given(st.lists(STRETCH_PIECES, max_size=40).map("".join))
+@settings(max_examples=300)
+def test_each_stretch_length_scans_alike(source):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert_chunk_invariant(source, monkeypatch)

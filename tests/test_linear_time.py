@@ -3,13 +3,16 @@
 A family is compiled at size n and at 8n, best of 3 each: a linear compile
 takes ~8 times as long at 8n and a quadratic one ~64 times, so a bound of
 x24 tells them apart on a noisy machine.  n is doubled until the 8n input
-takes at least 50 ms, so that timer noise cannot decide the test.
+takes at least 50 ms, so that timer noise cannot decide the test.  Each family
+also runs with the lexer scanning 16 characters at a time, so that a comment
+or string across many stretches, which the lexer scans again, is timed too.
 """
 
 import time
 
 import pytest
 
+from eropc import lexer
 from eropc.codegen import translate
 
 DECLS = "roleplayer buyer;\nbusinessoperation Pay;\n"
@@ -67,3 +70,9 @@ def test_compile_time_is_linear(family):
     while (large := best_of_3(make(8 * n))) < 0.05:
         n *= 2
     assert large / best_of_3(make(n)) < 24
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_compile_time_is_linear_in_short_stretches(family, monkeypatch):
+    monkeypatch.setattr(lexer, "_CHUNK", 16)
+    test_compile_time_is_linear(family)

@@ -1,7 +1,7 @@
 import pytest
 
 from eropc.codegen import analyze, translate
-from eropc.lexer import Token, positions, tokenize
+from eropc.lexer import positions, tokenize
 from eropc.syntax import (
     BUSINESS_OP,
     COMP_OBLIG,
@@ -47,29 +47,29 @@ def test_declaration_section():
     ast = parse(DECLS + FIRST_RULE)
     decls = ast.decls
     assert decls[0].kind == ROLE_PLAYER
-    assert [n.lexeme for n in decls[0].names] == ["buyer", "seller"]
+    assert decls[0].names == ["buyer", "seller"]
     assert decls[0].members == []
     assert decls[1].kind == BUSINESS_OP
-    assert [n.lexeme for n in decls[1].names] == [
+    assert decls[1].names == [
         "BuyRequest", "Payment", "BuyConfirm", "BuyReject", "Cancellation",
     ]
     assert decls[1].members == []
     assert decls[2].kind == COMP_OBLIG
-    assert [n.lexeme for n in decls[2].names] == ["ReactToBuyRequest"]
-    assert [m.lexeme for m in decls[2].members] == ["BuyConfirm", "BuyReject"]
+    assert decls[2].names == ["ReactToBuyRequest"]
+    assert decls[2].members == ["BuyConfirm", "BuyReject"]
 
 
 def test_compoblig_trailing_semicolon_is_optional():
     with_semi = DECLS.replace(")\n", ");\n") + FIRST_RULE
-    assert parse(with_semi).decls[2].names[0].lexeme == "ReactToBuyRequest"
+    assert parse(with_semi).decls[2].names == ["ReactToBuyRequest"]
 
 
 def test_rule_shape():
     rule = parse(DECLS + FIRST_RULE).rules[0]
     assert isinstance(rule, RuleAst)
     assert rule.name == "BuyRequestReceived"
-    assert rule.event_var.lexeme == "e"
-    assert [(f.name.lexeme, f.value.lexeme) for f in rule.event_fields] == [
+    assert rule.event_var == "e"
+    assert [(f.name, f.value) for f in rule.event_fields] == [
         ("botype", "BUYREQ"),
         ("originator", "buyer"),
         ("responder", "store"),
@@ -77,17 +77,16 @@ def test_rule_shape():
     ]
     (constraint,) = rule.constraints
     assert isinstance(constraint, RopMembership)
-    assert (constraint.bo.lexeme, constraint.player.lexeme, constraint.rop_set) == (
+    assert (constraint.bo, constraint.player, constraint.rop_set) == (
         "BuyRequest", "buyer", "rights",
     )
     remove, add = rule.actions
     assert isinstance(remove, RopManip)
-    assert (remove.op, remove.rop_set, remove.bo.lexeme) == ("remove", "rights", "BuyRequest")
-    assert [a.lexeme for a in remove.args] == ["seller"]
-    assert remove.deadlines == []
+    assert (remove.op, remove.rop_set, remove.bo) == ("remove", "rights", "BuyRequest")
+    assert remove.actuals == ["seller"]  # no deadline
     assert isinstance(add, RopManip)
-    assert (add.op, add.bo.lexeme) == ("add", "ReactToBuyRequest")
-    assert add.deadlines == ["01-01-2016 12:00:00"]
+    assert (add.op, add.bo) == ("add", "ReactToBuyRequest")
+    assert add.actuals == ["buyer", '"01-01-2016 12:00:00"']  # the deadline's STRING lexeme
 
 
 def test_event_fields_kept_in_source_order():
@@ -99,7 +98,7 @@ then
 end
 """
     rule = parse(scrambled).rules[0]
-    assert [f.name.lexeme for f in rule.event_fields] == [
+    assert [f.name for f in rule.event_fields] == [
         "outcome", "botype", "responder", "originator",
     ]
 
@@ -120,10 +119,10 @@ end
     assert isinstance(action, IfAct)
     (cond,) = action.cond
     assert isinstance(cond, Outcome)
-    assert cond.value.lexeme == "false"
+    assert cond.value == "false"
     (then_act,) = action.then_actions
-    assert isinstance(then_act, Outcome) and then_act.value.lexeme == "true"
-    assert [a.player.lexeme for a in action.else_actions] == ["buyer", "seller"]
+    assert isinstance(then_act, Outcome) and then_act.value == "true"
+    assert [a.player for a in action.else_actions] == ["buyer", "seller"]
 
 
 def test_if_without_else_differs_only_in_else_field():
@@ -157,7 +156,7 @@ end
 """
     actions = parse(source).rules[0].actions
     assert all(isinstance(a, ResetAct) for a in actions)
-    assert [a.player.lexeme for a in actions] == ["buyer", "seller"]
+    assert [a.player for a in actions] == ["buyer", "seller"]
 
 
 def test_constraint_variants_parse():
@@ -301,53 +300,50 @@ def test_records_keep_their_field_order():
     lexemes = tokenize(EVERY_SHAPE).lexemes
     last = -1
 
-    def at(lexeme):
-        """The index of the next token ``lexeme`` after the last one asked for."""
+    def at(*run):
+        """The index of the next run of tokens ``run`` after the last one asked for."""
         nonlocal last
-        last = lexemes.index(lexeme, last + 1)
+        last = next(i for i in range(last + 1, len(lexemes)) if lexemes[i:i + len(run)] == [*run])
         return last
 
-    def tok(lexeme):
-        return Token(lexeme=lexeme, index=at(lexeme))
-
     def field(name, value):
-        return EventField(name=tok(name), value=tok(value))
+        return EventField(name=name, value=value)
 
     expected = ContractAst(
         decls=[
-            Decl(kind=ROLE_PLAYER, names=[tok("buyer"), tok("seller")], members=[]),
-            Decl(kind=BUSINESS_OP, names=[tok("Pay"), tok("Ship")], members=[]),
-            Decl(kind=COMP_OBLIG, names=[tok("React")], members=[tok("Pay"), tok("Ship")]),
+            Decl(kind=ROLE_PLAYER, names=["buyer", "seller"], members=[], pos=at("buyer")),
+            Decl(kind=BUSINESS_OP, names=["Pay", "Ship"], members=[], pos=at("Pay")),
+            Decl(kind=COMP_OBLIG, names=["React"], members=["Pay", "Ship"], pos=at("React")),
         ],
         rules=[RuleAst(
             name="R",
             name_pos=at('"R"'),
-            event_var=tok("e"),
+            event_var="e",
             event_fields=[field("botype", "X"), field("outcome", "ok")],
             constraints=[
-                RopMembership(bo=tok("Pay"), player=tok("buyer"), rop_set="rights"),
-                Outcome(bo=tok("Pay"), value=tok("false")),
-                TimeDirect(event_var=tok("e"), op="<", timestamp="01-01-2016 00:00:00"),
-                TimePartial(event_var=tok("e"), unit="hour", lo=9, hi=17),
-                Historical(happened=True, fields=[field("botype", "Y")]),
-                Historical(happened=False, fields=[field("originator", "buyer")]),
+                RopMembership(bo="Pay", player="buyer", rop_set="rights", pos=at("Pay")),
+                Outcome(bo="Pay", value="false", pos=at("Pay")),
+                TimeDirect(event_var="e", op="<", timestamp="01-01-2016 00:00:00", pos=at("e")),
+                TimePartial(event_var="e", unit="hour", lo=9, hi=17, pos=at("e")),
+                Historical(happened=True, fields=[field("botype", "Y")], pos=at("(")),
+                Historical(happened=False, fields=[field("originator", "buyer")], pos=at("(")),
             ],
             actions=[
-                RopManip(player=tok("buyer"), rop_set="obligs", op="add", bo=tok("React"),
-                         args=[tok("seller")], deadlines=["02-01-2016 00:00:00"]),
-                RopManip(player=tok("seller"), rop_set="rights", op="remove", bo=tok("Pay"),
-                         args=[tok("buyer")], deadlines=[]),
-                Outcome(bo=tok("Ship"), value=tok("true")),
-                ResetAct(player=tok("buyer")),
-                ResetAct(player=tok("seller")),
+                RopManip(player="buyer", rop_set="obligs", op="add", bo="React",
+                         actuals=["seller", '"02-01-2016 00:00:00"'], pos=at("buyer", ".")),
+                RopManip(player="seller", rop_set="rights", op="remove", bo="Pay",
+                         actuals=["buyer"], pos=at("seller", ".")),
+                Outcome(bo="Ship", value="true", pos=at("Ship")),
+                ResetAct(player="buyer", pos=at("buyer")),
+                ResetAct(player="seller", pos=at("seller")),
                 IfAct(
                     pos=at("if"),
                     cond=[
-                        Outcome(bo=tok("Pay"), value=tok("true")),
-                        TimePartial(event_var=tok("e"), unit="minute", lo=0, hi=30),
+                        Outcome(bo="Pay", value="true", pos=at("Pay")),
+                        TimePartial(event_var="e", unit="minute", lo=0, hi=30, pos=at("e")),
                     ],
-                    then_actions=[ResetAct(player=tok("buyer"))],
-                    else_actions=[Outcome(bo=tok("Pay"), value=tok("false"))],
+                    then_actions=[ResetAct(player="buyer", pos=at("buyer"))],
+                    else_actions=[Outcome(bo="Pay", value="false", pos=at("Pay"))],
                 ),
             ],
         )],
