@@ -25,6 +25,11 @@ from .codegen import (
 from .sema import Diagnostic
 
 
+# the characters of one write of the output: a text stream encodes what one write gives it
+# at once, so writing the whole text at once would hold a whole encoded copy of it
+_SLICE = 1 << 16
+
+
 def render_diagnostic(d: Diagnostic, file: str) -> str:
     return f"{file}:{d.pos}: {d.severity}[{d.code}]: {d.message}"
 
@@ -86,7 +91,8 @@ def run(argv: list[str]) -> int:
     if args.check or args.emit_ast:
         ast, _, _, diags = analyze(source)
         if args.emit_ast and ast is not None:  # the parse tree is printed even when checks fail
-            return _write("-", "\n".join(map(str, [*ast.decls, *ast.rules])) + "\n", args.input)
+            dump = "\n".join([*map(str, ast.decls), *map(str, ast.rules), ""])  # ends in "\n"
+            return _write("-", dump, args.input)
         text = None  # --check, or a lexical or syntax error
     else:
         package_name = args.package or sanitize_package_name(os.path.basename(stem))
@@ -122,7 +128,7 @@ def _write(path: str, text: str, source: str) -> int:
         if path == "-":
             if sys.stdout is None:  # started with stdout closed
                 raise OSError("no stdout")
-            sys.stdout.write(text)
+            _write_slices(sys.stdout, text)
             sys.stdout.flush()
             return 0
         os.stat(os.path.dirname(path) or ".")  # realpath drops the ".." of "f/.." for a file f
@@ -140,7 +146,7 @@ def _write(path: str, text: str, source: str) -> int:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-                handle.write(text)
+                _write_slices(handle, text)
             os.replace(tmp, real)
         except OSError:
             os.unlink(tmp)  # a failure here is reported as the write's
@@ -152,6 +158,11 @@ def _write(path: str, text: str, source: str) -> int:
     except OSError:
         _say(f"eropc: cannot write {'<stdout>' if path == '-' else path}")
         return 2
+
+
+def _write_slices(stream, text: str) -> None:
+    for start in range(0, len(text), _SLICE):
+        stream.write(text[start : start + _SLICE])
 
 
 def _say(line: str) -> None:

@@ -286,8 +286,9 @@ def build_ad_file(
 
 
 def render_file(ad_file: ADFile) -> str:
-    """The header block followed by every rule, with a blank line before each rule."""
-    return "\n".join(["\n".join(ad_file.header) + "\n", *ad_file.rules])
+    """The header block followed by every rule, with a blank line before each rule, in one
+    join: the "" after the header ends its last line, and each rule ends in a line break."""
+    return "\n".join([*ad_file.header, "", *ad_file.rules])
 
 
 def analyze(source: str) -> tuple[

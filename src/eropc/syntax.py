@@ -224,10 +224,10 @@ class _Parser:
         self.lexemes = tokens.lexemes
         self.i = 0
 
-    def at(self, kind: str) -> bool:
+    def at(self, kind: int) -> bool:
         return self.kinds[self.i] is kind
 
-    def expect(self, kind: str, what: str) -> str:
+    def expect(self, kind: int, what: str) -> str:
         """Step past a token of ``kind`` and return its lexeme."""
         i = self.i
         if self.kinds[i] is not kind:
@@ -377,13 +377,13 @@ class _Parser:
         if selector == "BizFail":
             return self.outcome(i)
         if selector == "timestamp":
-            op = kinds[i + 3]  # an operator's kind is its lexeme
+            op = kinds[i + 3]
             if op is not TokenKind.EQ and op is not TokenKind.LT and op is not TokenKind.GT:
                 raise self.fail("expected '==', '<' or '>'", i + 3)
             if kinds[i + 4] is not TokenKind.STRING:
                 raise self.fail("expected a timestamp string", i + 4)
             self.i = i + 5
-            return _new(TimeDirect, (first, op, string_value(lexemes[i + 4]), i))
+            return _new(TimeDirect, (first, lexemes[i + 3], string_value(lexemes[i + 4]), i))
         if selector in TIME_UNITS:
             if kinds[i + 3] is not TokenKind.IN:
                 raise self.fail("expected 'in'", i + 3)
@@ -409,7 +409,7 @@ class _Parser:
             raise ParseError(f"integer out of range (at most {INT_MAX})", i)
         return int(lexeme)
 
-    def action_block(self, stop: tuple[str, ...], inside_if: bool) -> list[ActionAst]:
+    def action_block(self, stop: tuple[int, ...], inside_if: bool) -> list[ActionAst]:
         actions = [self.action(inside_if)]
         while self.kinds[self.i] not in stop and self.kinds[self.i] is not TokenKind.EOF:
             actions.append(self.action(inside_if))

@@ -6,12 +6,14 @@ import shutil
 import stat
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import CORPUS, wide_contract
+from eropc import cli
 from eropc.cli import render_diagnostic, run, sanitize_package_name
 from eropc.codegen import is_java_identifier
 from eropc.lexer import SourcePos
@@ -457,6 +459,26 @@ def test_an_injected_io_fault_exits_2_or_writes_the_whole_output(tmp_path, capsy
         if calls < k:  # the fault was never reached: a clean run, which wrote it all
             assert code == 0
             break
+
+
+@pytest.mark.parametrize("target", ["file", "-o -"])
+def test_the_output_is_written_in_slices(tmp_path, golden_drl, monkeypatch, target):
+    # a text stream encodes what one write gives it at once, so a single write of a
+    # 1.07 MB text would hold a whole encoded copy of it: in slices the write's traced
+    # peak is a small part of the text
+    text = golden_drl * 220
+    out = tmp_path / "out.drl"
+    with open(os.devnull, "w", encoding="utf-8") as sink:  # a stdout that discards its bytes
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            code = cli._write("-" if target == "-o -" else str(out), text, str(CASE_STUDY))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert len(text) > 1_000_000 and code == 0 and peak <= len(text) // 4
+    if target == "file":
+        assert out.read_text(encoding="utf-8") == text
 
 
 def test_failed_compile_leaves_output_untouched(tmp_path):

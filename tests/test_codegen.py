@@ -1,16 +1,18 @@
 import gc
 import re
+import sys
 import tracemalloc
 
 import pytest
 
 from conftest import CORPUS, wide_contract
-from eropc import codegen
+from eropc import codegen, lexer
 from eropc.codegen import (
     ADFile,
     ConfigError,
     DEFAULT_LOOKUP,
     bo_global_name,
+    build_ad_file,
     constraint_expr,
     emit_rule,
     event_line,
@@ -578,15 +580,32 @@ def test_nothing_after_the_parse_peaks_above_it(monkeypatch):
     assert peak <= parse_peak[0] + 1024  # what recording the parse's peak allocates
 
     # below the parse, tokenize holds one stretch's fresh strings at a time, so what it
-    # allocates above the stream it returns does not grow with the source: ~117 KB, two
-    # stretches, against ~941 KB
+    # allocates above the stream it returns does not grow with the source: at most what
+    # scanning one stretch allocates (~0.5 MB, its list and fresh strings), 32 KB for that
+    # stretch's kinds and the lookup tables, and the spare room of the growing kinds,
+    # which their final bytes drop: an eighth of a byte per token. One findall over the
+    # whole source reads ~6.4 MB at x320, and two stretches alive at once ~1.1 MB.
     case_study = (CORPUS / "buyer_store.erop").read_text(encoding="utf-8")
-    small, large = (tokenize_overhead(case_study * copies) for copies in (40, 320))
-    assert large <= small
+    stretch = traced_peak(lexer._TOKEN_RE.findall, case_study * 40, 0, lexer._CHUNK)[1]
+    for copies in (40, 320):
+        overhead, count = tokenize_overhead(case_study * copies)
+        assert overhead <= stretch + 32 * 1024 + count // 8, copies
+
+
+def traced_peak(function, *args):
+    """function's result and the traced peak of one call, after one untraced call."""
+    function(*args)  # lazy set-up outside the trace
+    tracemalloc.start()
+    try:
+        result = function(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def tokenize_overhead(source):
-    """tokenize's traced peak above the traced size of the stream it returns."""
+    """tokenize's traced peak above the traced size of the stream it returns, and its
+    number of tokens."""
     tokenize(source)  # lazy set-up outside the trace
     tracemalloc.start()
     try:
@@ -595,7 +614,18 @@ def tokenize_overhead(source):
     finally:
         tracemalloc.stop()
     assert len(tokens) > 10_000
-    return peak - kept
+    return peak - kept, len(tokens)
+
+
+def test_render_file_builds_the_text_once():
+    # one join over the header lines and the rules: the peak above what it is given is the
+    # text and the join's one list of pointers, and no copy of the header
+    ast = parse_contract(tokenize(wide_contract()))
+    tab, _ = build_symbol_table(ast)
+    ad_file = build_ad_file(lower_contract(ast), tab, "P", DEFAULT_LOOKUP)
+    text, peak = traced_peak(render_file, ad_file)
+    pointers = sys.getsizeof([*ad_file.header, "", *ad_file.rules])
+    assert len(text) > 100_000 and peak <= sys.getsizeof(text) + pointers
 
 
 def test_each_source_rule_is_split_once_per_compile(case_study_source, golden_drl, monkeypatch):

@@ -58,26 +58,26 @@ def pos_of(source, index):
 def test_roleplayer_declaration():
     tokens = tokenize("roleplayer buyer, seller;")
     assert len(tokens) == 6
-    assert tokens.kinds == [
+    assert tokens.kinds == bytes([
         TokenKind.ROLEPLAYER,
         TokenKind.IDENT,
         TokenKind.COMMA,
         TokenKind.IDENT,
         TokenKind.SEMI,
         TokenKind.EOF,
-    ]
+    ])
     assert tokens.lexemes == ["roleplayer", "buyer", ",", "seller", ";", ""]
 
 
 def test_empty_input_is_just_eof():
     assert spans("") == [("", 0)]
-    assert kinds("") == [TokenKind.EOF]
+    assert kinds("") == bytes([TokenKind.EOF])
     assert pos_of("", 0) == SourcePos(1, 1, 0)
 
 
 def test_rop_manipulation_line():
     source = "buyer.rights -= BuyRequest(seller)"
-    assert kinds(source) == [
+    assert kinds(source) == bytes([
         TokenKind.IDENT,
         TokenKind.DOT,
         TokenKind.IDENT,
@@ -87,7 +87,7 @@ def test_rop_manipulation_line():
         TokenKind.IDENT,
         TokenKind.RPAREN,
         TokenKind.EOF,
-    ]
+    ])
     assert lexemes(source)[:-1] == ["buyer", ".", "rights", "-=", "BuyRequest", "(", "seller", ")"]
 
 
@@ -109,6 +109,17 @@ def test_keywords_are_exactly_the_reserved_words():
 
 # every kind as defined, by identity: the parser compares kinds with ``is``
 KIND_CONSTANTS = {id(kind) for name, kind in vars(TokenKind).items() if name.isupper()}
+# the name of each operator's and punctuation mark's kind
+OPERATOR_KINDS = {
+    "==": "EQ", "+=": "PLUSEQ", "-=": "MINUSEQ", "<=": "LE", ">=": "GE", ",": "COMMA",
+    ";": "SEMI", ".": "DOT", "(": "LPAREN", ")": "RPAREN", "[": "LBRACKET", "]": "RBRACKET",
+    "!": "BANG", "<": "LT", ">": "GT",
+}
+
+
+def fixed_kind(text):
+    """The kind a keyword or an operator lexes to, found from its kind's name."""
+    return getattr(TokenKind, OPERATOR_KINDS.get(text) or text.upper())
 
 
 def test_case_study_kinds_are_the_very_constants(case_study_source):
@@ -116,12 +127,14 @@ def test_case_study_kinds_are_the_very_constants(case_study_source):
 
 
 def test_each_keyword_and_operator_lexes_to_its_own_kind():
-    fixed = [kind for name, kind in vars(TokenKind).items() if name.isupper() and kind.islower()]
-    fixed += _OPERATORS
+    fixed = [*RESERVED_WORDS, *_OPERATORS]
+    assert sorted(OPERATOR_KINDS) == sorted(_OPERATORS)
     assert len(fixed) == len(KIND_CONSTANTS) - 4  # all but IDENT, STRING, INT and EOF
+    assert len({fixed_kind(text) for text in fixed}) == len(fixed)  # each its own
     for text in fixed:
         tokens = tokenize(text)
-        assert (tokens.kinds, tokens.lexemes) == ([text, TokenKind.EOF], [text, ""])
+        assert (tokens.kinds, tokens.lexemes) == (bytes([fixed_kind(text), TokenKind.EOF]),
+                                                  [text, ""])
         assert id(tokens.kinds[0]) in KIND_CONSTANTS
         assert tokens.kinds[1] is TokenKind.EOF
     for text, kind in (("x", TokenKind.IDENT), ('"s"', TokenKind.STRING), ("7", TokenKind.INT)):
@@ -132,7 +145,7 @@ def test_contextual_names_lex_as_ident():
     # field names, ROP sets and BizFail are not reserved
     for word in ("botype", "originator", "responder", "outcome", "rights", "obligs",
                  "prohibs", "BizFail", "happened", "not", "timestamp", "hour"):
-        assert kinds(word) == [TokenKind.IDENT, TokenKind.EOF]
+        assert kinds(word) == bytes([TokenKind.IDENT, TokenKind.EOF])
 
 
 def test_positions_point_at_lexeme_start():
@@ -183,7 +196,7 @@ def test_tokenize_is_pure():
 
 def test_string_literal_and_value():
     tokens = tokenize('"01-01-2016 12:00:00"')
-    assert tokens.kinds == [TokenKind.STRING, TokenKind.EOF]
+    assert tokens.kinds == bytes([TokenKind.STRING, TokenKind.EOF])
     assert string_value(tokens.lexemes[0]) == "01-01-2016 12:00:00"
 
 
@@ -193,10 +206,10 @@ def test_int_literal():
 
 
 def test_two_char_operators_win_over_prefixes():
-    assert kinds("<= >= == += -= < >")[:-1] == [
+    assert kinds("<= >= == += -= < >")[:-1] == bytes([
         TokenKind.LE, TokenKind.GE, TokenKind.EQ, TokenKind.PLUSEQ,
         TokenKind.MINUSEQ, TokenKind.LT, TokenKind.GT,
-    ]
+    ])
 
 
 def test_unterminated_string():
@@ -434,7 +447,7 @@ def ascii_kind(lexeme):
     if lexeme == "":
         return TokenKind.EOF
     if lexeme in RESERVED_WORDS or lexeme in _OPERATORS:
-        return lexeme
+        return fixed_kind(lexeme)
     if lexeme[0] == '"':
         return TokenKind.STRING
     if lexeme[0] in string.digits:
@@ -477,7 +490,7 @@ def test_trivia_joined_lexemes_lex_back_with_their_offsets(case):
     indexes = list(range(len(tokens)))
     assert offsets_of(source, indexes) == [*offsets, len(source)]
     assert offsets_of(source, indexes[::-1]) == [len(source), *offsets[::-1]]
-    assert tokens.kinds == [ascii_kind(lexeme) for lexeme in tokens.lexemes]
+    assert tokens.kinds == bytes(ascii_kind(lexeme) for lexeme in tokens.lexemes)
     assert all(id(kind) in KIND_CONSTANTS for kind in tokens.kinds)
 
 
