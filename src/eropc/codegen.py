@@ -234,7 +234,7 @@ def constraint_expr(
         return f"{bo_global_name(constraint.bo)}.{getter}() == {constraint.value}"
     if isinstance(constraint, TimeDirect):
         accessor = lookup["time.stamp"]
-        return f'$e.{accessor}() {constraint.op} "{constraint.timestamp}"'
+        return f"$e.{accessor}() {constraint.op} {constraint.timestamp}"
     if isinstance(constraint, TimePartial):
         accessor = lookup[f"time.{constraint.unit}"]
         return (
@@ -255,7 +255,7 @@ def constraint_expr(
 
 
 class IrContract(NamedTuple):
-    rules: list[tuple[RuleAst, list[RuleAst]]]  # each source rule with its split
+    rules: list[tuple[RuleAst, tuple[RuleAst, ...]]]  # each source rule with its split
 
 
 def lower_contract(ast: ContractAst) -> IrContract:

@@ -43,7 +43,7 @@ from .syntax import (
 
 OUTCOME_VALUES = ("success", "tecfail", "bizfail")  # compared case-insensitively
 UNIT_MAX = {"hour": 23, "minute": 59}  # the other units' renderings are unconfirmed
-SplitRules = list[tuple[RuleAst, list[RuleAst]]]  # each source rule with its ``split``
+SplitRules = list[tuple[RuleAst, tuple[RuleAst, ...]]]  # each source rule with its ``split``
 
 
 class Diagnostic(NamedTuple):
@@ -120,7 +120,7 @@ def check_contract(decls: list[Decl], rules: SplitRules, tab: SymbolTable) -> li
     return checker.diags
 
 
-def split(rule: RuleAst) -> list[RuleAst]:
+def split(rule: RuleAst) -> tuple[RuleAst, ...]:
     """The AD rules a source rule compiles to, in output order.
 
     A rule without an ``if`` is its own only AD rule.  An ``if`` gives ``<name>IfThen``,
@@ -130,14 +130,14 @@ def split(rule: RuleAst) -> list[RuleAst]:
     """
     conditional = next((a for a in rule.actions if isinstance(a, IfAct)), None)
     if conditional is None:
-        return [rule]
+        return (rule,)
     name, name_pos, event_var, fields, own, _ = rule
     cond, then_actions, else_actions, _ = conditional
-    pieces = [RuleAst(name + "IfThen", name_pos, event_var, fields, cond + own, then_actions)]
-    if else_actions is not None:
-        guard = [NegatedConjunction(cond), *own]
-        pieces.append(RuleAst(name + "IfElse", name_pos, event_var, fields, guard, else_actions))
-    return pieces
+    then_rule = RuleAst(name + "IfThen", name_pos, event_var, fields, cond + own, then_actions)
+    if else_actions is None:
+        return (then_rule,)
+    guard = (NegatedConjunction(cond), *own)
+    return then_rule, RuleAst(name + "IfElse", name_pos, event_var, fields, guard, else_actions)
 
 
 class _Checker:
@@ -240,7 +240,7 @@ class _Checker:
                 self.check_constraint(constraint, rule)
             for sub in action.then_actions:
                 self.check_action(sub, rule)
-            for sub in action.else_actions or []:
+            for sub in action.else_actions or ():
                 self.check_action(sub, rule)
 
     # shared checks

@@ -34,7 +34,8 @@ record that holds identifiers keeps one token index, ``pos``, and each identifie
 index follows from its fixed place in the production, which the record states.  Every
 position, a lexical or syntax error's too, is a token index, which one call of
 ``lexer.positions`` turns into line and column; ``sema.split`` gives RuleAsts.
-The parser tests token kinds by index and builds every record positionally.
+The parser tests token kinds by index and builds every record positionally, each sequence
+as a tuple, and one EventField, which holds no position, for each distinct field of a parse.
 """
 
 from __future__ import annotations
@@ -70,12 +71,12 @@ class Decl(NamedTuple):
     """A declaration of ``kind`` (one of the three constants above).
 
     A composite obligation has one name and its member list; the other two
-    kinds have ``members=[]``.  ``pos`` is the first name's token index.
+    kinds have ``members=()``.  ``pos`` is the first name's token index.
     """
 
     kind: str
-    names: list[str]
-    members: list[str]
+    names: tuple[str, ...]
+    members: tuple[str, ...]
     pos: int
 
     def name_pos(self, j: int) -> int:
@@ -112,7 +113,7 @@ class Outcome(NamedTuple):
 class TimeDirect(NamedTuple):
     event_var: str
     op: str  # "==", "<" or ">"
-    timestamp: str
+    timestamp: str  # the STRING lexeme, quotes included
     pos: int
 
 
@@ -128,7 +129,7 @@ class Historical(NamedTuple):
     """``[not] happened (fields)``, its ``(`` at token ``pos``."""
 
     happened: bool
-    fields: list[EventField]
+    fields: tuple[EventField, ...]
     pos: int
 
 
@@ -138,7 +139,7 @@ ConstraintAst = RopMembership | Outcome | TimeDirect | TimePartial | Historical
 class NegatedConjunction(NamedTuple):
     """The negation of an if-condition: ``sema.split`` guards an else branch with it."""
 
-    items: list[ConstraintAst]
+    items: tuple[ConstraintAst, ...]
 
 
 # --- actions ---
@@ -152,7 +153,7 @@ class RopManip(NamedTuple):
     rop_set: str
     op: str  # "add" or "remove"
     bo: str
-    actuals: list[str]
+    actuals: tuple[str, ...]
     pos: int
 
     bo_pos = property(lambda self: self.pos + 4)
@@ -169,9 +170,9 @@ class ResetAct(NamedTuple):
 
 
 class IfAct(NamedTuple):
-    cond: list[ConstraintAst]
-    then_actions: list["ActionAst"]
-    else_actions: list["ActionAst"] | None
+    cond: tuple[ConstraintAst, ...]
+    then_actions: tuple["ActionAst", ...]
+    else_actions: tuple["ActionAst", ...] | None
     pos: int
 
 
@@ -182,17 +183,17 @@ class RuleAst(NamedTuple):
     name: str
     name_pos: int
     event_var: str
-    event_fields: list[EventField]
-    constraints: list[ConstraintAst | NegatedConjunction]
-    actions: list[ActionAst]
+    event_fields: tuple[EventField, ...]
+    constraints: tuple[ConstraintAst | NegatedConjunction, ...]
+    actions: tuple[ActionAst, ...]
 
     event_var_pos = property(lambda self: self.name_pos + 2)  # after "when"
     fields_pos = property(lambda self: self.name_pos + 4)  # the event match's "("
 
 
 class ContractAst(NamedTuple):
-    decls: list[Decl]
-    rules: list[RuleAst]
+    decls: tuple[Decl, ...]
+    rules: tuple[RuleAst, ...]
 
 
 class ParseError(FrontEndError):
@@ -207,6 +208,10 @@ _DECL_KINDS = {
     TokenKind.COMPOBLIG: COMP_OBLIG,
 }
 _MANIP_OPS = {TokenKind.PLUSEQ: "add", TokenKind.MINUSEQ: "remove"}
+# the kinds that end an action block; EOF ends each, and the caller reports what is missing
+_RULE_END = (TokenKind.END, TokenKind.EOF)
+_THEN_END = (TokenKind.ELSE, TokenKind.ENDIF, TokenKind.EOF)
+_ELSE_END = (TokenKind.ENDIF, TokenKind.EOF)
 
 
 def parse_contract(tokens: TokenStream) -> ContractAst:
@@ -223,6 +228,7 @@ class _Parser:
         self.kinds = tokens.kinds
         self.lexemes = tokens.lexemes
         self.i = 0
+        self.fields: dict[EventField, EventField] = {}  # each distinct field, its own key
 
     def at(self, kind: int) -> bool:
         return self.kinds[self.i] is kind
@@ -259,7 +265,7 @@ class _Parser:
         if self.kinds[self.i] in _DECL_KINDS:
             raise ParseError("declarations must precede the first rule", self.i)
         self.expect(TokenKind.EOF, "'rule' or end of input")
-        return _new(ContractAst, (decls, rules))
+        return _new(ContractAst, (tuple(decls), tuple(rules)))
 
     def decl(self) -> Decl:
         kind = _DECL_KINDS[self.kinds[self.i]]
@@ -268,29 +274,27 @@ class _Parser:
         if kind != COMP_OBLIG:
             names = self.idents(f"a {kind} name")
             self.expect(TokenKind.SEMI, "';'")
-            return _new(Decl, (kind, names, [], pos))
+            return _new(Decl, (kind, names, (), pos))
         name = self.expect(TokenKind.IDENT, f"a {kind} name")
         self.expect(TokenKind.LPAREN, "'('")
         members = self.idents(f"a member {BUSINESS_OP}")
         self.expect(TokenKind.RPAREN, "')'")
         if self.at(TokenKind.SEMI):  # trailing ';' is optional here
             self.i += 1
-        return _new(Decl, (kind, [name], members, pos))
+        return _new(Decl, (kind, (name,), members, pos))
 
-    def idents(self, what: str) -> list[str]:
+    def idents(self, what: str) -> tuple[str, ...]:
         """``IDENT ("," IDENT)*``, each IDENT ``what``."""
-        kinds, lexemes = self.kinds, self.lexemes
-        i = self.i
-        names = []
+        kinds = self.kinds
+        i = first = self.i
         while True:
             if kinds[i] is not TokenKind.IDENT:
                 raise self.fail(f"expected {what}", i)
-            names.append(lexemes[i])
             if kinds[i + 1] is not TokenKind.COMMA:
                 break
             i += 2
         self.i = i + 1
-        return names
+        return tuple(self.lexemes[first:i + 1:2])
 
     def rule(self) -> RuleAst:
         """The rule at its ``rule`` keyword, which the caller tested."""
@@ -314,16 +318,16 @@ class _Parser:
             constraints.append(self.constraint())
         self.i += 1
 
-        actions = self.action_block((TokenKind.END,), inside_if=False)
+        actions = self.action_block(_RULE_END, inside_if=False)
         if kinds[self.i] is not TokenKind.END:
             raise self.fail("expected 'end'")
         self.i += 1
-        rule = (string_value(lexemes[i]), i, lexemes[i + 2], fields, constraints, actions)
+        rule = (string_value(lexemes[i]), i, lexemes[i + 2], fields, tuple(constraints), actions)
         return _new(RuleAst, rule)
 
-    def event_fields(self) -> list[EventField]:
+    def event_fields(self) -> tuple[EventField, ...]:
         """``"(" IDENT "==" IDENT ("," IDENT "==" IDENT)* ")"``"""
-        kinds, lexemes = self.kinds, self.lexemes
+        kinds, lexemes, shared = self.kinds, self.lexemes, self.fields
         i = self.i
         if kinds[i] is not TokenKind.LPAREN:
             raise self.fail("expected '('", i)
@@ -336,14 +340,18 @@ class _Parser:
                 raise self.fail("expected '=='", i + 1)
             if kinds[i + 2] is not TokenKind.IDENT:
                 raise self.fail("expected an event field value", i + 2)
-            fields.append(_new(EventField, (lexemes[i], lexemes[i + 2])))
+            pair = lexemes[i], lexemes[i + 2]
+            field = shared.get(pair)  # a pair equals, and hashes as, the record that holds it
+            if field is None:
+                field = shared[field] = _new(EventField, pair)  # the record is its own key
+            fields.append(field)
             i += 3
             if kinds[i] is not TokenKind.COMMA:
                 break
         if kinds[i] is not TokenKind.RPAREN:
             raise self.fail("expected ')'", i)
         self.i = i + 1
-        return fields
+        return tuple(fields)
 
     def constraint(self) -> ConstraintAst:
         kinds, lexemes = self.kinds, self.lexemes
@@ -383,7 +391,7 @@ class _Parser:
             if kinds[i + 4] is not TokenKind.STRING:
                 raise self.fail("expected a timestamp string", i + 4)
             self.i = i + 5
-            return _new(TimeDirect, (first, lexemes[i + 3], string_value(lexemes[i + 4]), i))
+            return _new(TimeDirect, (first, lexemes[i + 3], lexemes[i + 4], i))
         if selector in TIME_UNITS:
             if kinds[i + 3] is not TokenKind.IN:
                 raise self.fail("expected 'in'", i + 3)
@@ -409,11 +417,11 @@ class _Parser:
             raise ParseError(f"integer out of range (at most {INT_MAX})", i)
         return int(lexeme)
 
-    def action_block(self, stop: tuple[int, ...], inside_if: bool) -> list[ActionAst]:
+    def action_block(self, stop: tuple[int, ...], inside_if: bool) -> tuple[ActionAst, ...]:
         actions = [self.action(inside_if)]
-        while self.kinds[self.i] not in stop and self.kinds[self.i] is not TokenKind.EOF:
+        while self.kinds[self.i] not in stop:
             actions.append(self.action(inside_if))
-        return actions
+        return tuple(actions)
 
     def action(self, inside_if: bool) -> ActionAst:
         kinds, lexemes = self.kinds, self.lexemes
@@ -450,19 +458,18 @@ class _Parser:
             raise self.fail(f"expected a {BUSINESS_OP} name", i + 4)
         if kinds[i + 5] is not TokenKind.LPAREN:
             raise self.fail("expected '('", i + 5)
-        actuals = []
         j = i + 6
         while True:
             kind = kinds[j]
             if kind is not TokenKind.IDENT and kind is not TokenKind.STRING:
                 raise self.fail("expected an argument (identifier or string)", j)
-            actuals.append(lexemes[j])
             if kinds[j + 1] is not TokenKind.COMMA:
                 break
             j += 2
         if kinds[j + 1] is not TokenKind.RPAREN:
             raise self.fail("expected ')'", j + 1)
         self.i = j + 2
+        actuals = tuple(lexemes[i + 6:j + 1:2])
         return _new(RopManip, (lexemes[i], selector, op, lexemes[i + 4], actuals, i))
 
     def outcome(self, pos: int) -> Outcome:
@@ -486,10 +493,10 @@ class _Parser:
             cond.append(self.constraint())
         self.expect(TokenKind.RPAREN, "')'")
         self.expect(TokenKind.THEN, "'then'")
-        then_actions = self.action_block((TokenKind.ELSE, TokenKind.ENDIF), inside_if=True)
+        then_actions = self.action_block(_THEN_END, inside_if=True)
         else_actions = None
         if self.at(TokenKind.ELSE):
             self.i += 1
-            else_actions = self.action_block((TokenKind.ENDIF,), inside_if=True)
+            else_actions = self.action_block(_ELSE_END, inside_if=True)
         self.expect(TokenKind.ENDIF, "'endif'")
-        return _new(IfAct, (cond, then_actions, else_actions, pos))
+        return _new(IfAct, (tuple(cond), then_actions, else_actions, pos))

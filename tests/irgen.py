@@ -32,8 +32,8 @@ ops = st.sampled_from(("BuyRequest", "Payment", "Cancellation", "Shipment"))
 rop_sets = st.sampled_from(("rights", "obligs", "prohibs"))
 
 
-def _fields(pairs) -> list[EventField]:
-    return [EventField(name, value) for name, value in pairs]
+def _fields(pairs) -> tuple[EventField, ...]:
+    return tuple(EventField(name, value) for name, value in pairs)
 
 
 constraints = st.one_of(
@@ -43,7 +43,7 @@ constraints = st.one_of(
     st.builds(
         lambda op, timestamp, pos: TimeDirect("e", op, timestamp, pos),
         st.sampled_from(("==", "<", ">")),
-        st.sampled_from(("01-01-2016 12:00:00", "31-12-2020 23:59:59")),
+        st.sampled_from(('"01-01-2016 12:00:00"', '"31-12-2020 23:59:59"')),  # STRING lexemes
         positions,
     ),
     st.builds(
@@ -68,7 +68,7 @@ constraints = st.one_of(
 
 def _rop_manip(player, rop_set, op, bo, beneficiary, deadline, deadline_first, pos):
     """The beneficiary and any deadline (a STRING lexeme) as actuals, in either source order."""
-    actuals = [beneficiary] if deadline is None else [beneficiary, deadline]
+    actuals = (beneficiary,) if deadline is None else (beneficiary, deadline)
     return RopManip(player, rop_set, op, bo, actuals[::-1] if deadline_first else actuals, pos)
 
 
@@ -97,17 +97,19 @@ def source_rules(draw, names=ops) -> RuleAst:
         ("responder", draw(players)),
         ("outcome", draw(st.sampled_from(("success", "tecFail", "bizFail")))),
     ))
-    own = draw(st.lists(constraints, max_size=3))
+    # every sequence a tuple, as the parser builds it
+    own = draw(st.lists(constraints, max_size=3).map(tuple))
     shape = draw(st.sampled_from(("plain", "if", "ifelse")))
     if shape == "plain":
-        actions = draw(st.lists(simple_actions, min_size=1, max_size=3))
+        actions = draw(st.lists(simple_actions, min_size=1, max_size=3).map(tuple))
     else:
-        cond = draw(st.lists(constraints, min_size=1, max_size=3))
-        then_acts = draw(st.lists(simple_actions, min_size=1, max_size=3))
+        cond = draw(st.lists(constraints, min_size=1, max_size=3).map(tuple))
+        then_acts = draw(st.lists(simple_actions, min_size=1, max_size=3).map(tuple))
         else_acts = (
-            draw(st.lists(simple_actions, min_size=1, max_size=2)) if shape == "ifelse" else None
+            draw(st.lists(simple_actions, min_size=1, max_size=2).map(tuple))
+            if shape == "ifelse" else None
         )
-        actions = [IfAct(cond, then_acts, else_acts, draw(positions))]
+        actions = (IfAct(cond, then_acts, else_acts, draw(positions)),)
     return RuleAst(draw(names), draw(positions), "e", event, own, actions)
 
 

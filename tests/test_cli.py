@@ -628,9 +628,9 @@ def test_check_lex_error_exits_1(tmp_path, capsys):
 def test_emit_ast_prints_tree(capsys):
     assert run([str(CASE_STUDY), "--emit-ast"]) == 0
     out = capsys.readouterr().out
-    assert "Decl(kind='role player', names=['buyer', 'seller', 'store'], members=[], pos=1)" in out
+    assert "Decl(kind='role player', names=('buyer', 'seller', 'store'), members=(), pos=1)" in out
     assert "RuleAst" in out
-    assert """actuals=['buyer', '"01-01-2016 12:00:00"']""" in out
+    assert """actuals=('buyer', '"01-01-2016 12:00:00"')""" in out
 
 
 def test_emit_ast_of_the_case_study_is_pinned_byte_for_byte(capsys):

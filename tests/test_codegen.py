@@ -1,6 +1,7 @@
 import gc
 import re
 import sys
+import traceback
 import tracemalloc
 
 import pytest
@@ -42,8 +43,8 @@ EVENT_LINE = (
 
 
 def player_table(*names):
-    decl = Decl(ROLE_PLAYER, list(names), [], 0)
-    tab, _ = build_symbol_table(ContractAst([decl], []))
+    decl = Decl(ROLE_PLAYER, names, (), 0)
+    tab, _ = build_symbol_table(ContractAst((decl,), ()))
     return tab
 
 

@@ -33,11 +33,11 @@ then
 end
 """)
     (source,) = ast.rules
-    assert split(source) == [source]
+    assert split(source) == (source,)
     (piece,) = split(source)
     # splitting copies nothing: the AD rule is the source rule itself
     assert piece is source and piece.name == "BuyRequestReceived"
-    assert piece.actions[1].actuals == ["buyer", '"01-01-2016 12:00:00"']  # a STRING lexeme
+    assert piece.actions[1].actuals == ("buyer", '"01-01-2016 12:00:00"')  # a STRING lexeme
     (ad_rule,) = render_split(source)
     assert ad_rule.when_lines == [
         '$e: Event(type=="BUYREQ", originator=="buyer", responder=="store", status=="success")',
@@ -64,13 +64,13 @@ def test_conditional_rule_lowers_to_if_statement():
     (source,) = parse(conditional_rule("else reset buyer\n        reset seller")).rules
     (conditional,) = source.actions
     cond, own = conditional.cond, source.constraints
-    negated = [NegatedConjunction(cond), *own]
+    negated = (NegatedConjunction(cond), *own)
     head = source.name_pos, source.event_var, source.event_fields
     # the if-condition first, the rule's own constraints after it
-    assert split(source) == [
+    assert split(source) == (
         RuleAst("BuyRequestBnessFailureIfThen", *head, cond + own, conditional.then_actions),
         RuleAst("BuyRequestBnessFailureIfElse", *head, negated, conditional.else_actions),
-    ]
+    )
     for piece in split(source):  # each piece keeps the source rule's own event nodes
         assert piece.event_var is source.event_var
         assert piece.event_fields is source.event_fields
@@ -83,11 +83,11 @@ def test_conditional_rule_lowers_to_if_statement():
 def test_if_without_else_lowers_to_one_if_then_rule():
     (source,) = parse(conditional_rule("")).rules
     (conditional,) = source.actions
-    assert split(source) == [
+    assert split(source) == (
         RuleAst("BuyRequestBnessFailureIfThen", source.name_pos, source.event_var,
                 source.event_fields, conditional.cond + source.constraints,
                 conditional.then_actions),
-    ]
+    )
     assert [ad_rule.name for ad_rule in render_split(source)] == ["BuyRequestBnessFailureIfThen"]
 
 
@@ -113,7 +113,7 @@ then
     reset buyer
 end
 """).rules
-    assert split(source) == [source]
+    assert split(source) == (source,)
     assert split(source)[0] is source
 
 
@@ -147,7 +147,7 @@ end
 
 
 def test_lowering_empty_contract_is_vacuous():
-    contract = lower_contract(ContractAst(decls=[], rules=[]))
+    contract = lower_contract(ContractAst(decls=(), rules=()))
     assert contract.rules == []
     ad_file = build_ad_file(contract, SymbolTable(), "Empty", DEFAULT_LOOKUP)
     assert ad_file.rules == []

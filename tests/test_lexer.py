@@ -16,8 +16,10 @@ from eropc.lexer import (
     string_value,
     tokenize,
 )
+from eropc.sema import split
 from eropc.syntax import (
     Decl,
+    EventField,
     Historical,
     IfAct,
     Outcome,
@@ -498,8 +500,8 @@ def test_trivia_joined_lexemes_lex_back_with_their_offsets(case):
 
 
 def held_identifiers(record):
-    """Each identifier (or ROP actual) a record holds, its whole subtree's, with the token
-    index its record derives for it."""
+    """Each identifier (or ROP actual, or timestamp) a record holds, its whole subtree's,
+    with the token index its record derives for it."""
     if isinstance(record, Decl):
         return [*((name, record.name_pos(j)) for j, name in enumerate(record.names)),
                 *((member, record.member_pos(j)) for j, member in enumerate(record.members))]
@@ -515,7 +517,9 @@ def held_identifiers(record):
         return [(record.bo, record.pos), (record.player, record.player_pos)]
     if isinstance(record, Outcome):
         return [(record.bo, record.pos), (record.value, record.value_pos)]
-    if isinstance(record, (TimeDirect, TimePartial)):
+    if isinstance(record, TimeDirect):  # the timestamp is the STRING after the operator
+        return [(record.event_var, record.pos), (record.timestamp, record.pos + 4)]
+    if isinstance(record, TimePartial):
         return [(record.event_var, record.pos)]
     if isinstance(record, ResetAct):
         return [(record.player, record.pos)]
@@ -559,12 +563,17 @@ PARSEABLE = {
 }
 
 
+def parseable_sources():
+    """Each parseable corpus file's source and EVERY_RECORD, by name."""
+    sources = {name: path.read_text(encoding="utf-8") for name, path in PARSEABLE.items()}
+    return {**sources, "every record": EVERY_RECORD}
+
+
 def test_parser_identifiers_are_the_very_tokens():
     # one law over each offset rule of syntax.py, on the case study, each parseable
     # corpus file, a source with every record and the wide contract: the index a record
     # derives for an identifier holds that identifier, the very string of the stream
-    sources = {name: path.read_text(encoding="utf-8") for name, path in PARSEABLE.items()}
-    sources.update({"every record": EVERY_RECORD, "wide": wide_contract(players=5, ops=9)})
+    sources = {**parseable_sources(), "wide": wide_contract(players=5, ops=9)}
     for name, source in sources.items():
         tokens = tokenize(source)
         ast = parse_contract(tokens)
@@ -580,6 +589,39 @@ def test_parser_identifiers_are_the_very_tokens():
     held |= {type(r) for a in rules[1].actions for r in [*a.cond, *a.then_actions, *a.else_actions]}
     assert held == {RopMembership, Outcome, TimeDirect, TimePartial, Historical, RopManip,
                     ResetAct, IfAct}
+
+
+def held_sequences(record):
+    """Each record and sequence under a record (or a sequence), at any depth."""
+    for item in record:
+        if isinstance(item, (tuple, list)):
+            yield item
+            yield from held_sequences(item)
+
+
+def test_the_tree_and_each_split_piece_hold_tuples_only():
+    # each sequence is built at its final size: a list would carry spare slots
+    for name, source in parseable_sources().items():
+        ast = parse_contract(tokenize(source))
+        pieces = [split(rule) for rule in ast.rules]
+        held = [*pieces, *held_sequences(ast), *held_sequences(pieces)]
+        assert [s for s in held if isinstance(s, list)] == [], name
+        assert any(type(s) is tuple for s in held), name
+
+
+def test_each_distinct_event_field_is_one_record():
+    # an EventField holds no position, so one record serves each repeat of its field
+    rule_r, rule_s = parse_contract(tokenize(EVERY_RECORD)).rules
+    fields_r, fields_s = rule_r.event_fields, rule_s.event_fields
+    assert all(a is b for a, b in zip(fields_r, fields_s, strict=True))  # equal event matches
+    historical_r, historical_s = rule_r.constraints[3], rule_s.constraints[0]
+    assert historical_r.fields[0] is fields_r[1]  # originator == buyer
+    assert historical_s.fields[0] is fields_r[2]  # responder == seller
+    assert historical_r.fields[1] == EventField("botype", "Pay") not in fields_r
+    for name, source in parseable_sources().items():  # no two records of a parse are equal
+        held = held_sequences(parse_contract(tokenize(source)))
+        fields = [f for f in held if type(f) is EventField]
+        assert len({id(f) for f in fields}) == len(set(fields)), name
 
 
 def repeated_names_contract(rules):

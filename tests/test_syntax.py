@@ -47,21 +47,21 @@ def test_declaration_section():
     ast = parse(DECLS + FIRST_RULE)
     decls = ast.decls
     assert decls[0].kind == ROLE_PLAYER
-    assert decls[0].names == ["buyer", "seller"]
-    assert decls[0].members == []
+    assert decls[0].names == ("buyer", "seller")
+    assert decls[0].members == ()
     assert decls[1].kind == BUSINESS_OP
-    assert decls[1].names == [
+    assert decls[1].names == (
         "BuyRequest", "Payment", "BuyConfirm", "BuyReject", "Cancellation",
-    ]
-    assert decls[1].members == []
+    )
+    assert decls[1].members == ()
     assert decls[2].kind == COMP_OBLIG
-    assert decls[2].names == ["ReactToBuyRequest"]
-    assert decls[2].members == ["BuyConfirm", "BuyReject"]
+    assert decls[2].names == ("ReactToBuyRequest",)
+    assert decls[2].members == ("BuyConfirm", "BuyReject")
 
 
 def test_compoblig_trailing_semicolon_is_optional():
     with_semi = DECLS.replace(")\n", ");\n") + FIRST_RULE
-    assert parse(with_semi).decls[2].names == ["ReactToBuyRequest"]
+    assert parse(with_semi).decls[2].names == ("ReactToBuyRequest",)
 
 
 def test_rule_shape():
@@ -83,10 +83,10 @@ def test_rule_shape():
     remove, add = rule.actions
     assert isinstance(remove, RopManip)
     assert (remove.op, remove.rop_set, remove.bo) == ("remove", "rights", "BuyRequest")
-    assert remove.actuals == ["seller"]  # no deadline
+    assert remove.actuals == ("seller",)  # no deadline
     assert isinstance(add, RopManip)
     assert (add.op, add.bo) == ("add", "ReactToBuyRequest")
-    assert add.actuals == ["buyer", '"01-01-2016 12:00:00"']  # the deadline's STRING lexeme
+    assert add.actuals == ("buyer", '"01-01-2016 12:00:00"')  # the deadline's STRING lexeme
 
 
 def test_event_fields_kept_in_source_order():
@@ -175,7 +175,7 @@ end
     constraints = parse(source).rules[0].constraints
     assert isinstance(constraints[0], Outcome)
     assert isinstance(constraints[1], TimeDirect)
-    assert (constraints[1].op, constraints[1].timestamp) == ("<", "02-01-2016 00:00:00")
+    assert (constraints[1].op, constraints[1].timestamp) == ("<", '"02-01-2016 00:00:00"')
     assert isinstance(constraints[2], TimePartial)
     assert (constraints[2].unit, constraints[2].lo, constraints[2].hi) == ("hour", 9, 17)
     assert isinstance(constraints[3], Historical) and constraints[3].happened
@@ -310,43 +310,43 @@ def test_records_keep_their_field_order():
         return EventField(name=name, value=value)
 
     expected = ContractAst(
-        decls=[
-            Decl(kind=ROLE_PLAYER, names=["buyer", "seller"], members=[], pos=at("buyer")),
-            Decl(kind=BUSINESS_OP, names=["Pay", "Ship"], members=[], pos=at("Pay")),
-            Decl(kind=COMP_OBLIG, names=["React"], members=["Pay", "Ship"], pos=at("React")),
-        ],
-        rules=[RuleAst(
+        decls=(
+            Decl(kind=ROLE_PLAYER, names=("buyer", "seller"), members=(), pos=at("buyer")),
+            Decl(kind=BUSINESS_OP, names=("Pay", "Ship"), members=(), pos=at("Pay")),
+            Decl(kind=COMP_OBLIG, names=("React",), members=("Pay", "Ship"), pos=at("React")),
+        ),
+        rules=(RuleAst(
             name="R",
             name_pos=at('"R"'),
             event_var="e",
-            event_fields=[field("botype", "X"), field("outcome", "ok")],
-            constraints=[
+            event_fields=(field("botype", "X"), field("outcome", "ok")),
+            constraints=(
                 RopMembership(bo="Pay", player="buyer", rop_set="rights", pos=at("Pay")),
                 Outcome(bo="Pay", value="false", pos=at("Pay")),
-                TimeDirect(event_var="e", op="<", timestamp="01-01-2016 00:00:00", pos=at("e")),
+                TimeDirect(event_var="e", op="<", timestamp='"01-01-2016 00:00:00"', pos=at("e")),
                 TimePartial(event_var="e", unit="hour", lo=9, hi=17, pos=at("e")),
-                Historical(happened=True, fields=[field("botype", "Y")], pos=at("(")),
-                Historical(happened=False, fields=[field("originator", "buyer")], pos=at("(")),
-            ],
-            actions=[
+                Historical(happened=True, fields=(field("botype", "Y"),), pos=at("(")),
+                Historical(happened=False, fields=(field("originator", "buyer"),), pos=at("(")),
+            ),
+            actions=(
                 RopManip(player="buyer", rop_set="obligs", op="add", bo="React",
-                         actuals=["seller", '"02-01-2016 00:00:00"'], pos=at("buyer", ".")),
+                         actuals=("seller", '"02-01-2016 00:00:00"'), pos=at("buyer", ".")),
                 RopManip(player="seller", rop_set="rights", op="remove", bo="Pay",
-                         actuals=["buyer"], pos=at("seller", ".")),
+                         actuals=("buyer",), pos=at("seller", ".")),
                 Outcome(bo="Ship", value="true", pos=at("Ship")),
                 ResetAct(player="buyer", pos=at("buyer")),
                 ResetAct(player="seller", pos=at("seller")),
                 IfAct(
                     pos=at("if"),
-                    cond=[
+                    cond=(
                         Outcome(bo="Pay", value="true", pos=at("Pay")),
                         TimePartial(event_var="e", unit="minute", lo=0, hi=30, pos=at("e")),
-                    ],
-                    then_actions=[ResetAct(player="buyer", pos=at("buyer"))],
-                    else_actions=[Outcome(bo="Pay", value="false", pos=at("Pay"))],
+                    ),
+                    then_actions=(ResetAct(player="buyer", pos=at("buyer")),),
+                    else_actions=(Outcome(bo="Pay", value="false", pos=at("Pay")),),
                 ),
-            ],
-        )],
+            ),
+        ),),
     )
     ast = parse(EVERY_SHAPE)
     assert ast == expected
