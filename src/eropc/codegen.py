@@ -189,7 +189,8 @@ def check_globals(tab: SymbolTable) -> list[Diagnostic]:
 def event_line(rule: RuleAst) -> str:
     """The ``$e: Event(...)`` pattern that opens each AD rule of a source rule."""
     # sema (E006) leaves exactly the four fields, each once
-    ev = {f.name: f.value for f in rule.event_fields}
+    fields = rule.event_fields  # each name, then its value
+    ev = dict(zip(fields[::2], fields[1::2]))
     pairs = ", ".join(f'{ad}=="{ev[name]}"' for name, ad in _AD_FIELD.items())
     return f"$e: Event({pairs})"
 
@@ -243,7 +244,7 @@ def constraint_expr(
     if isinstance(constraint, Historical):
         # name/value pairs in canonical field order; sema (E006) leaves each field at most once
         method = lookup["historical.happened"]
-        provided = {f.name: f.value for f in constraint.fields}
+        provided = dict(zip(constraint.fields[::2], constraint.fields[1::2]))
         args = ", ".join(
             f'"{ad}", "{provided[name]}"' for name, ad in _AD_FIELD.items() if name in provided
         )
@@ -308,7 +309,7 @@ def analyze(source: str) -> tuple[
     else:
         tab, diags = build_symbol_table(ast)
         ir = lower_contract(ast)
-        diags += check_contract(ast.decls, ir.rules, tab) + check_globals(tab)
+        diags += check_contract(ir.rules, tab) + check_globals(tab)
         diags.sort(key=lambda d: d.pos)  # (line, col) order; stable, so ties keep discovery order
     found = positions(source, [d.pos for d in diags])
     return ast, tab, ir, [_new(Diagnostic, (*d[:3], pos)) for d, pos in zip(diags, found)]

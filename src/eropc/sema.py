@@ -26,7 +26,6 @@ from .syntax import (
     ConstraintAst,
     ContractAst,
     Decl,
-    EventField,
     Historical,
     IfAct,
     NegatedConjunction,
@@ -68,7 +67,7 @@ class SymbolTable:
     def __init__(self) -> None:
         self.role_players: list[str] = []
         self.business_ops: list[str] = []
-        self.comp_obligs: dict[str, list[str]] = {}
+        self.comp_obligs: dict[str, tuple[str, ...]] = {}  # members as declared
         self.kinds: dict[str, str] = {}
         self.declared: dict[str, int] = {}
 
@@ -98,25 +97,22 @@ def build_symbol_table(ast: ContractAst) -> tuple[SymbolTable, list[Diagnostic]]
             elif decl.kind == BUSINESS_OP:
                 tab.business_ops.append(name)
             else:
-                tab.comp_obligs[name] = []
+                tab.comp_obligs[name] = decl.members
                 comp_decls.append(decl)
 
     # member lookup is order-insensitive within the declaration section
     for decl in comp_decls:
-        members = tab.comp_obligs[decl.names[0]]
         for j, member in enumerate(decl.members):
-            if tab.kinds.get(member) == BUSINESS_OP:
-                members.append(member)
-            else:
+            if tab.kinds.get(member) != BUSINESS_OP:
                 message = f"{COMP_OBLIG} member '{member}' is not a declared {BUSINESS_OP}"
                 diags.append(Diagnostic("error", "E002", message, decl.member_pos(j)))
     return tab, diags
 
 
-def check_contract(decls: list[Decl], rules: SplitRules, tab: SymbolTable) -> list[Diagnostic]:
+def check_contract(rules: SplitRules, tab: SymbolTable) -> list[Diagnostic]:
     """Check every rule, then report the declared names never used (W001); in discovery order."""
     checker = _Checker(tab)
-    checker.check(decls, rules)
+    checker.check(rules)
     return checker.diags
 
 
@@ -146,10 +142,9 @@ class _Checker:
         self.diags: list[Diagnostic] = []
         self.used: set[str] = set()
 
-    def check(self, decls: list[Decl], rules: SplitRules) -> None:
-        for decl in decls:  # only an accepted declaration's members count as uses
-            if self.tab.declared[decl.names[0]] == decl.name_pos(0):
-                self.used.update(decl.members)
+    def check(self, rules: SplitRules) -> None:
+        for members in self.tab.comp_obligs.values():  # an accepted declaration's members
+            self.used.update(members)  # are uses, declared or not (E002)
         seen_source: set[str] = set()
         seen_emitted: set[str] = set()
         for rule, pieces in rules:
@@ -183,11 +178,11 @@ class _Checker:
             each = "botype, originator, responder and outcome"
             self.error("E006", f"event match must specify {each} exactly once", rule.event_var_pos)
 
-    def check_fields(self, fields: list[EventField], lparen: int, once: bool) -> list[str]:
+    def check_fields(self, fields: tuple[str, ...], lparen: int, once: bool) -> list[str]:
         """Check a ``(field == value, ...)`` list, its ``(`` at token ``lparen``;
         returns its known field names in order."""
         names: list[str] = []
-        for j, (name, value) in enumerate(fields):
+        for j, (name, value) in enumerate(zip(fields[::2], fields[1::2])):  # name, then value
             name_pos, value_pos = field_pos(lparen, j)
             if name not in EVENT_FIELDS:
                 self.error("E006", f"unknown event field '{name}'", name_pos)

@@ -35,7 +35,8 @@ index follows from its fixed place in the production, which the record states.  
 position, a lexical or syntax error's too, is a token index, which one call of
 ``lexer.positions`` turns into line and column; ``sema.split`` gives RuleAsts.
 The parser tests token kinds by index and builds every record positionally, each sequence
-as a tuple, and one EventField, which holds no position, for each distinct field of a parse.
+as a tuple.  A list of names, of actuals or of event fields is a stride-2 slice of the
+lexemes, the separators skipped; a field list holds each field's name, then its value.
 """
 
 from __future__ import annotations
@@ -48,11 +49,6 @@ INT_MAX = 2**31 - 1  # a window bound is emitted into a Java int comparison
 ROP_SETS = ("rights", "obligs", "prohibs")
 TIME_UNITS = ("hour", "minute", "day", "month", "year")
 EVENT_FIELDS = ("botype", "originator", "responder", "outcome")
-
-
-class EventField(NamedTuple):
-    name: str
-    value: str
 
 
 def field_pos(lparen: int, j: int) -> tuple[int, int]:
@@ -129,7 +125,7 @@ class Historical(NamedTuple):
     """``[not] happened (fields)``, its ``(`` at token ``pos``."""
 
     happened: bool
-    fields: tuple[EventField, ...]
+    fields: tuple[str, ...]  # each field's name, then its value
     pos: int
 
 
@@ -183,7 +179,7 @@ class RuleAst(NamedTuple):
     name: str
     name_pos: int
     event_var: str
-    event_fields: tuple[EventField, ...]
+    event_fields: tuple[str, ...]  # each field's name, then its value
     constraints: tuple[ConstraintAst | NegatedConjunction, ...]
     actions: tuple[ActionAst, ...]
 
@@ -228,7 +224,6 @@ class _Parser:
         self.kinds = tokens.kinds
         self.lexemes = tokens.lexemes
         self.i = 0
-        self.fields: dict[EventField, EventField] = {}  # each distinct field, its own key
 
     def at(self, kind: int) -> bool:
         return self.kinds[self.i] is kind
@@ -325,13 +320,12 @@ class _Parser:
         rule = (string_value(lexemes[i]), i, lexemes[i + 2], fields, tuple(constraints), actions)
         return _new(RuleAst, rule)
 
-    def event_fields(self) -> tuple[EventField, ...]:
-        """``"(" IDENT "==" IDENT ("," IDENT "==" IDENT)* ")"``"""
-        kinds, lexemes, shared = self.kinds, self.lexemes, self.fields
-        i = self.i
+    def event_fields(self) -> tuple[str, ...]:
+        """``"(" IDENT "==" IDENT ("," IDENT "==" IDENT)* ")"``: each name, then its value"""
+        kinds = self.kinds
+        i = lparen = self.i
         if kinds[i] is not TokenKind.LPAREN:
             raise self.fail("expected '('", i)
-        fields = []
         while True:
             i += 1
             if kinds[i] is not TokenKind.IDENT:
@@ -340,18 +334,13 @@ class _Parser:
                 raise self.fail("expected '=='", i + 1)
             if kinds[i + 2] is not TokenKind.IDENT:
                 raise self.fail("expected an event field value", i + 2)
-            pair = lexemes[i], lexemes[i + 2]
-            field = shared.get(pair)  # a pair equals, and hashes as, the record that holds it
-            if field is None:
-                field = shared[field] = _new(EventField, pair)  # the record is its own key
-            fields.append(field)
             i += 3
             if kinds[i] is not TokenKind.COMMA:
                 break
         if kinds[i] is not TokenKind.RPAREN:
             raise self.fail("expected ')'", i)
         self.i = i + 1
-        return tuple(fields)
+        return tuple(self.lexemes[lparen + 1:i:2])
 
     def constraint(self) -> ConstraintAst:
         kinds, lexemes = self.kinds, self.lexemes

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from eropc.codegen import DEFAULT_LOOKUP, constraint_expr, emit_rule, event_line
 from eropc.sema import SymbolTable, split
 from eropc.syntax import (
-    EventField,
     Historical,
     IfAct,
     Outcome,
@@ -32,8 +31,9 @@ ops = st.sampled_from(("BuyRequest", "Payment", "Cancellation", "Shipment"))
 rop_sets = st.sampled_from(("rights", "obligs", "prohibs"))
 
 
-def _fields(pairs) -> tuple[EventField, ...]:
-    return tuple(EventField(name, value) for name, value in pairs)
+def _fields(pairs) -> tuple[str, ...]:
+    """A field list as the parser holds it: each name, then its value."""
+    return tuple(lexeme for pair in pairs for lexeme in pair)
 
 
 constraints = st.one_of(

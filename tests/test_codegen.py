@@ -1,7 +1,6 @@
 import gc
 import re
 import sys
-import traceback
 import tracemalloc
 
 import pytest
@@ -505,10 +504,14 @@ def test_no_collection_runs_during_a_compile(case_study_source):
     collections = []
 
     # the first allocation after translate re-enables the collector may start
-    # one collection in the caller; only one under translate's frame counts
+    # one collection in the caller; only one under translate's frame counts.  The
+    # walk starts at this callback's own frame: from CPython 3.11 on,
+    # traceback.walk_stack(None) starts above the frame that allocated
     def count(phase, info):
-        stack = traceback.walk_stack(None)
-        if phase == "start" and any(frame.f_code is translate.__code__ for frame, _ in stack):
+        frame = sys._getframe()
+        while frame is not None and frame.f_code is not translate.__code__:
+            frame = frame.f_back
+        if phase == "start" and frame is not None:
             collections.append(info["generation"])
 
     assert gc.isenabled()

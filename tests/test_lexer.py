@@ -19,7 +19,6 @@ from eropc.lexer import (
 from eropc.sema import split
 from eropc.syntax import (
     Decl,
-    EventField,
     Historical,
     IfAct,
     Outcome,
@@ -531,8 +530,9 @@ def held_identifiers(record):
 
 
 def held_fields(fields, lparen):
-    return [pair for j, (name, value) in enumerate(fields)
-            for pair in zip((name, value), field_pos(lparen, j))]
+    """Each lexeme of a field list (each name, then its value) with its token index."""
+    indexes = [index for j in range(len(fields) // 2) for index in field_pos(lparen, j)]
+    return list(zip(fields, indexes, strict=True))
 
 
 EVERY_RECORD = """\
@@ -607,21 +607,6 @@ def test_the_tree_and_each_split_piece_hold_tuples_only():
         held = [*pieces, *held_sequences(ast), *held_sequences(pieces)]
         assert [s for s in held if isinstance(s, list)] == [], name
         assert any(type(s) is tuple for s in held), name
-
-
-def test_each_distinct_event_field_is_one_record():
-    # an EventField holds no position, so one record serves each repeat of its field
-    rule_r, rule_s = parse_contract(tokenize(EVERY_RECORD)).rules
-    fields_r, fields_s = rule_r.event_fields, rule_s.event_fields
-    assert all(a is b for a, b in zip(fields_r, fields_s, strict=True))  # equal event matches
-    historical_r, historical_s = rule_r.constraints[3], rule_s.constraints[0]
-    assert historical_r.fields[0] is fields_r[1]  # originator == buyer
-    assert historical_s.fields[0] is fields_r[2]  # responder == seller
-    assert historical_r.fields[1] == EventField("botype", "Pay") not in fields_r
-    for name, source in parseable_sources().items():  # no two records of a parse are equal
-        held = held_sequences(parse_contract(tokenize(source)))
-        fields = [f for f in held if type(f) is EventField]
-        assert len({id(f) for f in fields}) == len(set(fields)), name
 
 
 def repeated_names_contract(rules):

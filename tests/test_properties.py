@@ -40,7 +40,7 @@ def test_e007_exactly_when_a_name_repeats(rules):
     # a repeated source name is E007 even where the split names differ (an
     # if/else "R" next to a plain "R"); otherwise E007 means the AD names repeat
     pairs = lower_contract(ContractAst([], rules)).rules
-    e007 = [d for d in check_contract([], pairs, SymbolTable()) if d.code == "E007"]
+    e007 = [d for d in check_contract(pairs, SymbolTable()) if d.code == "E007"]
     sources, targets = [rule.name for rule in rules], rendered_names(rules)
     repeats = len(set(sources)) < len(sources) or len(set(targets)) < len(targets)
     assert bool(e007) == repeats

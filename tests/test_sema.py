@@ -18,7 +18,7 @@ def analyze(source):
     """The symbol table and the diagnostics in discovery order, positions resolved."""
     ast = parse_contract(tokenize(source))
     tab, decl_diags = build_symbol_table(ast)
-    diags = decl_diags + check_contract(ast.decls, codegen.lower_contract(ast).rules, tab)
+    diags = decl_diags + check_contract(codegen.lower_contract(ast).rules, tab)
     found = positions(source, [d.pos for d in diags])
     return tab, [d._replace(pos=pos) for d, pos in zip(diags, found)]
 
@@ -31,7 +31,7 @@ def test_case_study_symbol_table(case_study_source):
     tab, diags = analyze(case_study_source)
     assert tab.role_players == ["buyer", "seller", "store"]
     assert tab.business_ops == ["BuyRequest", "Payment", "BuyConfirm", "BuyReject", "Cancellation"]
-    assert tab.comp_obligs == {"ReactToBuyRequest": ["BuyConfirm", "BuyReject"]}
+    assert tab.comp_obligs == {"ReactToBuyRequest": ("BuyConfirm", "BuyReject")}
     assert diags == []
 
 
@@ -48,7 +48,7 @@ def test_cross_namespace_duplicate_is_e001():
     assert [d.code for d in errors(diags)] == ["E001"]
 
 
-def test_unknown_compoblig_member_is_filtered():
+def test_unknown_compoblig_member_is_reported_and_kept_as_declared():
     source = "roleplayer buyer;\nbusinessoperation Pay;\ncompoblig React(Pay, Ship)\n" + """\
 rule "R"
 when e matches (botype == X, originator == buyer, responder == buyer, outcome == success)
@@ -57,7 +57,8 @@ then
 end
 """
     tab, diags = analyze(source)
-    assert tab.comp_obligs == {"React": ["Pay"]}
+    assert tab.comp_obligs == {"React": ("Pay", "Ship")}
+    assert codegen.translate(source, "P")[0] is None  # E002 leaves nothing rendered
     (e002,) = [d for d in diags if d.code == "E002"]
     assert "Ship" in e002.message and (e002.pos.line, e002.pos.col) == (3, 22)
 
@@ -71,7 +72,7 @@ then
 end
 """
     tab, diags = analyze(source)
-    assert tab.comp_obligs == {"React": ["Pay"]}
+    assert tab.comp_obligs == {"React": ("Pay",)}
     assert errors(diags) == []
 
 
@@ -87,7 +88,7 @@ then
 end
 """
     tab, diags = analyze(source)
-    assert tab.comp_obligs == {"React": ["Pay"]}
+    assert tab.comp_obligs == {"React": ("Pay",)}
     (e001,) = errors(diags)
     assert e001.code == "E001"
     assert e001.message == "duplicate declaration of 'React'"

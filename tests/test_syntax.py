@@ -8,7 +8,6 @@ from eropc.syntax import (
     ROLE_PLAYER,
     ContractAst,
     Decl,
-    EventField,
     Historical,
     IfAct,
     Outcome,
@@ -69,12 +68,12 @@ def test_rule_shape():
     assert isinstance(rule, RuleAst)
     assert rule.name == "BuyRequestReceived"
     assert rule.event_var == "e"
-    assert [(f.name, f.value) for f in rule.event_fields] == [
-        ("botype", "BUYREQ"),
-        ("originator", "buyer"),
-        ("responder", "store"),
-        ("outcome", "success"),
-    ]
+    assert rule.event_fields == (  # each name, then its value
+        "botype", "BUYREQ",
+        "originator", "buyer",
+        "responder", "store",
+        "outcome", "success",
+    )
     (constraint,) = rule.constraints
     assert isinstance(constraint, RopMembership)
     assert (constraint.bo, constraint.player, constraint.rop_set) == (
@@ -98,9 +97,8 @@ then
 end
 """
     rule = parse(scrambled).rules[0]
-    assert [f.name for f in rule.event_fields] == [
-        "outcome", "botype", "responder", "originator",
-    ]
+    assert rule.event_fields[::2] == ("outcome", "botype", "responder", "originator")
+    assert rule.event_fields[1::2] == ("success", "X", "store", "buyer")
 
 
 def test_if_else_action():
@@ -306,9 +304,6 @@ def test_records_keep_their_field_order():
         last = next(i for i in range(last + 1, len(lexemes)) if lexemes[i:i + len(run)] == [*run])
         return last
 
-    def field(name, value):
-        return EventField(name=name, value=value)
-
     expected = ContractAst(
         decls=(
             Decl(kind=ROLE_PLAYER, names=("buyer", "seller"), members=(), pos=at("buyer")),
@@ -319,14 +314,14 @@ def test_records_keep_their_field_order():
             name="R",
             name_pos=at('"R"'),
             event_var="e",
-            event_fields=(field("botype", "X"), field("outcome", "ok")),
+            event_fields=("botype", "X", "outcome", "ok"),  # each name, then its value
             constraints=(
                 RopMembership(bo="Pay", player="buyer", rop_set="rights", pos=at("Pay")),
                 Outcome(bo="Pay", value="false", pos=at("Pay")),
                 TimeDirect(event_var="e", op="<", timestamp='"01-01-2016 00:00:00"', pos=at("e")),
                 TimePartial(event_var="e", unit="hour", lo=9, hi=17, pos=at("e")),
-                Historical(happened=True, fields=(field("botype", "Y"),), pos=at("(")),
-                Historical(happened=False, fields=(field("originator", "buyer"),), pos=at("(")),
+                Historical(happened=True, fields=("botype", "Y"), pos=at("(")),
+                Historical(happened=False, fields=("originator", "buyer"), pos=at("(")),
             ),
             actions=(
                 RopManip(player="buyer", rop_set="obligs", op="add", bo="React",
