@@ -5,8 +5,8 @@ Covers the front end (analyze) of translate() and the CLI's --check and
 configurable keyword-to-method lookup, and deterministic rendering (LF newlines,
 4-space indent inside rules).  One function, ``ad_globals``, names a declared
 name's AD identifiers; the header prints them and E012 checks them in one walk
-over the declarations.  Each AD rule is one RuleAst that ``sema.split`` gives,
-rendered straight to its text, and each source rule is dropped once its AD rules are.
+over the declarations.  ``build_ad_file`` splits each source rule (``sema.split``) as
+it renders it, each piece straight to its text, and drops the rule once it is rendered.
 """
 
 from __future__ import annotations
@@ -256,12 +256,12 @@ def constraint_expr(
 
 
 class IrContract(NamedTuple):
-    rules: list[tuple[RuleAst, tuple[RuleAst, ...]]]  # each source rule with its split
+    rules: list[RuleAst]  # the parser's own source rules, which build_ad_file drains
 
 
 def lower_contract(ast: ContractAst) -> IrContract:
-    """Pair each source rule, checked or not, with its split."""
-    return IrContract([(rule, split(rule)) for rule in ast.rules])
+    """The source rules, checked or not, in a list of their own."""
+    return IrContract(list(ast.rules))
 
 
 class ADFile(NamedTuple):
@@ -274,15 +274,15 @@ def build_ad_file(
 ) -> ADFile:
     """The header and the text of every AD rule of the contract.
 
-    Drains ``contract.rules``: each source rule and its split are dropped once
-    rendered, so a caller that holds no other reference to them frees each rule here.
+    Drains ``contract.rules``, splitting each source rule as it renders it: a caller that
+    holds no other reference to a rule frees it and its pieces here, once it is rendered.
     """
-    pairs, rules = contract.rules, []
-    pairs.reverse()  # popped from the end, in source order
-    while pairs:
-        rule, pieces = pairs.pop()
+    source_rules, rules = contract.rules, []
+    source_rules.reverse()  # popped from the end, in source order
+    while source_rules:
+        rule = source_rules.pop()
         event = event_line(rule)
-        rules.extend(emit_rule(piece, event, lookup, tab) for piece in pieces)
+        rules.extend(emit_rule(piece, event, lookup, tab) for piece in split(rule))
     return ADFile(header_lines(package_name, tab), rules)
 
 
@@ -295,7 +295,7 @@ def render_file(ad_file: ADFile) -> str:
 def analyze(source: str) -> tuple[
     ContractAst | None, SymbolTable | None, IrContract | None, list[Diagnostic]
 ]:
-    """Tokenize, parse, build the symbol table, split and check; diagnostics in (line, col) order.
+    """Tokenize, parse, build the symbol table, lower and check; diagnostics in (line, col) order.
 
     A lexical or syntax error gives ``(None, None, None, [its E-LEX or E-PARSE])``.
     Every stage records token indexes; this is the one place that turns them
@@ -318,7 +318,7 @@ def analyze(source: str) -> tuple[
 def translate(
     source: str, package_name: str, lookup: Mapping[str, str] = DEFAULT_LOOKUP
 ) -> tuple[str | None, list[Diagnostic]]:
-    """Full pipeline: analyze, then emit the split rules.
+    """Full pipeline: analyze, then split and emit each rule.
 
     Returns ``(text, diagnostics)``; ``text`` is None, and nothing is rendered, on any error.
 

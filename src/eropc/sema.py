@@ -42,7 +42,6 @@ from .syntax import (
 
 OUTCOME_VALUES = ("success", "tecfail", "bizfail")  # compared case-insensitively
 UNIT_MAX = {"hour": 23, "minute": 59}  # the other units' renderings are unconfirmed
-SplitRules = list[tuple[RuleAst, tuple[RuleAst, ...]]]  # each source rule with its ``split``
 
 
 class Diagnostic(NamedTuple):
@@ -109,63 +108,68 @@ def build_symbol_table(ast: ContractAst) -> tuple[SymbolTable, list[Diagnostic]]
     return tab, diags
 
 
-def check_contract(rules: SplitRules, tab: SymbolTable) -> list[Diagnostic]:
+def check_contract(rules: list[RuleAst], tab: SymbolTable) -> list[Diagnostic]:
     """Check every rule, then report the declared names never used (W001); in discovery order."""
     checker = _Checker(tab)
-    checker.check(rules)
+    for members in tab.comp_obligs.values():  # an accepted declaration's members
+        for member in members:  # are uses, declared or not (E002)
+            checker.unused.pop(member, None)
+    seen_source: set[str] = set()
+    seen_emitted: set[str] = set()
+    for rule in rules:
+        conditional, names = branches(rule)
+        clash = next((name for name in names if name in seen_emitted), None)
+        if rule.name in seen_source:
+            checker.error("E007", f'duplicate rule name "{rule.name}"', rule.name_pos)
+        elif clash is not None:
+            why = "collides with a rule produced by conditional splitting"
+            checker.error("E007", f'rule name "{clash}" {why}', rule.name_pos)
+        seen_source.add(rule.name)
+        seen_emitted.update(names)
+        checker.check_rule(rule, conditional)
+    checker.report_unused()
     return checker.diags
 
 
-def split(rule: RuleAst) -> tuple[RuleAst, ...]:
-    """The AD rules a source rule compiles to, in output order.
-
-    A rule without an ``if`` is its own only AD rule.  An ``if`` gives ``<name>IfThen``,
-    guarded by its condition, and an ``else`` gives ``<name>IfElse``, guarded by the
-    negation; the rule's own constraints follow, and each piece keeps the rule's name
-    position and event match.  Only the actions decide, so a rule is split before it is checked.
-    """
+def branches(rule: RuleAst) -> tuple[IfAct | None, tuple[str, ...]]:
+    """The rule's first ``if`` action, or None, and the names of the AD rules ``split``
+    gives the rule: its own name, or one per branch of that ``if``."""
     conditional = next((a for a in rule.actions if isinstance(a, IfAct)), None)
     if conditional is None:
+        return None, (rule.name,)
+    names = rule.name + "IfThen", rule.name + "IfElse"
+    return conditional, names[: 1 if conditional.else_actions is None else 2]
+
+
+def split(rule: RuleAst) -> tuple[RuleAst, ...]:
+    """The AD rules a source rule compiles to, in output order: without an ``if``, the rule
+    itself; with one, a piece guarded by its condition and, for an ``else``, one guarded by
+    the negation, named by ``branches``.  The rule's own constraints follow each guard, and
+    each piece keeps the rule's name position and event match."""
+    conditional, names = branches(rule)
+    if conditional is None:
         return (rule,)
-    name, name_pos, event_var, fields, own, _ = rule
+    _, name_pos, event_var, fields, own, _ = rule
     cond, then_actions, else_actions, _ = conditional
-    then_rule = RuleAst(name + "IfThen", name_pos, event_var, fields, cond + own, then_actions)
+    then_rule = RuleAst(names[0], name_pos, event_var, fields, cond + own, then_actions)
     if else_actions is None:
         return (then_rule,)
     guard = (NegatedConjunction(cond), *own)
-    return then_rule, RuleAst(name + "IfElse", name_pos, event_var, fields, guard, else_actions)
+    return then_rule, RuleAst(names[1], name_pos, event_var, fields, guard, else_actions)
 
 
 class _Checker:
     def __init__(self, tab: SymbolTable) -> None:
         self.tab = tab
         self.diags: list[Diagnostic] = []
-        self.used: set[str] = set()
-
-    def check(self, rules: SplitRules) -> None:
-        for members in self.tab.comp_obligs.values():  # an accepted declaration's members
-            self.used.update(members)  # are uses, declared or not (E002)
-        seen_source: set[str] = set()
-        seen_emitted: set[str] = set()
-        for rule, pieces in rules:
-            clash = next((p.name for p in pieces if p.name in seen_emitted), None)
-            if rule.name in seen_source:
-                self.error("E007", f'duplicate rule name "{rule.name}"', rule.name_pos)
-            elif clash is not None:
-                why = "collides with a rule produced by conditional splitting"
-                self.error("E007", f'rule name "{clash}" {why}', rule.name_pos)
-            seen_source.add(rule.name)
-            seen_emitted.update(p.name for p in pieces)
-            self.check_rule(rule)
-        self.report_unused()
+        self.unused = dict(tab.declared)  # each declared name not used yet, and its index
 
     # rules
 
-    def check_rule(self, rule: RuleAst) -> None:
+    def check_rule(self, rule: RuleAst, conditional: IfAct | None) -> None:
         self.check_event_fields(rule)
         for constraint in rule.constraints:
             self.check_constraint(constraint, rule)
-        conditional = next((a for a in rule.actions if isinstance(a, IfAct)), None)
         if conditional is not None and len(rule.actions) > 1:
             message = "an 'if' action must be the only action of its rule"
             self.error("E010", message, conditional.pos)
@@ -242,7 +246,7 @@ class _Checker:
 
     def expect_role_player(self, name: str, index: int) -> None:
         """The identifier ``name``, at token ``index``, names a role player."""
-        self.used.add(name)
+        self.unused.pop(name, None)
         kind = self.tab.kinds.get(name)
         if kind is None:
             self.error("E004", f"'{name}' is not declared", index)
@@ -252,7 +256,7 @@ class _Checker:
     def expect_operation(self, name: str, index: int, rop_set: str | None) -> None:
         """A business operation, or a composite obligation in an obligs set; ``rop_set``
         is None for ``BO.BizFail``, which only a business operation has."""
-        self.used.add(name)
+        self.unused.pop(name, None)
         kind = self.tab.kinds.get(name)
         if kind is None:
             self.error("E004", f"'{name}' is not declared", index)
@@ -273,10 +277,9 @@ class _Checker:
             self.error("E008", message, outcome.value_pos)
 
     def report_unused(self) -> None:
-        for name, index in self.tab.declared.items():
-            if name not in self.used:
-                kind = self.tab.kinds[name]
-                self.warn("W001", f"{kind} '{name}' declared but never used", index)
+        for name, index in self.unused.items():  # in declaration order
+            kind = self.tab.kinds[name]
+            self.warn("W001", f"{kind} '{name}' declared but never used", index)
 
     def error(self, code: str, message: str, index: int) -> None:
         self.diags.append(Diagnostic("error", code, message, index))

@@ -6,7 +6,7 @@ import tracemalloc
 import pytest
 
 from conftest import CORPUS, wide_contract
-from eropc import codegen, lexer
+from eropc import codegen, lexer, sema
 from eropc.codegen import (
     ADFile,
     ConfigError,
@@ -633,9 +633,8 @@ def test_render_file_builds_the_text_once():
 
 
 def test_each_source_rule_is_split_once_per_compile(case_study_source, golden_drl, monkeypatch):
-    # E007 and code generation read the pieces of one split; a call from sema would count too
-    from eropc import sema
-
+    # only code generation splits: the checks (E007) name a rule's pieces without making
+    # them, and a call from sema would count too
     def counted_split(rule):
         calls.append(rule.name)
         return sema_split(rule)
@@ -643,9 +642,38 @@ def test_each_source_rule_is_split_once_per_compile(case_study_source, golden_dr
     sema_split, calls = sema.split, []
     monkeypatch.setattr(sema, "split", counted_split)
     monkeypatch.setattr(codegen, "split", counted_split)
+    assert codegen.analyze(case_study_source)[3] == [] and calls == []
     assert translate(case_study_source, "BuyerStoreContractEx") == (golden_drl, [])
     source_rules = [rule.name for rule in parse_contract(tokenize(case_study_source)).rules]
     assert len(calls) == 10 and calls == source_rules
+
+
+def test_each_rule_is_split_only_while_it_is_rendered(case_study_source, golden_drl, monkeypatch):
+    # no piece of an if/else split exists before the back end, and the pieces of one
+    # source rule at most while it is rendered
+    def pieces():
+        suffixes = ("IfThen", "IfElse")
+        return [o for o in gc.get_objects() if type(o) is RuleAst and o.name.endswith(suffixes)]
+
+    def split_rules():
+        """How many source rules some piece made since ``before`` is of."""
+        return len({piece.name_pos for piece in pieces() if id(piece) not in before})
+
+    def build_ad_file(*args):
+        at_build.append(split_rules())
+        return real_build_ad_file(*args)
+
+    def emit_rule(*args):
+        at_emit.append(split_rules())
+        return real_emit_rule(*args)
+
+    real_build_ad_file, real_emit_rule = codegen.build_ad_file, codegen.emit_rule
+    at_build, at_emit = [], []
+    monkeypatch.setattr(codegen, "build_ad_file", build_ad_file)
+    monkeypatch.setattr(codegen, "emit_rule", emit_rule)
+    before = {id(piece): piece for piece in pieces()}  # held, so no new piece reuses an id
+    assert translate(case_study_source, "BuyerStoreContractEx") == (golden_drl, [])
+    assert at_build == [0] and len(at_emit) == 15 and max(at_emit) == 1
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
